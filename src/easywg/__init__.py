@@ -20,14 +20,12 @@ from .characters import (
 from .exact_linalg import (
     ExactScalar,
     GramMatrix,
-    SingularMatrixError,
     WeingartenMatrix,
     format_scalar,
     get_weingarten,
     gram_matrix,
     parse_scalar,
     set_disk_cache,
-    solve_inverse,
     weingarten_matrix,
 )
 from .integrator import (

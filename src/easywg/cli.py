@@ -66,8 +66,12 @@ def _parse_indices(text: str, product: bool) -> tuple:
     return tuple(out)
 
 
-def _float(x: Fraction) -> float:
-    return float(x)
+def _float(x: Fraction) -> "float | None":
+    """Float rendering of an exact value; None (JSON null) beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 def _matrix_strings(rows) -> list[list[str]]:
@@ -148,12 +152,13 @@ def _cmd_space_moment(args):
     indices = _parse_indices(args.indices, space.is_product)
     value = space_moment(space, word, indices)
     k = len(word)
-    unscaled = _float(value) / (space.m ** (k / 2.0))
+    value_float = _float(value)
+    unscaled = None if value_float is None else value_float / (space.m ** (k / 2.0))
     payload = {
         "command": "space-moment",
         "inputs": {"space": args.space, "word": args.word, "indices": args.indices},
         "value": format_scalar(value),
-        "value_float": _float(value),
+        "value_float": value_float,
         "unscaled": {
             "coefficient": format_scalar(value),
             "m": space.m,
@@ -544,7 +549,12 @@ def main(argv=None) -> int:
         return 1
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get("WG_CACHE_DIR")
     if cache_dir:
-        exact_linalg.set_disk_cache(cache_dir)
+        try:
+            exact_linalg.set_disk_cache(cache_dir)
+        except OSError as err:
+            print(f"error: cannot use cache directory {cache_dir!r}: "
+                  f"{err.strerror or err}", file=sys.stderr)
+            return 1
     started = time.perf_counter()
     try:
         payload, table, code = args.handler(args)

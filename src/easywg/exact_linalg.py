@@ -1,7 +1,9 @@
 """Exact rational matrices indexed by partition sets.
 
-Gram matrices of partition vectors, their exact (generalized) inverses in
-the Weingarten role, and a fraction-free solver.  All values are ints or
+Gram matrices of partition vectors and their exact (generalized) inverses
+in the Weingarten role.  Inverses are computed from numpy int64 residues
+modulo word-size primes, combined by CRT and rational reconstruction, and
+certified exactly before they are returned.  All values are ints or
 fractions.Fraction; no floating point enters this module.
 """
 
@@ -12,8 +14,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
+
+import numpy as np
 
 from .partitions import (
     CategoryId,
@@ -39,85 +44,6 @@ def format_scalar(x) -> str:
 
 def parse_scalar(text: str) -> Fraction:
     return Fraction(text)
-
-
-class SingularMatrixError(ValueError):
-    """Raised by solve_inverse on singular input; .row is the first dependent row (0-based)."""
-
-    def __init__(self, row: int):
-        self.row = row
-        super().__init__(
-            f"singular matrix: row {row} is a linear combination of rows 0..{row - 1}"
-        )
-
-
-def _first_dependent_row(matrix: Matrix) -> int:
-    """Index of the first row lying in the span of the rows before it."""
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for idx, row in enumerate(matrix):
-        r = [Fraction(x) for x in row]
-        for col, prow in pivots:
-            if r[col]:
-                f = r[col]
-                r = [a - f * b for a, b in zip(r, prow)]
-        for col, a in enumerate(r):
-            if a:
-                pivots.append((col, [x / a for x in r]))
-                break
-        else:
-            return idx
-    raise ValueError("matrix has full row rank")
-
-
-def solve_inverse(matrix: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix.
-
-    Fraction-free Bareiss (Montante) elimination on an integer row-scaling
-    of the input; the only divisions are the exact ones of the scheme plus
-    the final division by the determinant.  Raises SingularMatrixError
-    naming the first dependent row.
-    """
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return []
-    aug: list[list[int]] = []
-    for i, row in enumerate(matrix):
-        fr = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in fr)) if fr else 1
-        left = [int(x * den) for x in fr]
-        right = [0] * n
-        right[i] = den
-        aug.append(left + right)
-    prev = 1
-    width = 2 * n
-    for col in range(n):
-        if aug[col][col] == 0:
-            for r in range(col + 1, n):
-                if aug[r][col] != 0:
-                    aug[col], aug[r] = aug[r], aug[col]
-                    break
-            else:
-                raise SingularMatrixError(_first_dependent_row(matrix))
-        p = aug[col][col]
-        pivot_row = aug[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            row_r = aug[r]
-            new_row = []
-            for j in range(width):
-                q, rem = divmod(p * row_r[j] - f * pivot_row[j], prev)
-                if rem:
-                    raise ArithmeticError("inexact division in Bareiss step")
-                new_row.append(q)
-            aug[r] = new_row
-        prev = p
-    d = prev
-    return [[Fraction(aug[i][n + j], d) for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -180,66 +106,274 @@ class WeingartenMatrix:
         return [[Fraction(x, d) for x in row] for row in self.numerators]
 
 
+# Multi-modular engine.  Residues live in numpy int64 arrays modulo primes
+# below 2**26: a product of two residues is below 2**52, so a sum of up to
+# 2**11 products plus one reduced residue stays below 2**63, and every
+# intermediate of the elimination, the products and the CRT is exact.
+_PRIME_LIMIT = 1 << 26
+_CHUNK = 1 << 11
+
+
+@lru_cache(maxsize=None)
+def _prime(i: int) -> int:
+    """The i-th prime below 2**26, counting down from the largest.  Callers
+    ask for i = 0, 1, 2, ... in turn, so the recursion is one level deep."""
+    c = _prime(i - 1) - 2 if i else _PRIME_LIMIT - 1
+    while any(c % d == 0 for d in range(3, isqrt(c) + 1, 2)):
+        c -= 2
+    return c
+
+
+def _as_array(g: Matrix) -> np.ndarray:
+    """An integer matrix as int64 when it fits, else as Python ints."""
+    try:
+        return np.array(g, dtype=np.int64)
+    except OverflowError:
+        return np.array(g, dtype=object)
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    return (a % p).astype(np.int64, copy=False)
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b modulo p, reducing after every 2**11 terms of each inner sum."""
+    out = a[:, :_CHUNK] @ b[:_CHUNK]
+    out %= p
+    for s in range(_CHUNK, a.shape[1], _CHUNK):
+        out += a[:, s:s + _CHUNK] @ b[s:s + _CHUNK]
+        out %= p
+    return out
+
+
+def _rank_profile(a: np.ndarray, p: int) -> list[int]:
+    """Greedy row rank profile of the symmetric residue matrix a modulo p.
+
+    A row is kept when it is not in the span of the rows before it.  For a
+    symmetric matrix this is the column rank profile, which forward
+    elimination finds column by column.  Overwrites a.
+    """
+    profile: list[int] = []
+    top = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[top:, c])
+        if nz.size == 0:
+            continue
+        r = top + int(nz[0])
+        if r != top:
+            a[[top, r]] = a[[r, top]]
+        pivot = a[top, c:] * pow(int(a[top, c]), -1, p) % p
+        rest = a[top + 1:, c:]
+        rest -= np.outer(rest[:, 0], pivot)
+        rest %= p
+        profile.append(c)
+        top += 1
+        if top == a.shape[0]:
+            break
+    return profile
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> "np.ndarray | None":
+    """Inverse of a square residue matrix modulo p (Gauss-Jordan), or None."""
+    m = a.shape[0]
+    aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
+    for c in range(m):
+        nz = np.flatnonzero(aug[c:, c])
+        if nz.size == 0:
+            return None
+        r = c + int(nz[0])
+        if r != c:
+            aug[[c, r]] = aug[[r, c]]
+        aug[c, c:] = aug[c, c:] * pow(int(aug[c, c]), -1, p) % p
+        col = aug[:, c].copy()
+        col[c] = 0
+        rest = aug[:, c:]
+        rest -= np.outer(col, aug[c, c:])
+        rest %= p
+    return aug[:, m:]
+
+
+def _crt(residues: list, primes: list[int]) -> np.ndarray:
+    """Residue matrices combined into Python ints in [0, prod(primes)).
+
+    Garner's mixed-radix digits are computed in int64; only the final
+    Horner sum runs on Python ints.
+    """
+    digits: list[np.ndarray] = []
+    for x, p in zip(residues, primes):
+        for d, q in zip(digits, primes):
+            x = (x - d) % p * pow(q, -1, p) % p
+        digits.append(x)
+    value = digits[-1].astype(object)
+    for d, q in zip(digits[-2::-1], primes[-2::-1]):
+        value = value * q + d.astype(object)
+    return value
+
+
+def _denominator(a: int, m: int, bound: int) -> "int | None":
+    """The v with 0 < v <= bound and v*a = u (mod m), |u| <= bound,
+    gcd(u, v) = 1, by the half-extended Euclidean algorithm; else None."""
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return abs(t1)
+
+
+def _reconstruct(value: np.ndarray, modulus: int):
+    """One common denominator d and the integer matrix d*value.
+
+    Rational reconstruction with numerators and denominator bounded by
+    sqrt(modulus/2): d grows by the denominator of the first entry that
+    d*value does not yet make small.  None when the modulus is too small.
+    """
+    bound = isqrt(modulus // 2)
+    half = modulus // 2
+    d = 1
+    while True:
+        y = value * d % modulus
+        y = np.where(y > half, y - modulus, y)
+        big = np.flatnonzero(np.abs(y) > bound)
+        if big.size == 0:
+            return d, y
+        q = _denominator(int(y.flat[big[0]]) % modulus, modulus, bound)
+        if q is None or q < 2 or d * q > bound:
+            return None
+        d *= q
+
+
+def _profile_key(profile: list[int], n: int) -> list[int]:
+    """Prefix ranks of a row profile.  Over Q every prefix of the matrix has
+    at least the rank it has modulo a prime, so the profile over Q has the
+    largest key of all."""
+    return np.cumsum(np.bincount(profile, minlength=n)).tolist()
+
+
+def _embed(n: int, basis: list[int], block: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The n x n matrix with block on basis x basis and zeros elsewhere."""
+    zero = (0,) * n
+    rows = dict(zip(basis, block))
+    out = []
+    for i in range(n):
+        if i not in rows:
+            out.append(zero)
+            continue
+        line = [0] * n
+        for j, x in zip(basis, rows[i]):
+            line[j] = x
+        out.append(tuple(line))
+    return tuple(out)
+
+
 def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     """Invert a Gram matrix, falling back to a canonical generalized inverse.
 
-    The index is scanned in canonical order and a row is kept exactly when
-    it increases the rank; since Gram matrices are positive semidefinite,
-    the rank test is the vanishing of the Schur complement scalar against
-    the rows already kept (equal to the Bareiss pivot, a ratio of leading
-    principal minors of the restriction).  The kept block is inverted
-    incrementally, so an invertible input yields its exact inverse with
-    basis equal to the full index.
+    The basis is the greedy row rank profile: the index is scanned in
+    canonical order and a row is kept exactly when it is not in the span of
+    the rows already kept.  The kept block is inverted exactly, so an
+    invertible input yields its exact inverse with basis equal to the full
+    index.
+
+    Multi-modular: the profile is taken modulo two primes, the kept block
+    is inverted modulo as many primes as needed, and the residues are
+    combined by CRT and rational reconstruction with one common
+    denominator.  The result is returned only after the exact certificate
+    of _certify; a failed reconstruction or certificate adds primes, and a
+    profile seen to be too small is replaced.
     """
-    g = gram.entries
-    n = len(g)
-    basis: list[int] = []
-    inv: list[list[Fraction]] = []
-    for cand in range(n):
-        col = [g[b][cand] for b in basis]
-        u = [sum(row[j] * col[j] for j in range(len(col))) for row in inv]
-        s = Fraction(g[cand][cand]) - sum(c * x for c, x in zip(col, u))
-        if s < 0:
-            raise ValueError("input is not a positive semidefinite Gram matrix")
-        if s == 0:
+    n = len(gram.entries)
+    if n == 0:
+        return WeingartenMatrix(gram, (), 1, ())
+    a = _as_array(gram.entries)
+    basis = max((_rank_profile(_mod(a, _prime(i)), _prime(i)) for i in range(2)),
+                key=lambda b: _profile_key(b, n))
+    primes: list[int] = []
+    inverses: list[np.ndarray] = []
+    i = 0
+    while True:
+        p = _prime(i)
+        i += 1
+        inv = _inverse_mod(_mod(a[np.ix_(basis, basis)], p), p)
+        if inv is None:  # p divides the determinant of the kept block
             continue
-        m = len(basis)
-        new_inv = [
-            [inv[i][j] + u[i] * u[j] / s for j in range(m)] + [-u[i] / s]
-            for i in range(m)
-        ]
-        new_inv.append([-u[j] / s for j in range(m)] + [Fraction(1) / s])
-        inv = new_inv
-        basis.append(cand)
-    den = 1
-    for row in inv:
-        for x in row:
-            den = lcm(den, x.denominator)
-    numerators = [[0] * n for _ in range(n)]
-    for bi, i in enumerate(basis):
-        for bj, j in enumerate(basis):
-            numerators[i][j] = int(inv[bi][bj] * den)
-    return WeingartenMatrix(
-        gram, tuple(basis), den, tuple(tuple(r) for r in numerators)
-    )
+        primes.append(p)
+        inverses.append(inv)
+        rec = _reconstruct(_crt(inverses, primes), prod(primes))
+        if rec is None:
+            continue
+        den, num = rec
+        g = gcd(den, *num.flat)
+        wg = WeingartenMatrix(gram, tuple(basis), den // g,
+                              _embed(n, basis, (num // g).tolist()))
+        if _certify(wg):
+            return wg
+        seen = _rank_profile(_mod(a, p), p)
+        if _profile_key(seen, n) > _profile_key(basis, n):
+            basis, primes, inverses = seen, [], []
 
 
-def _gram_products_hold(gram: GramMatrix, wg: WeingartenMatrix) -> bool:
-    """Check G.W.G == G exactly, in integer arithmetic."""
-    g = gram.entries
-    a = wg.numerators
-    den = wg.denominator
+def _certify(wg: WeingartenMatrix) -> bool:
+    """Exact proof that wg is the canonical Weingarten matrix of its Gram matrix.
+
+    With G the Gram matrix, W = numerators/denominator and B the basis:
+    B is strictly increasing, W is symmetric and zero outside B x B, and
+
+      1. G[B,B] . num[B,B] = den . I
+      2. G . num . G = den . G
+      3. (G . num)[c, b] = 0 for every row c outside B and b in B, b > c.
+
+    (1) and (2) make W a generalized inverse of G supported on an
+    independent set of rows spanning the row space; (3) says every other
+    row depends only on the kept rows before it, so B is the greedy rank
+    profile over Q and W the unique such inverse.  Given (1), (2) holds on
+    the rows of B, so only the rows outside B are multiplied out.  All
+    identities are checked modulo primes whose product exceeds twice an
+    a-priori bound on both sides, which makes every check exact.
+    """
+    g = wg.source.entries
     n = len(g)
-    if len(a) != n:
+    den = wg.denominator
+    basis = list(wg.basis)
+    num = wg.numerators
+    if den < 1 or len(num) != n or any(len(row) != n for row in num):
         return False
-    ag = [
-        [sum(a[i][k] * g[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            if sum(g[i][k] * ag[k][j] for k in range(n)) != den * g[i][j]:
-                return False
+    if basis != sorted(set(basis)) or any(not 0 <= b < n for b in basis):
+        return False
+    kept = set(basis)
+    out = [i for i in range(n) if i not in kept]
+    w = [[num[i][j] for j in basis] for i in basis]
+    if (any(any(num[i]) for i in out) or any(num[i][j] for i in basis for j in out)
+            or w != [list(col) for col in zip(*w)]):
+        return False
+    if n == 0:
+        return True
+    a = _as_array(g)
+    b = np.array(basis, dtype=np.intp)
+    later = b[None, :] > np.array(out, dtype=np.intp)[:, None]
+    r = len(basis)
+    max_g = max(1, int(a.max()), -int(a.min()))
+    max_w = max((abs(x) for row in w for x in row), default=0)
+    bound = r * r * max_g * max_g * max_w + den * max_g
+    w = np.array(w, dtype=object).reshape(r, r)
+    modulus, i = 1, 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        i += 1
+        modulus *= p
+        ap = _mod(a, p)
+        y = _matmul_mod(ap[:, b], _mod(w, p), p)  # (G . num)[:, B]
+        if not np.array_equal(y[b], np.eye(r, dtype=np.int64) * (den % p)):
+            return False
+        if y[out][later].any():
+            return False
+        rhs = ap[out]
+        rhs *= den % p
+        rhs %= p
+        if not np.array_equal(_matmul_mod(y[out], ap[b], p), rhs):
+            return False
     return True
 
 
@@ -250,9 +384,9 @@ _DISK_DIR: str | None = None
 def set_disk_cache(directory: "str | None") -> None:
     """Enable (or disable with None) the on-disk Weingarten record store."""
     global _DISK_DIR
-    _DISK_DIR = directory
     if directory is not None:
         os.makedirs(directory, exist_ok=True)
+    _DISK_DIR = directory
 
 
 def clear_memo() -> None:
@@ -282,24 +416,38 @@ def _to_record(key, wg: WeingartenMatrix) -> dict:
     }
 
 
-def _from_record(record: dict, gram: GramMatrix) -> "WeingartenMatrix | None":
+def _from_record(record: dict, key, gram: GramMatrix) -> "WeingartenMatrix | None":
+    """The record's matrix if its header names the key and it passes the
+    engine's certificate against the freshly built Gram matrix."""
     try:
+        if [record["category"], record["word"], record["dimension"]] != list(key):
+            return None
         basis = tuple(int(b) for b in record["basis"])
         rows = [[parse_scalar(x) for x in row] for row in record["entries"]]
-    except (KeyError, ValueError, TypeError):
+    except (KeyError, ValueError, TypeError, ZeroDivisionError):
         return None
-    n = len(gram.index)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        return None
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
+    den = lcm(*(x.denominator for row in rows for x in row))
     numerators = tuple(tuple(int(x * den) for x in row) for row in rows)
     wg = WeingartenMatrix(gram, basis, den, numerators)
-    if not _gram_products_hold(gram, wg):
-        return None
-    return wg
+    return wg if _certify(wg) else None
+
+
+def _write_record(key, wg: WeingartenMatrix) -> None:
+    """Store a record atomically; on failure no temporary file is left and
+    the run goes on without the record."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=_DISK_DIR, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(_to_record(key, wg), fh)
+        os.replace(tmp, _record_path(key))
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
 
 
 def get_weingarten(
@@ -309,8 +457,9 @@ def get_weingarten(
 
     The in-process cache is shared and its writes are idempotent, so
     concurrent use is safe.  When a disk directory is configured, records
-    are re-verified against a freshly built Gram matrix (G.W.G = G) before
-    being trusted.
+    are re-certified against a freshly built Gram matrix, with the same
+    certificate as a new build, before being trusted; a record that fails
+    is rebuilt and overwritten.
     """
     category = as_category(category)
     word = as_word(word)
@@ -321,21 +470,16 @@ def get_weingarten(
     gram = gram_matrix(category, ColoredWord.parse(key[1]), dimension)
     wg = None
     if _DISK_DIR is not None:
-        path = _record_path(key)
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    record = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                record = None
-            if record is not None:
-                wg = _from_record(record, gram)
+        try:
+            with open(_record_path(key)) as fh:
+                record = json.load(fh)
+        except (OSError, ValueError):
+            record = None
+        if isinstance(record, dict):
+            wg = _from_record(record, key, gram)
     if wg is None:
         wg = weingarten_matrix(gram)
         if _DISK_DIR is not None:
-            fd, tmp = tempfile.mkstemp(dir=_DISK_DIR, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(_to_record(key, wg), fh)
-            os.replace(tmp, _record_path(key))
+            _write_record(key, wg)
     _MEMO[key] = wg
     return wg

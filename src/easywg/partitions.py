@@ -236,14 +236,14 @@ class SetPartition:
 
     @classmethod
     def from_text(cls, text: str, ground_size: int | None = None) -> "SetPartition":
+        """Parse to_text output.  Text with a comma or more than nine digits
+        is in comma form, where a part without a comma is a single point."""
         if text == "":
             return cls(())
-        blocks = []
-        for part in text.split("|"):
-            if "," in part:
-                blocks.append([int(x) for x in part.split(",")])
-            else:
-                blocks.append([int(ch) for ch in part])
+        if "," in text or sum(ch.isdigit() for ch in text) > 9:
+            blocks = [[int(x) for x in part.split(",")] for part in text.split("|")]
+        else:
+            blocks = [[int(ch) for ch in part] for part in text.split("|")]
         return cls.from_blocks(blocks, ground_size)
 
     def __eq__(self, other: object) -> bool:
@@ -326,21 +326,6 @@ def as_category(category: CategoryLike) -> CategoryId:
     raise TypeError(f"cannot interpret {category!r} as a category")
 
 
-def _iter_rgs(k: int) -> Iterator[tuple[int, ...]]:
-    """All restricted-growth strings of length k, in lexicographic order."""
-
-    def rec(prefix: list[int], top: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for a in range(top + 1):
-            prefix.append(a)
-            yield from rec(prefix, top + 1 if a == top else top)
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
 def is_member(category: CategoryLike, word: WordLike, partition: SetPartition) -> bool:
     """Membership of a partition in the category's set for the given word."""
     category = as_category(category)
@@ -360,15 +345,63 @@ def is_member(category: CategoryLike, word: WordLike, partition: SetPartition) -
     return partition.is_color_matching(word) and partition.is_noncrossing()
 
 
+def _generate(category: CategoryId, word: ColoredWord) -> list[SetPartition]:
+    """The category's partitions for the word by depth-first generation of
+    restricted-growth strings, labels ascending, so in lexicographic order.
+
+    Branches that cannot lead to a member are cut: pairing categories join
+    a leg only to a one-point block (of the opposite color for U, U+) and
+    open a block only while fewer blocks wait for a partner than positions
+    remain.  Free categories keep a stack of the blocks that may still
+    grow: joining a block closes every block above it, so a free pairing
+    joins only the top of its stack of waiting blocks.
+    """
+    k = len(word)
+    pairs = category not in (CategoryId.S, CategoryId.S_PLUS)
+    nested = category.is_free
+    colors = word.colors if category.color_sensitive else None
+    rgs = [0] * k
+    size: list[int] = []
+    first_color: list = []
+    out: list[SetPartition] = []
+
+    def place(i: int, stack: list[int], waiting: int) -> None:
+        if i == k:
+            out.append(SetPartition(rgs))
+            return
+        if nested:  # the stack holds its blocks in label order
+            candidates = stack[-1:] if pairs else stack
+        else:
+            candidates = range(len(size))
+        for label in candidates:
+            if pairs and (size[label] != 1 or (colors and first_color[label] == colors[i])):
+                continue
+            rest = stack
+            if nested:
+                j = stack.index(label)
+                rest = stack[:j] if pairs else stack[:j + 1]
+            rgs[i] = label
+            size[label] += 1
+            place(i + 1, rest, waiting - 1 if pairs else waiting)
+            size[label] -= 1
+        if not pairs or waiting < k - i - 1:
+            label = len(size)
+            rgs[i] = label
+            size.append(1)
+            first_color.append(colors[i] if colors else None)
+            place(i + 1, stack + [label] if nested else stack,
+                  waiting + 1 if pairs else waiting)
+            size.pop()
+            first_color.pop()
+
+    place(0, [], 0)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _enumerate(category: CategoryId, key: "int | str") -> tuple[SetPartition, ...]:
     word = ColoredWord.parse(key) if isinstance(key, str) else ColoredWord.parse("o" * key)
-    return tuple(
-        p
-        for rgs in _iter_rgs(len(word))
-        for p in (SetPartition(rgs),)
-        if is_member(category, word, p)
-    )
+    return tuple(_generate(category, word))
 
 
 def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPartition]:

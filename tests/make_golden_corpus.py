@@ -1,0 +1,104 @@
+"""Record the golden CLI corpus: `python tests/make_golden_corpus.py`.
+
+Runs every invocation in CASES through `easywg.cli.main` with an empty
+memo and no disk cache, and writes argv and stdout to
+`tests/golden_corpus.json`.  `tests/test_golden_corpus.py` replays the
+file and requires byte-identical stdout, so regenerate it only when an
+output change is intended.  No case passes `--timing`, so no
+`timing_seconds` field is recorded.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+CORPUS = pathlib.Path(__file__).with_name("golden_corpus.json")
+
+_WEINGARTEN_KEYS = [
+    # (category, word, N): singular and nonsingular N for every category,
+    # coloured words for U and U+, the empty word and empty partition sets
+    ("S", "oooo", 3),  # 14 < 15: the singular basis of criterion 1
+    ("S", "oooo", 4),
+    ("S", "ooooo", 2),
+    ("S", "ooo", 1),
+    ("S", "", 3),
+    ("S+", "oooo", 2),
+    ("S+", "ooooo", 3),
+    ("S+", "oooo", 10),
+    ("O", "oooooo", 2),
+    ("O", "oooooo", 6),
+    ("O", "ooo", 3),
+    ("O", "oooo", 1),
+    ("O+", "oooooooo", 2),
+    ("O+", "oooooooo", 10),
+    ("O+", "", 1),
+    ("U", "obob", 1),
+    ("U", "oobb", 2),
+    ("U", "obobob", 2),
+    ("U", "ooobbb", 3),
+    ("U", "oob", 3),
+    ("U+", "obob", 2),
+    ("U+", "obbo", 4),
+    ("U+", "oobbob", 3),
+    ("U+", "obobob", 1),
+    ("U+", "", 2),
+]
+
+CASES: list[list[str]] = [
+    ["weingarten", "--category", c, "--word", w, "--n", str(n)]
+    for c, w, n in _WEINGARTEN_KEYS
+] + [
+    ["gram", "--category", "S+", "--word", "oooo", "--n", "3"],
+    ["partitions", "--category", "O+", "--word", "oooooooooo"],
+    ["partitions", "--category", "U+", "--word", "obbobo"],
+    ["partitions", "--category", "S", "--word", "ooooo"],
+    ["group-moment", "--group", "S:3", "--word", "oooo",
+     "--rows", "1,1,2,2", "--cols", "1,2,1,2"],
+    ["group-moment", "--group", "O:2", "--word", "oooooo",
+     "--rows", "1,1,1,1,2,2", "--cols", "1,1,2,2,1,1"],
+    ["group-moment", "--group", "U:2", "--word", "obob",
+     "--rows", "1,1,1,1", "--cols", "1,1,1,1"],
+    ["group-moment", "--group", "O+:3", "--word", "oooo",
+     "--rows", "1,1,1,1", "--cols", "1,1,1,1"],
+    ["group-moment", "--group", "U+:2", "--word", "oobb",
+     "--rows", "1,2,1,2", "--cols", "1,1,1,1"],
+    ["group-moment", "--group", "S+:4", "--word", "",
+     "--rows", "", "--cols", ""],
+    ["group-moment", "--group", "S:2", "--group", "O+:3", "--word", "oo",
+     "--rows", "1,1", "--cols", "1,1", "--rows", "1,2", "--cols", "1,2"],
+    ["space-moment", "--space", "O+:5/I=1,2", "--word", "ob", "--indices", "1,1"],
+    ["space-moment", "--space", "group-as-space:S:3", "--word", "oo",
+     "--indices", "1.1,2.2"],
+    ["space-moment", "--space", "free-complex-sphere:3", "--word", "oobb",
+     "--indices", "1,2,1,2"],
+    ["char-exact", "--space", "free-real-sphere:8", "--truncation", "8",
+     "--word", "oooo"],
+    ["char-exact", "--space", "group-as-space:S:5", "--truncation", "5",
+     "--word", "ooo"],
+    ["convergence", "--family", "group-as-space", "--category", "U+",
+     "--word", "obob", "--sizes", "2,3,4"],
+    ["verify", "--space", "column-space:S:3:2", "--max-k", "3",
+     "--test-degree", "1"],
+]
+
+
+def record() -> list[dict]:
+    from easywg import cli, exact_linalg
+
+    out = []
+    for argv in CASES:
+        exact_linalg.clear_memo()
+        exact_linalg.set_disk_cache(None)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        out.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+    return out
+
+
+if __name__ == "__main__":
+    CORPUS.write_text(json.dumps(record(), indent=1) + "\n")
+    print(f"wrote {len(CASES)} cases to {CORPUS}")

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import easywg.exact_linalg as xl
 import easywg.cli as cli
+from easywg.exact_linalg import format_scalar
 from easywg.integrator import GroupSpec
 from easywg.partitions import as_word
 from easywg.spaces import parse_space
@@ -280,6 +282,45 @@ class TestErrorsAndFlags:
         )
         assert code == 0
         assert list(tmp_path.glob("wg_*.json"))
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_cache_dir_naming_a_file_exits_one(self, capsys, tmp_path, monkeypatch, via_env):
+        target = tmp_path / "plain-file"
+        target.write_text("not a directory")
+        argv = ["weingarten", "--category", "U", "--word", "ob", "--n", "3"]
+        if via_env:
+            monkeypatch.setenv("WG_CACHE_DIR", str(target))
+        else:
+            argv += ["--cache-dir", str(target)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert target.read_text() == "not a directory"
+
+    def test_cache_dir_under_a_file_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "plain-file"
+        target.write_text("")
+        code, _, err = run(
+            capsys, "weingarten", "--category", "U", "--word", "ob", "--n", "3",
+            "--cache-dir", str(target / "sub"),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_huge_asymptotic_moment_renders_null_float(self, capsys):
+        code, out, err = run(
+            capsys, "char-asymptotic", "--categories", "S", "--word", "oooo",
+            "--t", "1e400",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["value_float"] is None
+        assert '"value_float": null' in out
+        t = Fraction(10) ** 400
+        # fourth moment of Poisson(t): t^4 + 6t^3 + 7t^2 + t
+        assert doc["value"] == format_scalar(t**4 + 6 * t**3 + 7 * t**2 + t)
 
 
 class TestRoundTrip:

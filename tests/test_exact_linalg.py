@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 
 import easywg.exact_linalg as xl
 from easywg.exact_linalg import (
-    SingularMatrixError,
+    WeingartenMatrix,
     format_scalar,
     get_weingarten,
     gram_matrix,
     parse_scalar,
-    solve_inverse,
     weingarten_matrix,
 )
 from easywg.partitions import SetPartition
+import fraction_reference as fr
+from fraction_reference import SingularMatrixError, bordering_weingarten, solve_inverse
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 
@@ -337,3 +339,201 @@ class TestMemoAndDiskCache:
         assert record["word"] == "ob"
         assert record["dimension"] == 5
         assert record["entries"] == [["1/5"]]
+
+
+def _words(cat, k):
+    if cat not in ("U", "U+"):
+        return ["o" * k]
+    if k % 2:
+        return []
+    return sorted({"".join(w) for w in itertools.permutations("o" * (k // 2) + "b" * (k // 2))})
+
+
+def _engine(g):
+    w = weingarten_matrix(g)
+    return w.basis, w.denominator, w.numerators
+
+
+DIFFERENTIAL_KEYS = [
+    (cat, word, n)
+    for cat in ALL_CATEGORIES
+    for k in range(7)
+    for word in _words(cat, k)
+    for n in (1, 2, 3, 4, 10)
+]
+
+
+class TestEngineAgainstFractionReference:
+    @pytest.mark.parametrize("cat", ALL_CATEGORIES)
+    def test_every_category_word_and_dimension(self, cat):
+        digests = json.loads(fr.DIGESTS.read_text())
+        for c, word, n in DIFFERENTIAL_KEYS:
+            if c != cat:
+                continue
+            g = gram_matrix(cat, word, n)
+            got = _engine(g)
+            if (cat, word, n) in fr.HEAVY_KEYS:
+                assert fr.digest(*got) == digests[f"{cat}:{word}:{n}"], (cat, word, n)
+            else:
+                assert got == bordering_weingarten(g.entries), (cat, word, n)
+
+    def test_heavy_keys_are_recorded(self):
+        assert set(json.loads(fr.DIGESTS.read_text())) == {
+            f"{c}:{w}:{n}" for c, w, n in fr.HEAVY_KEYS
+        }
+
+    @pytest.mark.parametrize("which", [(0,), (1,), (0, 1)])
+    def test_unlucky_primes(self, which):
+        # N a product of the engine's own primes: G = 0 modulo each of them
+        # (every entry is a positive power of N), so the profile and the
+        # inverses must come from other primes.
+        n = 1
+        for i in which:
+            n *= xl._prime(i)
+        for cat, word in (("S", "oooo"), ("S+", "ooo"), ("O", "oooo"),
+                          ("U", "obbo"), ("U+", "oobb"), ("O+", "")):
+            g = gram_matrix(cat, word, n)
+            if word:
+                assert all(x % n == 0 for row in g.entries for x in row)
+            assert _engine(g) == bordering_weingarten(g.entries), (cat, word, which)
+
+    def test_primes_fit_the_int64_bound(self):
+        p = xl._prime(0)
+        assert p < 2**26
+        assert xl._CHUNK * (p - 1) ** 2 + p < 2**63
+        assert len({xl._prime(i) for i in range(12)}) == 12
+
+
+class TestCertificate:
+    def _canonical(self):
+        return weingarten_matrix(gram_matrix("S", "oooo", 3))
+
+    def _variant(self, w, basis=None, den=None, numerators=None):
+        return WeingartenMatrix(
+            w.source,
+            w.basis if basis is None else basis,
+            w.denominator if den is None else den,
+            w.numerators if numerators is None else numerators,
+        )
+
+    def test_accepts_canonical(self):
+        assert xl._certify(self._canonical())
+
+    def test_rejects_foreign_basis_inverse(self):
+        w = self._canonical()
+        foreign, den, num = _foreign_inverse(w)
+        assert foreign != w.basis
+        assert not xl._certify(self._variant(w, foreign, den, num))
+
+    def test_rejects_perturbations(self):
+        w = self._canonical()
+        num = [list(r) for r in w.numerators]
+        num[0][1] += 1
+        num[1][0] += 1
+        assert not xl._certify(self._variant(w, numerators=tuple(map(tuple, num))))
+        assert not xl._certify(self._variant(w, den=w.denominator + 1))
+        assert not xl._certify(self._variant(w, basis=w.basis[::-1]))
+        asym = [list(r) for r in w.numerators]
+        asym[0][1] += 1
+        assert not xl._certify(self._variant(w, numerators=tuple(map(tuple, asym))))
+        outside = [list(r) for r in w.numerators]
+        missing = next(i for i in range(15) if i not in w.basis)
+        outside[missing][missing] = 1
+        assert not xl._certify(self._variant(w, numerators=tuple(map(tuple, outside))))
+
+
+def _foreign_inverse(w):
+    """A g-inverse on a different basis: drop the first row instead of the
+    canonical dependent one, and invert that block exactly."""
+    g = w.source.entries
+    n = len(g)
+    foreign = tuple(range(1, n)) if w.basis == tuple(range(n - 1)) else None
+    assert foreign is not None
+    inv = solve_inverse([[g[i][j] for j in foreign] for i in foreign])
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    num = [[0] * n for _ in range(n)]
+    for a, i in enumerate(foreign):
+        for b, j in enumerate(foreign):
+            num[i][j] = int(inv[a][b] * den)
+    return foreign, den, tuple(map(tuple, num))
+
+
+class TestDiskRecordCertificate:
+    def setup_method(self):
+        xl.clear_memo()
+        xl.set_disk_cache(None)
+
+    def teardown_method(self):
+        xl.clear_memo()
+        xl.set_disk_cache(None)
+
+    def _record(self, tmp_path):
+        xl.set_disk_cache(str(tmp_path))
+        good = get_weingarten("S", "oooo", 3)
+        (path,) = tmp_path.glob("wg_*.json")
+        xl.clear_memo()
+        return good, path, json.loads(path.read_text())
+
+    def test_foreign_g_inverse_rejected_and_rebuilt(self, tmp_path):
+        good, path, record = self._record(tmp_path)
+        foreign, den, num = _foreign_inverse(good)
+        # a genuine g-inverse: G.W.G = G holds for it
+        ge = [list(r) for r in good.source.entries]
+        wf = [[Fraction(x, den) for x in row] for row in num]
+        assert matmul(matmul(ge, wf), ge) == ge
+        record["basis"] = list(foreign)
+        record["entries"] = [[format_scalar(x) for x in row] for row in wf]
+        path.write_text(json.dumps(record))
+        again = get_weingarten("S", "oooo", 3)
+        assert again.basis == good.basis
+        assert again.numerators == good.numerators
+        assert json.loads(path.read_text())["basis"] == list(good.basis)
+
+    @pytest.mark.parametrize("field,value", [
+        ("category", "S+"), ("word", "ooob"), ("dimension", 4),
+    ])
+    def test_header_must_name_the_key(self, tmp_path, field, value):
+        good, path, record = self._record(tmp_path)
+        record[field] = value
+        path.write_text(json.dumps(record))
+        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
+        assert json.loads(path.read_text())[field] != value
+
+    @pytest.mark.parametrize("mutate", [
+        lambda r: r.update(entries="x"),
+        lambda r: r.update(basis=[0, 0]),
+        lambda r: r["entries"][0].__setitem__(0, "1/0"),
+        lambda r: r.pop("basis"),
+        lambda r: r["entries"].pop(),
+    ])
+    def test_malformed_records_rebuilt(self, tmp_path, mutate):
+        good, path, record = self._record(tmp_path)
+        mutate(record)
+        path.write_text(json.dumps(record))
+        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
+
+    def test_unreadable_record_rebuilt(self, tmp_path):
+        good, path, _ = self._record(tmp_path)
+        path.write_text("[1, 2")
+        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
+        path.write_text("[1, 2]")
+        xl.clear_memo()
+        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        xl.set_disk_cache(str(tmp_path))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(xl.os, "replace", refuse)
+        w = get_weingarten("O+", "oooo", 4)
+        assert w.entries == weingarten_matrix(gram_matrix("O+", "oooo", 4)).entries
+        assert list(tmp_path.iterdir()) == []
+
+    def test_set_disk_cache_on_a_file_raises_and_keeps_state(self, tmp_path):
+        target = tmp_path / "plain"
+        target.write_text("")
+        with pytest.raises(OSError):
+            xl.set_disk_cache(str(target))
+        assert xl._DISK_DIR is None

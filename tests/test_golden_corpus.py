@@ -1,0 +1,37 @@
+"""Byte-for-byte replay of the recorded CLI corpus (see make_golden_corpus.py)."""
+
+import json
+import pathlib
+
+import pytest
+
+import easywg.cli as cli
+import easywg.exact_linalg as xl
+
+CORPUS = json.loads(
+    pathlib.Path(__file__).with_name("golden_corpus.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", CORPUS, ids=[" ".join(c["argv"]) for c in CORPUS]
+)
+def test_stdout_is_byte_identical(case, capsys):
+    xl.clear_memo()
+    xl.set_disk_cache(None)
+    code = cli.main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_corpus_covers_every_category_and_the_empty_word():
+    wg = [c["argv"] for c in CORPUS if c["argv"][0] == "weingarten"]
+    assert {a[2] for a in wg} == {"S", "O", "U", "S+", "O+", "U+"}
+    assert any(a[4] == "" for a in wg)
+    assert any("b" in a[4] for a in wg)
+    # singular keys: a basis smaller than the index
+    singular = [
+        c for c in CORPUS if c["argv"][0] == "weingarten"
+        and len(json.loads(c["stdout"])["basis"]) < len(json.loads(c["stdout"])["index"])
+    ]
+    assert len(singular) >= 6

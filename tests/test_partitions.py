@@ -16,6 +16,7 @@ from easywg.partitions import (
     is_member,
     kernel_partition,
 )
+from fraction_reference import filter_enumerate
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 
@@ -283,3 +284,51 @@ class TestCategoryId:
         assert CategoryId.S.free_version is CategoryId.S_PLUS
         assert CategoryId.U_PLUS.classical_version is CategoryId.U
         assert CategoryId.O_PLUS.is_free and not CategoryId.O.is_free
+
+
+class TestGenerationAgainstFilter:
+    @pytest.mark.parametrize("cat", ALL_CATEGORIES)
+    def test_same_partitions_in_the_same_order(self, cat):
+        # every word up to length 6 (all colorings), plain words to length 8
+        words = [
+            "".join(w) for k in range(7) for w in itertools.product("ob", repeat=k)
+        ] + ["o" * 7, "o" * 8, "obobobob", "oooobbbb"]
+        for word in words:
+            assert enumerate_partitions(cat, word) == filter_enumerate(cat, word), word
+
+
+def _integer_partitions(k, largest=None):
+    largest = k if largest is None else largest
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest), 0, -1):
+        for rest in _integer_partitions(k - part, part):
+            yield (part,) + rest
+
+
+class TestTextRoundTrip:
+    def test_every_shape_up_to_twelve_points(self):
+        for k in range(13):
+            for shape in _integer_partitions(k):
+                labels = [b for b, size in enumerate(shape) for _ in range(size)]
+                # consecutive blocks, and the same blocks interleaved
+                for layout in (labels, labels[::2] + labels[1::2]):
+                    p = kernel_partition(layout)
+                    assert SetPartition.from_text(p.to_text()) == p, p.to_text()
+
+    def test_all_singletons(self):
+        for k in range(13):
+            p = SetPartition(range(k))
+            assert p.block_count == k
+            assert SetPartition.from_text(p.to_text()) == p
+        assert SetPartition.from_text("1|2|3|4|5|6|7|8|9|10").block_count == 10
+
+    def test_every_partition_up_to_seven_points(self):
+        for k in range(8):
+            for p in enumerate_partitions("S", "o" * k):
+                assert SetPartition.from_text(p.to_text()) == p
+
+    def test_digit_form_still_reads_runs(self):
+        assert SetPartition.from_text("123456789").block_count == 1
+        assert SetPartition.from_text("13|2") == SetPartition((0, 1, 0))
