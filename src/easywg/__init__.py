@@ -18,7 +18,6 @@ from .characters import (
     limit_law_moments,
 )
 from .exact_linalg import (
-    ExactScalar,
     GramMatrix,
     WeingartenMatrix,
     format_scalar,
@@ -28,14 +27,7 @@ from .exact_linalg import (
     set_disk_cache,
     weingarten_matrix,
 )
-from .integrator import (
-    GroupSpec,
-    IndexSet,
-    MomentQuery,
-    group_moment,
-    k_vector,
-    product_group_moment,
-)
+from .integrator import GroupSpec, IndexSet, MomentQuery, group_moment
 from .oracles import (
     SampleReport,
     bell_number,

@@ -8,7 +8,6 @@ classical/free moment correspondence becomes visible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,15 +51,8 @@ def char_moment_exact(query: CharacterQuery) -> Fraction:
     T^{|join pi|} M^{|join sigma|} prod_r W_r(pi_r, sigma_r); rational.
     """
     kern = _kernel(query.space, query.word)
-    if kern.empty:
-        return Fraction(0)
     t = query.truncation
-    num = 0
-    for pos, combo in enumerate(itertools.product(*kern.dlists)):
-        j = combo[0]
-        for p in combo[1:]:
-            j = j.join(p)
-        num += t**j.block_count * kern.values[pos]
+    num = sum(t**b * y for b, y in zip(kern.blocks, kern.values))
     return Fraction(num, kern.denominator)
 
 

@@ -31,8 +31,6 @@ from .partitions import (
     enumerate_partitions,
 )
 
-ExactScalar = Fraction
-
 Matrix = Sequence[Sequence]
 
 

@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact_linalg import get_weingarten
-from .partitions import (
-    CategoryId,
-    CategoryLike,
-    ColoredWord,
-    SetPartition,
-    WordLike,
-    as_category,
-    as_word,
-    enumerate_partitions,
-)
+from .partitions import CategoryId, ColoredWord, as_category, as_word
 
 
 @dataclass(frozen=True)
@@ -94,64 +87,59 @@ def _check_bounds(indices: Sequence[int], n: int, what: str) -> None:
             raise ValueError(f"{what} index {x} out of range 1..{n}")
 
 
+def _contract_axis(
+    flat: "list[int] | tuple[int, ...]",
+    shape: Sequence[int],
+    axis: int,
+    matrix: Sequence[Sequence[int]],
+) -> tuple[list[int], tuple[int, ...]]:
+    """Replace axis by matrix rows: out[..,a,..] = sum_b matrix[a][b] flat[..,b,..]."""
+    n_old = shape[axis]
+    n_new = len(matrix)
+    outer = math.prod(shape[:axis])
+    inner = math.prod(shape[axis + 1 :])
+    out = [0] * (outer * n_new * inner)
+    for o in range(outer):
+        base_in = o * n_old * inner
+        base_out = o * n_new * inner
+        for a in range(n_new):
+            row = matrix[a]
+            dst = base_out + a * inner
+            for b in range(n_old):
+                coeff = row[b]
+                if not coeff:
+                    continue
+                src = base_in + b * inner
+                for i in range(inner):
+                    out[dst + i] += coeff * flat[src + i]
+    new_shape = tuple(shape[:axis]) + (n_new,) + tuple(shape[axis + 1 :])
+    return out, new_shape
+
+
+def _contract(
+    flat: "list[int] | tuple[int, ...]",
+    shape: Sequence[int],
+    matrices: Sequence[Sequence[Sequence[int]]],
+) -> "list[int] | tuple[int, ...]":
+    """The tensor with each axis r replaced by the rows of matrices[r]."""
+    for axis, matrix in enumerate(matrices):
+        flat, shape = _contract_axis(flat, shape, axis, matrix)
+    return flat
+
+
 def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
     """Haar integral of the colored coordinate monomial over the group.
 
     Weingarten sum over pairs of partitions in the category's set for the
-    word, weighting each pair by whether the row and column indices fit.
-    The degree-0 monomial integrates to 1.
+    word, weighting each pair by whether the row and column indices fit:
+    W, read as a two-axis tensor, contracted with the row deltas and then
+    with the column deltas.  The degree-0 monomial integrates to 1.
     """
     _check_bounds(query.rows, group.dimension, "row")
     _check_bounds(query.cols, group.dimension, "column")
     wg = get_weingarten(group.category, query.word, group.dimension)
-    index = wg.index
-    rows_fit = [p.delta(query.rows) for p in index]
-    cols_fit = [p.delta(query.cols) for p in index]
-    num = 0
-    numerators = wg.numerators
-    for i, a in enumerate(rows_fit):
-        if not a:
-            continue
-        row = numerators[i]
-        num += sum(row[j] for j, b in enumerate(cols_fit) if b)
-    return Fraction(num, wg.denominator)
-
-
-def product_group_moment(
-    groups: Sequence[GroupSpec], queries: Sequence[MomentQuery]
-) -> Fraction:
-    """Moment of a product group, one query per factor, all sharing one word.
-
-    The Haar measure of a product is the product measure, and the double
-    partition-tuple sum factorizes accordingly; this computes the product
-    of the factor moments, which is exactly that sum.
-    """
-    if len(groups) != len(queries):
-        raise ValueError("one query per factor is required")
-    if not groups:
-        raise ValueError("at least one factor is required")
-    word = queries[0].word
-    for q in queries[1:]:
-        if q.word != word:
-            raise ValueError("all factor queries must share one colored word")
-    value = Fraction(1)
-    for g, q in zip(groups, queries):
-        value *= group_moment(g, q)
-    return value
-
-
-def k_vector(
-    category: CategoryLike, word: WordLike, m: int
-) -> dict[SetPartition, Fraction]:
-    """Rescaled index-set kernel: sigma -> m ** (number of blocks of sigma).
-
-    Equals the sum of delta_sigma over all tuples drawn from an index set
-    of size m; the square-root normalization of the unscaled coordinates
-    is reattached only at output boundaries.
-    """
-    if m < 1:
-        raise ValueError("index-set size must be >= 1")
-    return {
-        p: Fraction(m**p.block_count)
-        for p in enumerate_partitions(category, word)
-    }
+    n = len(wg.index)
+    rows_fit = [p.delta(query.rows) for p in wg.index]
+    cols_fit = [p.delta(query.cols) for p in wg.index]
+    flat = list(itertools.chain.from_iterable(wg.numerators))
+    return Fraction(_contract(flat, (n, n), [[rows_fit], [cols_fit]])[0], wg.denominator)

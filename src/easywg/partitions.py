@@ -290,10 +290,6 @@ class CategoryId(enum.Enum):
     def free_version(self) -> "CategoryId":
         return _FREE_OF[self]
 
-    @property
-    def classical_version(self) -> "CategoryId":
-        return _CLASSICAL_OF[self]
-
     def __repr__(self) -> str:
         return f"CategoryId({self.value!r})"
 
@@ -305,14 +301,6 @@ _FREE_OF = {
     CategoryId.S_PLUS: CategoryId.S_PLUS,
     CategoryId.O_PLUS: CategoryId.O_PLUS,
     CategoryId.U_PLUS: CategoryId.U_PLUS,
-}
-_CLASSICAL_OF = {
-    CategoryId.S: CategoryId.S,
-    CategoryId.O: CategoryId.O,
-    CategoryId.U: CategoryId.U,
-    CategoryId.S_PLUS: CategoryId.S,
-    CategoryId.O_PLUS: CategoryId.O,
-    CategoryId.U_PLUS: CategoryId.U,
 }
 
 CategoryLike = Union[CategoryId, str]

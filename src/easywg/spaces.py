@@ -11,12 +11,13 @@ keeping every value rational), and relation verification in expectation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact_linalg import get_weingarten
-from .integrator import GroupSpec, IndexSet
+from .integrator import GroupSpec, IndexSet, _contract
 from .partitions import (
     CategoryId,
     Color,
@@ -66,10 +67,6 @@ class SpaceSpec:
     @property
     def is_product(self) -> bool:
         return len(self.factors) > 1
-
-    @property
-    def index_mode(self) -> str:
-        return "diagonal" if self.is_product else "subset"
 
     @property
     def text(self) -> str:
@@ -173,8 +170,6 @@ def parse_space(text: str) -> SpaceSpec:
     tag, _, members = index_part.partition("=")
     if tag not in ("I", "J") or not members:
         raise ValueError(f"cannot parse index set in {text!r}")
-    if tag == "J" and len(factors) == 1:
-        pass  # single-factor diagonal and subset modes coincide
     if tag == "I" and len(factors) > 1:
         raise ValueError("products only support diagonal index sets (J=...)")
     return SpaceSpec(factors, IndexSet.parse(members))
@@ -193,16 +188,28 @@ def parse_space(text: str) -> SpaceSpec:
 # categories) the word's colors.
 
 
+def _joined_tuples(
+    space: SpaceSpec, word: ColoredWord
+) -> list[tuple[tuple[SetPartition, ...], int]]:
+    """The word's tuples of factor partitions in row-major order, each with
+    the block count of its join; empty when a factor has no partitions."""
+    out = []
+    dlists = [enumerate_partitions(f.category, word) for f in space.factors]
+    for combo in itertools.product(*dlists):
+        j = combo[0]
+        for p in combo[1:]:
+            j = j.join(p)
+        out.append((combo, j.block_count))
+    return out
+
+
 @dataclass(frozen=True)
 class _Kernel:
     dlists: tuple[tuple[SetPartition, ...], ...]
     shape: tuple[int, ...]
     values: tuple[int, ...]  # flat, row-major over the shape
+    blocks: tuple[int, ...]  # join block count per position, same order
     denominator: int
-
-    @property
-    def empty(self) -> bool:
-        return not self.values
 
 
 _KERNELS: dict = {}
@@ -214,39 +221,6 @@ def _word_key(space: SpaceSpec, word: ColoredWord) -> "str | int":
     return len(word)
 
 
-def _contract_axis(
-    flat: "list[int] | tuple[int, ...]",
-    shape: Sequence[int],
-    axis: int,
-    matrix: Sequence[Sequence[int]],
-) -> tuple[list[int], tuple[int, ...]]:
-    """Replace axis by matrix rows: out[..,a,..] = sum_b matrix[a][b] flat[..,b,..]."""
-    n_old = shape[axis]
-    n_new = len(matrix)
-    outer = 1
-    for d in shape[:axis]:
-        outer *= d
-    inner = 1
-    for d in shape[axis + 1 :]:
-        inner *= d
-    out = [0] * (outer * n_new * inner)
-    for o in range(outer):
-        base_in = o * n_old * inner
-        base_out = o * n_new * inner
-        for a in range(n_new):
-            row = matrix[a]
-            dst = base_out + a * inner
-            for b in range(n_old):
-                coeff = row[b]
-                if not coeff:
-                    continue
-                src = base_in + b * inner
-                for i in range(inner):
-                    out[dst + i] += coeff * flat[src + i]
-    new_shape = tuple(shape[:axis]) + (n_new,) + tuple(shape[axis + 1 :])
-    return out, new_shape
-
-
 def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
     key = (space.factors, space.m, _word_key(space, word))
     hit = _KERNELS.get(key)
@@ -256,25 +230,14 @@ def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
         tuple(enumerate_partitions(f.category, word)) for f in space.factors
     )
     shape = tuple(len(d) for d in dlists)
-    if any(n == 0 for n in shape):
-        kern = _Kernel(dlists, shape, (), 1)
-        _KERNELS[key] = kern
-        return kern
-    m = space.m
-    joins: list[int] = []
-    for combo in itertools.product(*dlists):
-        j = combo[0]
-        for p in combo[1:]:
-            j = j.join(p)
-        joins.append(m**j.block_count)
+    blocks = tuple(b for _, b in _joined_tuples(space, word))
+    values: "list[int] | tuple[int, ...]" = ()
     den = 1
-    flat: list[int] = joins
-    cur_shape: tuple[int, ...] = shape
-    for axis, f in enumerate(space.factors):
-        wg = get_weingarten(f.category, word, f.dimension)
-        den *= wg.denominator
-        flat, cur_shape = _contract_axis(flat, cur_shape, axis, wg.numerators)
-    kern = _Kernel(dlists, shape, tuple(flat), den)
+    if blocks:  # an empty partition set needs no Weingarten matrix
+        wgs = [get_weingarten(f.category, word, f.dimension) for f in space.factors]
+        values = _contract([space.m**b for b in blocks], shape, [wg.numerators for wg in wgs])
+        den = math.prod(wg.denominator for wg in wgs)
+    kern = _Kernel(dlists, shape, tuple(values), blocks, den)
     _KERNELS[key] = kern
     return kern
 
@@ -286,18 +249,11 @@ def _factor_components(space: SpaceSpec, indices: tuple) -> list[tuple]:
 
 
 def _moment_from_kernel(space: SpaceSpec, kern: _Kernel, indices: tuple) -> Fraction:
-    if kern.empty:
+    if not kern.values:
         return Fraction(0)
     comps = _factor_components(space, indices)
-    fits = [
-        [p.delta(comp) for p in dlist]
-        for dlist, comp in zip(kern.dlists, comps)
-    ]
-    num = 0
-    for pos, combo in enumerate(itertools.product(*[range(n) for n in kern.shape])):
-        if all(fit[i] for fit, i in zip(fits, combo)):
-            num += kern.values[pos]
-    return Fraction(num, kern.denominator)
+    rows = [[[p.delta(comp) for p in dlist]] for dlist, comp in zip(kern.dlists, comps)]
+    return Fraction(_contract(kern.values, kern.shape, rows)[0], kern.denominator)
 
 
 def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fraction:
@@ -337,13 +293,6 @@ def _all_words(max_k: int) -> Iterator[ColoredWord]:
             yield ColoredWord(colors)
 
 
-def _relation_tuples(space: SpaceSpec, word: ColoredWord) -> list[tuple[SetPartition, ...]]:
-    dlists = [enumerate_partitions(f.category, word) for f in space.factors]
-    if any(not d for d in dlists):
-        return []
-    return list(itertools.product(*dlists))
-
-
 def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:
     """All defining relations for words of length <= max_k.
 
@@ -352,14 +301,11 @@ def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    out = []
-    for word in _all_words(max_k):
-        for combo in _relation_tuples(space, word):
-            j = combo[0]
-            for p in combo[1:]:
-                j = j.join(p)
-            out.append(Relation(word, combo, j.block_count))
-    return out
+    return [
+        Relation(word, combo, blocks)
+        for word in _all_words(max_k)
+        for combo, blocks in _joined_tuples(space, word)
+    ]
 
 
 @dataclass(frozen=True)
@@ -388,87 +334,50 @@ class VerificationReport:
         return not self.failures
 
 
-def _constrained_delta_count(
-    head: SetPartition, full: SetPartition, tail: tuple, n: int
-) -> int:
-    """Number of head tuples in {1..n}^k fitting `head`, with the tail of the
-    concatenated tuple pinned to `tail`, that also fit `full` on k+d legs."""
-    k = head.ground_size
-    parent = list(range(k))
+def _count_matrix(
+    heads: Sequence[SetPartition], fulls: Sequence[SetPartition], tail: tuple, n: int
+) -> list[list[int]]:
+    """Entry [h][w]: the number of head tuples in {1..n}^k fitting h whose
+    concatenation with `tail` fits w on k+d legs.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for block in head.blocks:
-        lead = block[0] - 1
-        for x in block[1:]:
-            union(lead, x - 1)
-    forced: list[tuple[int, object]] = []
-    for block in full.blocks:
-        head_legs = [p - 1 for p in block if p <= k]
-        tail_vals = [tail[p - k - 1] for p in block if p > k]
-        if tail_vals:
-            v = tail_vals[0]
-            if any(w != v for w in tail_vals[1:]):
-                return 0
-            if head_legs:
-                forced.append((head_legs[0], v))
-        for a in head_legs[1:]:
-            union(head_legs[0], a)
-    values: dict[int, object] = {}
-    for leg, v in forced:
-        root = find(leg)
-        if root in values:
-            if values[root] != v:
-                return 0
-        else:
-            values[root] = v
-    roots = {find(x) for x in range(k)}
-    free = sum(1 for r in roots if r not in values)
-    return n**free
+    With J = (h + ker tail) v w, the tuple is constant on the blocks of J,
+    so the count is n^(|J| - |ker tail|) when J restricted to the tail legs
+    is ker tail, and 0 when J would equate two distinct tail values.  The
+    restriction is never finer than ker tail, so the two are equal exactly
+    when they have the same number of blocks.
+    """
+    ker = kernel_partition(tail)
+    out = []
+    for h in heads:
+        k = h.ground_size
+        both = SetPartition(h.rgs + tuple(h.block_count + x for x in ker.rgs))
+        row = []
+        for w in fulls:
+            j = both.join(w)
+            fits = len(set(j.rgs[k:])) == ker.block_count
+            row.append(n ** (j.block_count - ker.block_count) if fits else 0)
+        out.append(row)
+    return out
 
 
 _LHS_CACHE: dict = {}
 
 
 def _lhs_vector(
-    space: SpaceSpec,
-    e_word: ColoredWord,
-    f_word: ColoredWord,
-    rep_indices: tuple,
-    kern_w: _Kernel,
+    space: SpaceSpec, e_word: ColoredWord, rep_indices: tuple, kern_w: _Kernel
 ) -> list[int]:
     """Scaled LHS integrals, one per relation tuple of e_word, against the
     test monomial at rep_indices (only its per-factor equality pattern
     matters, so results are cached per pattern)."""
+    if not kern_w.values:  # no partition tuples: every integral is 0
+        return [0] * math.prod(
+            len(enumerate_partitions(f.category, e_word)) for f in space.factors
+        )
     comps = _factor_components(space, rep_indices)
-    if kern_w.empty:
-        n_rel = 1
-        for f in space.factors:
-            n_rel *= len(enumerate_partitions(f.category, e_word))
-        return [0] * n_rel
-    flat = list(kern_w.values)
-    shape = kern_w.shape
-    for axis, f in enumerate(space.factors):
-        heads = enumerate_partitions(f.category, e_word)
-        fulls = kern_w.dlists[axis]
-        c = [
-            [
-                _constrained_delta_count(h, w, comps[axis], f.dimension)
-                for w in fulls
-            ]
-            for h in heads
-        ]
-        flat, shape = _contract_axis(flat, shape, axis, c)
-    return flat
+    return _contract(kern_w.values, kern_w.shape, [
+        _count_matrix(enumerate_partitions(f.category, e_word), fulls, comp, f.dimension)
+        for f, fulls, comp in zip(space.factors, kern_w.dlists, comps)
+    ])
 
 
 def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> VerificationReport:
@@ -484,8 +393,8 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
     m_big = Fraction(space.m)
     for e_word in _all_words(max_k):
         relations = [
-            Relation(e_word, combo, _join_blocks(combo))
-            for combo in _relation_tuples(space, e_word)
+            Relation(e_word, combo, blocks)
+            for combo, blocks in _joined_tuples(space, e_word)
         ]
         if not relations:
             continue
@@ -505,7 +414,7 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
                     global_key = (space.factors, space.m, e_key, f_key, pattern)
                     vec = _LHS_CACHE.get(global_key)
                     if vec is None:
-                        vec = _lhs_vector(space, e_word, f_word, j, kern_w)
+                        vec = _lhs_vector(space, e_word, j, kern_w)
                         _LHS_CACHE[global_key] = vec
                     lhs_cache[pattern] = vec
                     rhs_cache[pattern] = _moment_from_kernel(space, kern_f, j)
@@ -523,9 +432,3 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
                     )
     return VerificationReport(space, max_k, test_degree, checks)
 
-
-def _join_blocks(combo: tuple[SetPartition, ...]) -> int:
-    j = combo[0]
-    for p in combo[1:]:
-        j = j.join(p)
-    return j.block_count

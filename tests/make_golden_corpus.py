@@ -82,6 +82,30 @@ CASES: list[list[str]] = [
      "--word", "obob", "--sizes", "2,3,4"],
     ["verify", "--space", "column-space:S:3:2", "--max-k", "3",
      "--test-degree", "1"],
+    ["relations", "--space", "O:2xO+:2/J=1,2", "--max-k", "4"],
+    ["verify", "--space", "O:2xO+:2/J=1,2", "--max-k", "2", "--test-degree", "1",
+     "--full"],
+    ["space-moment", "--space", "U:2xU+:3/J=1,2", "--word", "obob",
+     "--indices", "1.1,1.1,2.2,2.2"],
+    ["space-moment", "--space", "O+:5/I=1,2", "--word", "ooo",  # no O+ partitions
+     "--indices", "1,1,1"],
+    ["char-exact", "--space", "O:3xO+:3/J=1,2", "--truncation", "2",
+     "--word", "oooo"],
+    ["group-moment", "--group", "S:3", "--group", "O:2", "--word", "oo",  # S factor is 0
+     "--rows", "1,2", "--cols", "1,1", "--rows", "1,1", "--cols", "1,1"],
+    ["char-asymptotic", "--categories", "O,O+", "--word", "oooooo", "--t", "3/2"],
+    ["limit-moments", "--law", "free-poisson", "--t", "2", "--max-k", "6"],
+    ["limit-moments", "--law", "classical-matching", "--t", "1/3", "--max-k", "4",
+     "--format", "csv"],
+    ["bp-compare", "--category", "O", "--t", "1/2", "--max-k", "6",
+     "--format", "csv"],
+    ["convergence", "--family", "classical-sphere", "--category", "O",
+     "--word", "oooo", "--sizes", "2,3,5", "--format", "csv"],
+    ["oracle", "counting", "--kind", "catalan", "--k", "7"],
+    ["oracle", "sn-moment", "--n", "4", "--word", "ooo",
+     "--rows", "1,1,2", "--cols", "3,3,4"],
+    ["oracle", "sn-space-moment", "--n", "4", "--index-set", "1,3", "--word", "oo",
+     "--indices", "1,1"],
 ]
 
 

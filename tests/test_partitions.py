@@ -282,7 +282,6 @@ class TestCategoryId:
 
     def test_partners(self):
         assert CategoryId.S.free_version is CategoryId.S_PLUS
-        assert CategoryId.U_PLUS.classical_version is CategoryId.U
         assert CategoryId.O_PLUS.is_free and not CategoryId.O.is_free
 
 

@@ -23,12 +23,12 @@ class TestSpaceSpec:
     def test_single_factor_subset(self):
         sp = SpaceSpec((GroupSpec("O+", 5),), IndexSet((1, 3)))
         assert sp.m == 2 and sp.ambient_dimension == 5
-        assert not sp.is_product and sp.index_mode == "subset"
+        assert not sp.is_product
         assert sp.text == "O+:5/I=1,3"
 
     def test_product_diagonal(self):
         sp = SpaceSpec((GroupSpec("O", 4), GroupSpec("O", 2)), IndexSet((1, 2)))
-        assert sp.is_product and sp.index_mode == "diagonal"
+        assert sp.is_product
         assert sp.ambient_dimension == 8 and sp.m == 2
         assert list(sp.coordinates())[:3] == [(1, 1), (1, 2), (2, 1)]
 

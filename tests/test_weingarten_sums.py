@@ -1,0 +1,117 @@
+"""Differential tests of the kernel contractions against explicit sums.
+
+Each route of the library (space moments, truncated-character moments,
+the counting matrices of relation verification) is compared with the
+Weingarten double sum written out over explicit index tuples.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import easywg.spaces as spaces
+from easywg.characters import CharacterQuery, char_moment_exact
+from easywg.exact_linalg import get_weingarten
+from easywg.partitions import as_word, enumerate_partitions
+from easywg.spaces import _count_matrix, parse_space, relation_set, space_moment
+
+
+def _fits(parts, tuples: np.ndarray) -> np.ndarray:
+    """fits[p, t] = 1 when tuple t is constant on every block of parts[p]."""
+    out = np.ones((len(parts), len(tuples)), dtype=np.int64)
+    for row, p in zip(out, parts):
+        for block in p.blocks:
+            for x in block[1:]:
+                row &= tuples[:, block[0] - 1] == tuples[:, x - 1]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_count_matrix_against_brute_force(n):
+    # every S partition pair with k + d <= 6; one tail per kernel with at
+    # most n values, written with values counted down from n
+    for k in range(7):
+        heads = enumerate_partitions("S", "o" * k)
+        tuples = list(itertools.product(range(1, n + 1), repeat=k))
+        head_tuples = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)
+        fit_heads = _fits(heads, head_tuples)
+        for d in range(7 - k):
+            fulls = enumerate_partitions("S", "o" * (k + d))
+            for ker in enumerate_partitions("S", "o" * d):
+                if ker.block_count > n:
+                    continue
+                tail = tuple(n - label for label in ker.rgs)
+                tails = np.tile(np.array(tail, dtype=np.int64), (len(tuples), 1))
+                joined = np.hstack([head_tuples, tails])
+                expected = fit_heads @ _fits(fulls, joined).T
+                assert _count_matrix(heads, fulls, tail, n) == expected.tolist(), (k, tail)
+
+
+def _explicit(space, word, row_weight) -> Fraction:
+    """sum over partition tuples (pi, sigma) of row_weight(pi) * prod_r W_r(pi_r,
+    sigma_r) * K(sigma), with K(sigma) summed over explicit index tuples j
+    in J^k, the same j for every factor."""
+    word = as_word(word)
+    wgs = [get_weingarten(f.category, word, f.dimension) for f in space.factors]
+    ranges = [range(len(wg.index)) for wg in wgs]
+    js = list(itertools.product(space.index.members, repeat=len(word)))
+    total = Fraction(0)
+    for pis in itertools.product(*ranges):
+        weight = row_weight([wg.index[a] for wg, a in zip(wgs, pis)])
+        if not weight:
+            continue
+        for sigmas in itertools.product(*ranges):
+            w = math.prod(wg.entry(a, b) for wg, a, b in zip(wgs, pis, sigmas))
+            k_sigma = sum(
+                all(wg.index[b].delta(j) for wg, b in zip(wgs, sigmas)) for j in js
+            )
+            total += weight * w * k_sigma
+    return total
+
+
+CASES = [
+    ("S:4/I=1,3", "ooo", [(1, 1, 2), (3, 3, 3), (1, 2, 4), (2, 2, 1)]),
+    ("U:2xU+:3/J=1,2", "obob",
+     [((1, 1), (1, 1), (2, 2), (2, 2)), ((1, 2), (1, 2), (1, 2), (1, 2)),
+      ((1, 1), (2, 1), (1, 1), (2, 1)), ((2, 3), (2, 3), (1, 1), (1, 1))]),
+]
+
+
+@pytest.mark.parametrize("text,word,index_list", CASES)
+def test_space_moment_against_explicit_sum(text, word, index_list):
+    space = parse_space(text)
+    for indices in index_list:
+        comps = [indices] if not space.is_product else [
+            tuple(x[r] for x in indices) for r in range(len(space.factors))
+        ]
+
+        def fits(pis):
+            return all(p.delta(c) for p, c in zip(pis, comps))
+
+        assert space_moment(space, word, indices) == _explicit(space, word, fits), indices
+
+
+@pytest.mark.parametrize("text,word,truncation", [
+    ("S:4/I=1,3", "ooo", 3),
+    ("O:3xO+:3/J=1,2", "oooo", 2),
+])
+def test_char_moment_against_explicit_sum(text, word, truncation):
+    space = parse_space(text)
+    cs = list(itertools.product(range(1, truncation + 1), repeat=len(word)))
+
+    def trace_weight(pis):
+        return sum(all(p.delta(c) for p in pis) for c in cs)
+
+    query = CharacterQuery(space, truncation, as_word(word))
+    assert char_moment_exact(query) == _explicit(space, word, trace_weight)
+
+
+def test_relation_set_builds_no_weingarten_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("relation_set asked for a Weingarten matrix")
+
+    monkeypatch.setattr(spaces, "get_weingarten", refuse)
+    assert len(relation_set(parse_space("O:2xO+:2/J=1,2"), 4)) == 101
