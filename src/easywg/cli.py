@@ -67,6 +67,13 @@ def _parse_indices(text: str, product: bool) -> tuple:
     return tuple(out)
 
 
+def _parse_t(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"cannot parse --t {text!r} as a fraction") from None
+
+
 def _float(x: Fraction) -> "float | None":
     """Float rendering of an exact value; None (JSON null) beyond the float range."""
     try:
@@ -186,17 +193,17 @@ def _cmd_char_exact(args):
 
 def _cmd_char_asymptotic(args):
     cats = [as_category(c) for c in args.categories.split(",")]
-    value = char_moment_asymptotic(cats, args.word, Fraction(args.t))
+    value = char_moment_asymptotic(cats, args.word, _parse_t(args.t))
     return {"value": format_scalar(value), "value_float": _float(value)}
 
 
 def _cmd_limit_moments(args):
-    moments = limit_law_moments(LimitLaw(args.law, Fraction(args.t)), args.max_k)
+    moments = limit_law_moments(LimitLaw(args.law, _parse_t(args.t)), args.max_k)
     return {"moments": [{"k": k, "value": format_scalar(v)} for k, v in enumerate(moments, 1)]}
 
 
 def _cmd_bp_compare(args):
-    rows = bp_compare(args.category, Fraction(args.t), args.max_k)
+    rows = bp_compare(args.category, _parse_t(args.t), args.max_k)
     return {"rows": [
         {"k": r.k, "classical": format_scalar(r.classical), "free": format_scalar(r.free)}
         for r in rows
@@ -269,7 +276,7 @@ def _cmd_haar_mc(args):
 
 
 def _cmd_counting(args):
-    value = oracles.counting_oracle(args.kind, args.k, Fraction(args.t))
+    value = oracles.counting_oracle(args.kind, args.k, _parse_t(args.t))
     return {"value": format_scalar(value)}
 
 

@@ -360,24 +360,29 @@ def _count_matrix(
     return out
 
 
-_LHS_CACHE: dict = {}
-
-
-def _lhs_vector(
-    space: SpaceSpec, e_word: ColoredWord, rep_indices: tuple, kern_w: _Kernel
-) -> list[int]:
-    """Scaled LHS integrals, one per relation tuple of e_word, against the
-    test monomial at rep_indices (only its per-factor equality pattern
-    matters, so results are cached per pattern)."""
-    if not kern_w.values:  # no partition tuples: every integral is 0
-        return [0] * math.prod(
-            len(enumerate_partitions(f.category, e_word)) for f in space.factors
-        )
-    comps = _factor_components(space, rep_indices)
-    return _contract(kern_w.values, kern_w.shape, [
-        _count_matrix(enumerate_partitions(f.category, e_word), fulls, comp, f.dimension)
-        for f, fulls, comp in zip(space.factors, kern_w.dlists, comps)
-    ])
+def _outcomes(
+    space: SpaceSpec, relations: list[Relation], f_word: ColoredWord, j: tuple
+) -> list[tuple]:
+    """(ok, lhs, rhs) for each relation of one word against the test
+    monomial f_word at j; only the per-factor equality pattern of j
+    matters.  Exact values are built for failures only."""
+    e_word = relations[0].word
+    kern_w = _kernel(space, e_word + f_word)
+    m_j = _moment_from_kernel(space, _kernel(space, f_word), j)
+    lvec = [0] * len(relations)  # no partition tuples: every integral is 0
+    if kern_w.values:
+        lvec = _contract(kern_w.values, kern_w.shape, [
+            _count_matrix(enumerate_partitions(f.category, e_word), fulls, comp, f.dimension)
+            for f, fulls, comp in zip(space.factors, kern_w.dlists, _factor_components(space, j))
+        ])
+    out = []
+    for lhs, rel in zip(lvec, relations):
+        scale = space.m**rel.join_blocks
+        if lhs * m_j.denominator == scale * m_j.numerator * kern_w.denominator:
+            out.append((True, None, None))
+        else:
+            out.append((False, Fraction(lhs, kern_w.denominator), scale * m_j))
+    return out
 
 
 def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> VerificationReport:
@@ -387,48 +392,32 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
     monomials) and right side a power of M, and for each monomial m of
     degree <= test_degree, the exact identity  integral(L . m) =
     RHS . integral(m)  is evaluated in rescaled coordinates; failures are
-    reported with both exact values.
+    reported with both exact values.  Each outcome depends only on the
+    relation word's key, the test word's key and the per-factor equality
+    pattern of the test indices, so it is decided once per call.
     """
-    checks: list[RelationCheck] = []
-    m_big = Fraction(space.m)
-    for e_word in _all_words(max_k):
-        relations = [
-            Relation(e_word, combo, blocks)
-            for combo, blocks in _joined_tuples(space, e_word)
+    if test_degree < 0:
+        raise ValueError("test_degree must be >= 0")
+    tuples = {  # test indices of each length, with their equality patterns
+        d: [
+            (j, tuple(kernel_partition(c).rgs for c in _factor_components(space, j)))
+            for j in itertools.product(space.coordinates(), repeat=d)
         ]
-        if not relations:
-            continue
+        for d in range(test_degree + 1)
+    }
+    tests = [(f, _word_key(space, f)) for f in _all_words(test_degree)]
+    decided: dict = {}
+    checks: list[RelationCheck] = []
+    for e_word, group in itertools.groupby(relation_set(space, max_k), key=lambda r: r.word):
+        rels = list(group)
         e_key = _word_key(space, e_word)
-        for f_word in _all_words(test_degree):
-            f_key = _word_key(space, f_word)
-            kern_w = _kernel(space, e_word + f_word)
-            kern_f = _kernel(space, f_word)
-            rhs_cache: dict = {}
-            lhs_cache: dict = {}
-            for j in itertools.product(space.coordinates(), repeat=len(f_word)):
-                pattern = tuple(
-                    kernel_partition(comp).rgs
-                    for comp in _factor_components(space, j)
+        for f_word, f_key in tests:
+            for j, pattern in tuples[len(f_word)]:
+                key = (e_key, f_key, pattern)
+                found = decided.get(key)
+                if found is None:
+                    found = decided[key] = _outcomes(space, rels, f_word, j)
+                checks.extend(
+                    RelationCheck(rel, f_word, j, *o) for rel, o in zip(rels, found)
                 )
-                if pattern not in lhs_cache:
-                    global_key = (space.factors, space.m, e_key, f_key, pattern)
-                    vec = _LHS_CACHE.get(global_key)
-                    if vec is None:
-                        vec = _lhs_vector(space, e_word, j, kern_w)
-                        _LHS_CACHE[global_key] = vec
-                    lhs_cache[pattern] = vec
-                    rhs_cache[pattern] = _moment_from_kernel(space, kern_f, j)
-                lvec = lhs_cache[pattern]
-                m_j = rhs_cache[pattern]
-                for pos, rel in enumerate(relations):
-                    lhs = Fraction(lvec[pos], kern_w.denominator)
-                    rhs = m_big**rel.join_blocks * m_j
-                    ok = lhs == rhs
-                    checks.append(
-                        RelationCheck(
-                            rel, f_word, j, ok,
-                            None if ok else lhs, None if ok else rhs,
-                        )
-                    )
     return VerificationReport(space, max_k, test_degree, checks)
-

@@ -106,6 +106,10 @@ CASES: list[list[str]] = [
      "--rows", "1,1,2", "--cols", "3,3,4"],
     ["oracle", "sn-space-moment", "--n", "4", "--index-set", "1,3", "--word", "oo",
      "--indices", "1,1"],
+    # colour-sensitive factors: verify's outcomes are keyed by word text
+    ["verify", "--space", "U:2/I=1", "--max-k", "2", "--test-degree", "1", "--full"],
+    ["verify", "--space", "O:2xU+:2/J=1,2", "--max-k", "2", "--test-degree", "1",
+     "--full"],
 ]
 
 

@@ -323,6 +323,29 @@ class TestErrorsAndFlags:
         assert doc["value"] == format_scalar(t**4 + 6 * t**3 + 7 * t**2 + t)
 
 
+_REJECTED = [
+    ["verify", "--space", "O:2/I=1", "--max-k", "-1", "--test-degree", "1"],
+    ["verify", "--space", "O:2/I=1", "--max-k", "1", "--test-degree", "-3"],
+    ["limit-moments", "--law", "free-poisson", "--t", "1/0", "--max-k", "3"],
+    ["char-asymptotic", "--categories", "O", "--word", "oo", "--t", "1/0"],
+    ["bp-compare", "--category", "O", "--t", "1/0", "--max-k", "3"],
+    ["oracle", "counting", "--kind", "catalan", "--k", "3", "--t", "1/0"],
+    ["space-moment", "--space", "O:2xO:2/J=1", "--word", "o", "--indices", "1.x"],
+    ["space-moment", "--space", "O:2/I=1", "--word", "oz", "--indices", "1,1"],
+    ["weingarten", "--category", "O", "--word", "oo", "--n", "0"],
+    ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
+     "--cols", "1,1", "--samples", "10", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _REJECTED, ids=[" ".join(a) for a in _REJECTED])
+def test_rejected_input_prints_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 class TestRoundTrip:
     def test_echoed_inputs_parse_back(self, capsys):
         _, out, _ = run(

@@ -115,3 +115,60 @@ def test_relation_set_builds_no_weingarten_matrix(monkeypatch):
 
     monkeypatch.setattr(spaces, "get_weingarten", refuse)
     assert len(relation_set(parse_space("O:2xO+:2/J=1,2"), 4)) == 101
+
+
+def _fitting_sum(space, relation, f_word, j) -> Fraction:
+    """sum over delta-fitting indices i of the rescaled moment of the
+    relation word followed by f_word, at i followed by j."""
+    total = Fraction(0)
+    for i in itertools.product(space.coordinates(), repeat=relation.k):
+        comps = [i] if not space.is_product else [
+            tuple(x[r] for x in i) for r in range(len(space.factors))
+        ]
+        if all(p.delta(c) for p, c in zip(relation.partitions, comps)):
+            total += space_moment(space, relation.word + f_word, i + j)
+    return total
+
+
+def _brute_force_checks(space, max_k):
+    """Each check of verify_relations at test degree 2, with its left side
+    and right side computed from space moments."""
+    report = spaces.verify_relations(space, max_k, 2)
+    monomials = sum((2 * len(list(space.coordinates()))) ** d for d in range(3))
+    assert len(report.checks) == len(spaces.relation_set(space, max_k)) * monomials
+    for c in report.checks:
+        lhs = _fitting_sum(space, c.relation, c.monomial_word, c.monomial_indices)
+        moment = space_moment(space, c.monomial_word, c.monomial_indices)
+        yield c, lhs, space.m**c.relation.join_blocks * moment
+
+
+VERIFY_CASES = [
+    ("O:2/I=1", 2),  # colour-blind
+    ("U:2/I=1,2", 2),  # colour-sensitive
+    ("O:2xU+:2/J=1,2", 2),  # mixed product
+    ("U+:2/I=1,2", 4),  # oobb and obob have different partition sets
+]
+
+
+@pytest.mark.parametrize("text,max_k", VERIFY_CASES)
+def test_verify_outcomes_against_brute_force(text, max_k):
+    for c, lhs, rhs in _brute_force_checks(parse_space(text), max_k):
+        assert c.ok == (lhs == rhs), c
+        assert c.ok and c.lhs is None and c.rhs is None
+
+
+@pytest.mark.parametrize("text,max_k", VERIFY_CASES[1:])
+def test_verify_failures_carry_brute_force_values(text, max_k, monkeypatch):
+    # one block too many on every right side: the relations are false for M > 1
+    true_set = spaces.relation_set
+    monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
+        spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
+        for r in true_set(space, max_k)
+    ])
+    failed = 0
+    for c, lhs, rhs in _brute_force_checks(parse_space(text), max_k):
+        assert c.ok == (lhs == rhs), c
+        if not c.ok:
+            failed += 1
+            assert (c.lhs, c.rhs) == (lhs, rhs), c
+    assert failed
