@@ -144,6 +144,8 @@ def bp_compare(
     if cat.is_free:
         raise ValueError("bp_compare takes a classical category (S, O or U)")
     t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be > 0")
     rows = []
     for k in range(1, max_k + 1):
         word = _law_word("classical-matching" if cat is CategoryId.U else "poisson", k)

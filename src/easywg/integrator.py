@@ -116,15 +116,27 @@ def _contract_axis(
     return out, new_shape
 
 
+def _contract_each(
+    flat: "list[int] | tuple[int, ...]",
+    shape: Sequence[int],
+    options: Sequence[Sequence[Sequence[Sequence[int]]]],
+) -> list:
+    """The tensor with each axis r replaced by the rows of one matrix from
+    options[r], for every choice, in itertools.product order; an axis
+    contracted once is shared by every choice on the later axes."""
+    layer = [(flat, shape)]
+    for axis, matrices in enumerate(options):
+        layer = [_contract_axis(f, s, axis, m) for f, s in layer for m in matrices]
+    return [f for f, _ in layer]
+
+
 def _contract(
     flat: "list[int] | tuple[int, ...]",
     shape: Sequence[int],
     matrices: Sequence[Sequence[Sequence[int]]],
 ) -> "list[int] | tuple[int, ...]":
     """The tensor with each axis r replaced by the rows of matrices[r]."""
-    for axis, matrix in enumerate(matrices):
-        flat, shape = _contract_axis(flat, shape, axis, matrix)
-    return flat
+    return _contract_each(flat, shape, [[m] for m in matrices])[0]
 
 
 def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact_linalg import get_weingarten
-from .integrator import GroupSpec, IndexSet, _contract
+from .integrator import GroupSpec, IndexSet, _contract, _contract_each
 from .partitions import (
     CategoryId,
     Color,
@@ -320,18 +320,28 @@ class RelationCheck:
 
 @dataclass
 class VerificationReport:
+    """The checks of a verification.  `checks` is a plain sequence, or the
+    lazy `_Checks` that `verify_relations` returns: its `len` is a count,
+    and failures are found from its outcome table without building the
+    passing checks."""
+
     space: SpaceSpec
     max_k: int
     test_degree: int
-    checks: list[RelationCheck]
+    checks: "Sequence[RelationCheck] | _Checks"
+
+    def _failing(self) -> Iterator[RelationCheck]:
+        if isinstance(self.checks, _Checks):
+            return self.checks.failing()
+        return (c for c in self.checks if not c.ok)
 
     @property
     def failures(self) -> list[RelationCheck]:
-        return [c for c in self.checks if not c.ok]
+        return list(self._failing())
 
     @property
     def all_passed(self) -> bool:
-        return not self.failures
+        return next(self._failing(), None) is None
 
 
 def _count_matrix(
@@ -360,29 +370,113 @@ def _count_matrix(
     return out
 
 
-def _outcomes(
-    space: SpaceSpec, relations: list[Relation], f_word: ColoredWord, j: tuple
-) -> list[tuple]:
-    """(ok, lhs, rhs) for each relation of one word against the test
-    monomial f_word at j; only the per-factor equality pattern of j
-    matters.  Exact values are built for failures only."""
-    e_word = relations[0].word
-    kern_w = _kernel(space, e_word + f_word)
-    m_j = _moment_from_kernel(space, _kernel(space, f_word), j)
-    lvec = [0] * len(relations)  # no partition tuples: every integral is 0
-    if kern_w.values:
-        lvec = _contract(kern_w.values, kern_w.shape, [
-            _count_matrix(enumerate_partitions(f.category, e_word), fulls, comp, f.dimension)
-            for f, fulls, comp in zip(space.factors, kern_w.dlists, _factor_components(space, j))
-        ])
-    out = []
-    for lhs, rel in zip(lvec, relations):
-        scale = space.m**rel.join_blocks
-        if lhs * m_j.denominator == scale * m_j.numerator * kern_w.denominator:
-            out.append((True, None, None))
-        else:
-            out.append((False, Fraction(lhs, kern_w.denominator), scale * m_j))
-    return out
+class _Patterns:
+    """The equality patterns of test tuples on d legs: one restricted-growth
+    string per factor, with at most N_r blocks for a factor of dimension N_r.
+
+    `combos` lists them in itertools.product order over the factors; each
+    stands for prod_r (N_r)_{|rho_r|} tuples (falling factorials), and
+    `count` is their total, |coordinates|^d.  A pattern is decided on its
+    canonical tuple, the first in that order: component r is rho_r + 1.
+    """
+
+    def __init__(self, space: SpaceSpec, d: int):
+        self.space = space
+        everything = enumerate_partitions(CategoryId.S, "o" * d)
+        self.options = [
+            [p for p in everything if p.block_count <= f.dimension] for f in space.factors
+        ]
+        self.tails = [[tuple(x + 1 for x in p.rgs) for p in opts] for opts in self.options]
+        self.combos = list(itertools.product(*self.options))
+        self.count = math.prod(
+            sum(math.perm(f.dimension, p.block_count) for p in opts)
+            for f, opts in zip(space.factors, self.options)
+        )
+
+    def _indices(self, comps: Sequence[tuple]) -> tuple:
+        """The test tuple with the given per-factor components."""
+        return tuple(zip(*comps)) if self.space.is_product else comps[0]
+
+    def moments(self, kern: _Kernel) -> list[Fraction]:
+        """The rescaled moment of the kernel's word at each canonical tuple."""
+        return [
+            _moment_from_kernel(self.space, kern, self._indices(comps))
+            for comps in itertools.product(*self.tails)
+        ]
+
+    def lhs_vectors(self, kern: _Kernel, e_word: ColoredWord, size: int) -> list:
+        """For each pattern, the integrals (times the kernel's denominator) of
+        the left sides of e_word's relations times the test monomial."""
+        if not kern.values:  # no partition tuples: every integral is 0
+            return [[0] * size] * len(self.combos)
+        mats: dict = {}  # equal factors share their count matrices
+        for f, fulls, tails in zip(self.space.factors, kern.dlists, self.tails):
+            if f not in mats:
+                heads = enumerate_partitions(f.category, e_word)
+                mats[f] = [_count_matrix(heads, fulls, tail, f.dimension) for tail in tails]
+        return _contract_each(kern.values, kern.shape, [mats[f] for f in self.space.factors])
+
+    def tuples(self, chosen: Sequence[int]) -> list[tuple]:
+        """(test tuple, pattern position) for every tuple of the chosen
+        patterns, in itertools.product order over the coordinates."""
+        out = []
+        for i in chosen:
+            comps = [
+                [tuple(v[x] for x in rho.rgs)
+                 for v in itertools.permutations(range(1, f.dimension + 1), rho.block_count)]
+                for f, rho in zip(self.space.factors, self.combos[i])
+            ]
+            out.extend((self._indices(combo), i) for combo in itertools.product(*comps))
+        out.sort()
+        return out
+
+
+_PASSED = (True, None, None)
+
+
+class _Checks:
+    """The checks of one `verify_relations` call, as a lazy sequence.
+
+    `table[e_key, f_key][i]` holds the outcome of each relation of a word
+    with key e_key against a test word with key f_key at pattern i: None
+    when every relation passes, else one (ok, lhs, rhs) per relation.
+    Iteration builds the checks in order: relation word, test word, test
+    tuple in itertools.product order, relation.
+    """
+
+    def __init__(self, groups: list, tests: list, patterns: list, table: dict):
+        self._groups, self._tests, self._patterns, self._table = groups, tests, patterns, table
+        self._len = sum(len(rels) for _, rels in groups) * sum(
+            patterns[len(f)].count for f, _ in tests
+        )
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[RelationCheck]:
+        return self._walk(failing=False)
+
+    def failing(self) -> Iterator[RelationCheck]:
+        return self._walk(failing=True)
+
+    def _walk(self, failing: bool) -> Iterator[RelationCheck]:
+        expanded: dict = {}
+        for e_key, rels in self._groups:
+            passed = (_PASSED,) * len(rels)
+            for f_word, f_key in self._tests:
+                entries = self._table[e_key, f_key]
+                chosen = tuple(
+                    i for i, e in enumerate(entries) if not failing or e is not None
+                )
+                if not chosen:
+                    continue
+                key = (len(f_word), chosen)
+                if key not in expanded:
+                    expanded[key] = self._patterns[len(f_word)].tuples(chosen)
+                for j, i in expanded[key]:
+                    for rel, o in zip(rels, entries[i] or passed):
+                        if not (failing and o[0]):
+                            yield RelationCheck(rel, f_word, j, *o)
 
 
 def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> VerificationReport:
@@ -394,30 +488,39 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
     RHS . integral(m)  is evaluated in rescaled coordinates; failures are
     reported with both exact values.  Each outcome depends only on the
     relation word's key, the test word's key and the per-factor equality
-    pattern of the test indices, so it is decided once per call.
+    pattern of the test indices, so it is decided once per pattern, by
+    integer cross-multiplication on the pattern's canonical tuple, and the
+    pattern's tuples are counted rather than enumerated.  The report's
+    checks are built only when iterated.
     """
     if test_degree < 0:
         raise ValueError("test_degree must be >= 0")
-    tuples = {  # test indices of each length, with their equality patterns
-        d: [
-            (j, tuple(kernel_partition(c).rgs for c in _factor_components(space, j)))
-            for j in itertools.product(space.coordinates(), repeat=d)
-        ]
-        for d in range(test_degree + 1)
-    }
+    patterns = [_Patterns(space, d) for d in range(test_degree + 1)]
     tests = [(f, _word_key(space, f)) for f in _all_words(test_degree)]
-    decided: dict = {}
-    checks: list[RelationCheck] = []
-    for e_word, group in itertools.groupby(relation_set(space, max_k), key=lambda r: r.word):
-        rels = list(group)
-        e_key = _word_key(space, e_word)
+    groups = [
+        (_word_key(space, e_word), list(rels))
+        for e_word, rels in itertools.groupby(relation_set(space, max_k), key=lambda r: r.word)
+    ]
+    moments: dict = {}  # f_key -> the test monomial's moment at each pattern
+    table: dict = {}
+    for e_key, rels in groups:
+        e_word = rels[0].word
+        scales = [space.m**rel.join_blocks for rel in rels]
         for f_word, f_key in tests:
-            for j, pattern in tuples[len(f_word)]:
-                key = (e_key, f_key, pattern)
-                found = decided.get(key)
-                if found is None:
-                    found = decided[key] = _outcomes(space, rels, f_word, j)
-                checks.extend(
-                    RelationCheck(rel, f_word, j, *o) for rel, o in zip(rels, found)
+            if (e_key, f_key) in table:
+                continue
+            pats = patterns[len(f_word)]
+            if f_key not in moments:
+                moments[f_key] = pats.moments(_kernel(space, f_word))
+            kern = _kernel(space, e_word + f_word)
+            entries = []
+            for lvec, m_j in zip(pats.lhs_vectors(kern, e_word, len(rels)), moments[f_key]):
+                right = m_j.numerator * kern.denominator
+                outs = tuple(
+                    _PASSED if lhs * m_j.denominator == s * right
+                    else (False, Fraction(lhs, kern.denominator), s * m_j)
+                    for lhs, s in zip(lvec, scales)
                 )
-    return VerificationReport(space, max_k, test_degree, checks)
+                entries.append(None if all(o is _PASSED for o in outs) else outs)
+            table[e_key, f_key] = entries
+    return VerificationReport(space, max_k, test_degree, _Checks(groups, tests, patterns, table))

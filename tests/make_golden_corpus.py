@@ -110,6 +110,12 @@ CASES: list[list[str]] = [
     ["verify", "--space", "U:2/I=1", "--max-k", "2", "--test-degree", "1", "--full"],
     ["verify", "--space", "O:2xU+:2/J=1,2", "--max-k", "2", "--test-degree", "1",
      "--full"],
+    # verify by equality pattern: large check counts, and the order of a
+    # product's checks at test degree 2
+    ["verify", "--space", "group-as-space:O:3", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "O:3xO+:3/J=1,2", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "O:2xU+:2/J=1,2", "--max-k", "2", "--test-degree", "2",
+     "--full"],
 ]
 
 

@@ -329,6 +329,8 @@ _REJECTED = [
     ["limit-moments", "--law", "free-poisson", "--t", "1/0", "--max-k", "3"],
     ["char-asymptotic", "--categories", "O", "--word", "oo", "--t", "1/0"],
     ["bp-compare", "--category", "O", "--t", "1/0", "--max-k", "3"],
+    ["bp-compare", "--category", "O", "--t", "0", "--max-k", "2"],
+    ["bp-compare", "--category", "O", "--t", "-1", "--max-k", "2"],
     ["oracle", "counting", "--kind", "catalan", "--k", "3", "--t", "1/0"],
     ["space-moment", "--space", "O:2xO:2/J=1", "--word", "o", "--indices", "1.x"],
     ["space-moment", "--space", "O:2/I=1", "--word", "oz", "--indices", "1,1"],

@@ -1,0 +1,109 @@
+"""Relation verification by equality pattern against the eager tuple loop.
+
+`verify_relations` decides each (relation word, test word, equality
+pattern) once and counts the pattern's tuples; `verify_reference` walks
+every test tuple.  The lazy checks must equal the eager ones field by
+field and in order, with true relations and with relations forced false.
+"""
+
+import pytest
+
+import easywg.spaces as spaces
+from easywg.spaces import parse_space, relation_set, verify_relations
+from verify_reference import reference_checks
+
+DIFF_CASES = [
+    ("O:2/I=1", 2, 3),  # N < d: patterns with more than N blocks are cut off
+    ("U+:2/I=1,2", 4, 2),  # colour-sensitive, oobb and obob differ
+    ("O:2xU+:2/J=1,2", 2, 2),  # mixed product
+    ("column-space:S:3:2", 2, 2),  # factors of different dimensions
+]
+
+
+def _fields(c):
+    return (c.relation, c.monomial_word, c.monomial_indices, c.ok, c.lhs, c.rhs)
+
+
+def _force_false(monkeypatch):
+    # one block too many on every right side: the relations are false for M > 1
+    true_set = spaces.relation_set
+    monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
+        spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
+        for r in true_set(space, max_k)
+    ])
+
+
+def _compare(text, max_k, degree):
+    space = parse_space(text)
+    report = verify_relations(space, max_k, degree)
+    expected = reference_checks(space, max_k, degree)
+    assert len(report.checks) == len(expected)
+    assert [_fields(c) for c in report.checks] == [_fields(c) for c in expected]
+    failed = [_fields(c) for c in expected if not c.ok]
+    assert [_fields(c) for c in report.failures] == failed
+    assert report.all_passed == (not failed)
+    return failed
+
+
+@pytest.mark.parametrize("text,max_k,degree", DIFF_CASES)
+def test_lazy_checks_equal_eager_loop(text, max_k, degree):
+    assert not _compare(text, max_k, degree)
+
+
+@pytest.mark.parametrize("text,max_k,degree", DIFF_CASES)
+def test_lazy_failures_equal_eager_loop(text, max_k, degree, monkeypatch):
+    _force_false(monkeypatch)
+    # with M = 1 the extra block changes nothing and every check still passes
+    assert bool(_compare(text, max_k, degree)) == (parse_space(text).m > 1)
+
+
+def test_passing_checks_are_built_only_when_iterated(monkeypatch):
+    built = []
+    real = spaces.RelationCheck
+    monkeypatch.setattr(spaces, "RelationCheck", lambda *a: built.append(a) or real(*a))
+    report = verify_relations(parse_space("O:2xO+:2/J=1,2"), 4, 3)
+    assert report.all_passed and report.failures == [] and len(report.checks) == 59_085
+    assert built == []
+    assert sum(1 for _ in report.checks) == len(built) == 59_085
+
+
+def test_work_does_not_grow_with_the_dimension(monkeypatch):
+    # with N >= d every pattern occurs, so N = 3 and N = 5 have the same
+    # patterns: 81 against 625 test tuples at d = 2, the same equality tests
+    calls = []
+    real = spaces.kernel_partition
+    monkeypatch.setattr(spaces, "kernel_partition", lambda v: calls.append(v) or real(v))
+    counts = []
+    for n in (3, 5):
+        calls.clear()
+        report = verify_relations(parse_space(f"O:{n}xO+:{n}/J=1,2"), 2, 2)
+        counts.append((len(calls), len(report.checks)))
+    assert counts[0][0] == counts[1][0] and counts[0][1] < counts[1][1]
+
+
+def _expected_count(space, max_k, degree):
+    coords = len(list(space.coordinates()))
+    return len(relation_set(space, max_k)) * sum((2 * coords) ** d for d in range(degree + 1))
+
+
+@pytest.mark.parametrize("text,max_k,degree,count", [
+    ("group-as-space:O:3", 4, 3, 920_075),
+    ("O:3xO+:3/J=1,2", 4, 3, 623_675),
+    ("O:4xO+:4/J=1,2", 4, 4, 109_322_501),
+])
+def test_held_out_spaces_are_counted(text, max_k, degree, count):
+    space = parse_space(text)
+    report = verify_relations(space, max_k, degree)
+    assert len(report.checks) == count == _expected_count(space, max_k, degree)
+    assert report.all_passed and report.failures == []
+
+
+@pytest.mark.parametrize("text", [
+    "S:3/I=1,3", "U:2/I=2", "free-complex-sphere:3", "group-as-space:U:2",
+    "column-space:O+:4:2", "U:2xU+:3/J=1,2", "S+:2xO:3xU:2/J=1",
+])
+@pytest.mark.parametrize("max_k,degree", [(0, 0), (2, 3), (3, 2)])
+def test_check_count_is_relations_times_monomials(text, max_k, degree):
+    space = parse_space(text)
+    report = verify_relations(space, max_k, degree)
+    assert len(report.checks) == _expected_count(space, max_k, degree)

@@ -1,0 +1,86 @@
+"""The eager relation-verification loop, kept as a reference for the tests.
+
+This is the library's former `verify_relations`: it walks every test
+tuple of `coordinates()^d`, computes each tuple's per-factor equality
+pattern, decides each (relation word, test word, pattern) once, and
+builds one `RelationCheck` per check, in the order relation word, test
+word, test tuple, relation.  The library now decides each pattern once and
+counts its tuples; `tests/test_verify_patterns.py` compares the two check
+by check.  Nothing in src imports this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from easywg import spaces
+from easywg.integrator import _contract
+from easywg.partitions import enumerate_partitions, kernel_partition
+from easywg.spaces import RelationCheck, _count_matrix, _kernel, _word_key
+
+
+def _components(space, indices: tuple) -> list[tuple]:
+    if not space.is_product:
+        return [indices]
+    return [tuple(x[r] for x in indices) for r in range(len(space.factors))]
+
+
+def _moment(space, kern, indices: tuple) -> Fraction:
+    if not kern.values:
+        return Fraction(0)
+    rows = [[[p.delta(comp) for p in dlist]]
+            for dlist, comp in zip(kern.dlists, _components(space, indices))]
+    return Fraction(_contract(kern.values, kern.shape, rows)[0], kern.denominator)
+
+
+def _outcomes(space, relations, f_word, j) -> list[tuple]:
+    """(ok, lhs, rhs) for each relation of one word against f_word at j."""
+    e_word = relations[0].word
+    kern_w = _kernel(space, e_word + f_word)
+    m_j = _moment(space, _kernel(space, f_word), j)
+    lvec = [0] * len(relations)
+    if kern_w.values:
+        lvec = _contract(kern_w.values, kern_w.shape, [
+            _count_matrix(enumerate_partitions(f.category, e_word), fulls, comp, f.dimension)
+            for f, fulls, comp in zip(space.factors, kern_w.dlists, _components(space, j))
+        ])
+    out = []
+    for lhs, rel in zip(lvec, relations):
+        scale = space.m**rel.join_blocks
+        if lhs * m_j.denominator == scale * m_j.numerator * kern_w.denominator:
+            out.append((True, None, None))
+        else:
+            out.append((False, Fraction(lhs, kern_w.denominator), scale * m_j))
+    return out
+
+
+def reference_checks(space, max_k: int, test_degree: int) -> list[RelationCheck]:
+    """Every check of `verify_relations(space, max_k, test_degree)`, eagerly.
+
+    Relations come from `spaces.relation_set`, looked up at call time, so a
+    test that patches it changes both routes alike."""
+    tuples = {
+        d: [
+            (j, tuple(kernel_partition(c).rgs for c in _components(space, j)))
+            for j in itertools.product(space.coordinates(), repeat=d)
+        ]
+        for d in range(test_degree + 1)
+    }
+    tests = [(f, _word_key(space, f)) for f in spaces._all_words(test_degree)]
+    decided: dict = {}
+    checks: list[RelationCheck] = []
+    relations = spaces.relation_set(space, max_k)
+    for e_word, group in itertools.groupby(relations, key=lambda r: r.word):
+        rels = list(group)
+        e_key = _word_key(space, e_word)
+        for f_word, f_key in tests:
+            for j, pattern in tuples[len(f_word)]:
+                key = (e_key, f_key, pattern)
+                found = decided.get(key)
+                if found is None:
+                    found = decided[key] = _outcomes(space, rels, f_word, j)
+                checks.extend(
+                    RelationCheck(rel, f_word, j, *o) for rel, o in zip(rels, found)
+                )
+    return checks
