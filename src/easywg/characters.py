@@ -120,6 +120,8 @@ def limit_law_moments(law: LimitLaw, max_k: int) -> list[Fraction]:
     Plain kinds use the all-white word; matching kinds use the alternating
     word, the reading under which unitary-type moments are nonzero.
     """
+    if max_k < 0:
+        raise ValueError("max_k must be >= 0")
     out = []
     for k in range(1, max_k + 1):
         word = _law_word(law.kind, k)
@@ -146,6 +148,8 @@ def bp_compare(
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be > 0")
+    if max_k < 0:
+        raise ValueError("max_k must be >= 0")
     rows = []
     for k in range(1, max_k + 1):
         word = _law_word("classical-matching" if cat is CategoryId.U else "poisson", k)

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import exact_linalg, oracles
@@ -180,8 +181,8 @@ def _cmd_verify(args):
         "all_passed": report.all_passed,
         "failures": failures,
     }
-    if args.full:
-        fields["checks"] = [dict(_check_row(c), ok=c.ok) for c in report.checks]
+    if args.full:  # written row by row as report.checks yields them
+        fields["checks"] = (dict(_check_row(c), ok=c.ok) for c in report.checks)
     return fields
 
 
@@ -378,6 +379,25 @@ def _emit_csv(table) -> str:
     return buf.getvalue()
 
 
+def _write_json(payload: dict, out) -> None:
+    """Write json.dumps(payload, indent=2) and a newline.  A top-level value
+    that is an iterator is written item by item as it yields, so a long row
+    list is never held in memory."""
+    sep = "{"
+    for key, value in payload.items():
+        out.write(f"{sep}\n  {json.dumps(key)}: ")
+        sep = ","
+        if isinstance(value, Iterator):
+            head = "["
+            for item in value:
+                out.write(f"{head}\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+                head = ","
+            out.write("[]" if head == "[" else "\n  ]")
+        else:
+            out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+    out.write("\n}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -412,7 +432,9 @@ def main(argv=None) -> int:
         }
         if args.timing:
             payload["timing_seconds"] = elapsed
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, sys.stdout)
+    # measured again after the output: --full rows are generated while it is written
+    elapsed = time.perf_counter() - started
     print(f"easywg: {args.command_name} finished in {elapsed:.3f}s", file=sys.stderr)
     return 0 if fields.get("all_passed", True) else 2
 

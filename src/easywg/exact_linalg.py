@@ -66,15 +66,42 @@ def gram_matrix(category: CategoryLike, word: WordLike, dimension: int) -> GramM
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     index = tuple(enumerate_partitions(category, word))
+    powers = [dimension**c for c in range(len(word) + 1)]
+    entries = tuple(tuple(map(powers.__getitem__, row))
+                    for row in _join_block_counts(index, len(word)).tolist())
+    return GramMatrix(category, word, dimension, index, entries)
+
+
+# Elements of the (k, rows, n) mask array built per slab of Gram rows.
+_SLAB = 1 << 22
+
+
+def _join_block_counts(index: Sequence[SetPartition], k: int) -> np.ndarray:
+    """|pi v sigma| for every pair of partitions of {1, ..., k}, as an n x n array.
+
+    Each partition is one bitmask per point, the mask of that point's block.
+    A pair's masks ORed point by point relate the points that share a block
+    of either partition; one Warshall pass (point j's mask is ORed into
+    every mask that contains j) closes the relation, after which each point
+    holds the mask of its block of the join.  A block is counted at its
+    lowest point: the point whose mask has no lower bit set.
+    """
     n = len(index)
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = dimension ** index[i].block_count
-        for j in range(i + 1, n):
-            v = dimension ** index[i].join(index[j]).block_count
-            entries[i][j] = v
-            entries[j][i] = v
-    return GramMatrix(category, word, dimension, index, tuple(tuple(r) for r in entries))
+    if n == 0:
+        return np.zeros((0, 0), dtype=np.intp)
+    dtype = np.min_scalar_type((1 << k) - 1)
+    bits = np.array([1 << j for j in range(k)], dtype=dtype)
+    rgs = np.array([p.rgs for p in index], dtype=np.intp)
+    masks = ((rgs[:, :, None] == rgs[:, None, :]) * bits).sum(axis=2, dtype=dtype).T
+    below = (bits - 1).reshape(k, 1, 1)
+    counts = np.empty((n, n), dtype=np.intp)
+    step = max(1, _SLAB // (n * max(k, 1)))
+    for a in range(0, n, step):
+        m = masks[:, a:a + step, None] | masks[:, None, :]
+        for j in range(k):
+            m |= ((m >> j) & 1) * m[j]
+        counts[a:a + step] = ((m & below) == 0).sum(axis=0)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -107,7 +134,10 @@ class WeingartenMatrix:
 # Multi-modular engine.  Residues live in numpy int64 arrays modulo primes
 # below 2**26: a product of two residues is below 2**52, so a sum of up to
 # 2**11 products plus one reduced residue stays below 2**63, and every
-# intermediate of the elimination, the products and the CRT is exact.
+# intermediate of the elimination, the products and the CRT is exact.  The
+# same bound, _CHUNK * (p - 1)**2 + p < 2**63, lets the elimination
+# subtract _CHUNK pivot updates from an entry before it reduces the
+# trailing block modulo p again.
 _PRIME_LIMIT = 1 << 26
 _CHUNK = 1 << 11
 
@@ -149,46 +179,56 @@ def _rank_profile(a: np.ndarray, p: int) -> list[int]:
 
     A row is kept when it is not in the span of the rows before it.  For a
     symmetric matrix this is the column rank profile, which forward
-    elimination finds column by column.  Overwrites a.
+    elimination finds column by column.  Only the pivot column and pivot
+    row are reduced when used; the trailing block is reduced every _CHUNK
+    pivots.  Overwrites a.
     """
     profile: list[int] = []
     top = 0
     for c in range(a.shape[1]):
+        a[top:, c] %= p
         nz = np.flatnonzero(a[top:, c])
         if nz.size == 0:
             continue
         r = top + int(nz[0])
         if r != top:
             a[[top, r]] = a[[r, top]]
-        pivot = a[top, c:] * pow(int(a[top, c]), -1, p) % p
+        pivot = a[top, c:] % p * pow(int(a[top, c]), -1, p) % p
         rest = a[top + 1:, c:]
         rest -= np.outer(rest[:, 0], pivot)
-        rest %= p
         profile.append(c)
         top += 1
         if top == a.shape[0]:
             break
+        if top % _CHUNK == 0:
+            rest %= p
     return profile
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> "np.ndarray | None":
-    """Inverse of a square residue matrix modulo p (Gauss-Jordan), or None."""
+    """Inverse of a square residue matrix modulo p (Gauss-Jordan), or None.
+
+    Reduction is delayed as in _rank_profile: the pivot column and row
+    when used, the whole trailing block every _CHUNK pivots.
+    """
     m = a.shape[0]
     aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
     for c in range(m):
+        aug[:, c] %= p
         nz = np.flatnonzero(aug[c:, c])
         if nz.size == 0:
             return None
         r = c + int(nz[0])
         if r != c:
             aug[[c, r]] = aug[[r, c]]
-        aug[c, c:] = aug[c, c:] * pow(int(aug[c, c]), -1, p) % p
+        aug[c, c:] = aug[c, c:] % p * pow(int(aug[c, c]), -1, p) % p
         col = aug[:, c].copy()
         col[c] = 0
         rest = aug[:, c:]
         rest -= np.outer(col, aug[c, c:])
-        rest %= p
-    return aug[:, m:]
+        if (c + 1) % _CHUNK == 0:
+            rest %= p
+    return aug[:, m:] % p
 
 
 def _crt(residues: list, primes: list[int]) -> np.ndarray:

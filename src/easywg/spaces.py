@@ -74,14 +74,6 @@ class SpaceSpec:
         tag = "J" if self.is_product else "I"
         return f"{body}/{tag}={self.index.text}"
 
-    def coordinates(self) -> Iterator:
-        """All coordinate labels: ints for one factor, tuples for products."""
-        if not self.is_product:
-            yield from range(1, self.factors[0].dimension + 1)
-        else:
-            ranges = [range(1, f.dimension + 1) for f in self.factors]
-            yield from itertools.product(*ranges)
-
     def validate_indices(self, indices: Sequence, length: int) -> tuple:
         indices = tuple(indices)
         if len(indices) != length:

@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -331,6 +336,8 @@ _REJECTED = [
     ["bp-compare", "--category", "O", "--t", "1/0", "--max-k", "3"],
     ["bp-compare", "--category", "O", "--t", "0", "--max-k", "2"],
     ["bp-compare", "--category", "O", "--t", "-1", "--max-k", "2"],
+    ["limit-moments", "--law", "poisson", "--t", "1", "--max-k", "-2"],
+    ["bp-compare", "--category", "O", "--t", "1", "--max-k", "-1"],
     ["oracle", "counting", "--kind", "catalan", "--k", "3", "--t", "1/0"],
     ["space-moment", "--space", "O:2xO:2/J=1", "--word", "o", "--indices", "1.x"],
     ["space-moment", "--space", "O:2/I=1", "--word", "oz", "--indices", "1,1"],
@@ -346,6 +353,48 @@ def test_rejected_input_prints_one_error_line(capsys, argv):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+class TestVerifyFullStreaming:
+    PAYLOADS = [
+        {"command": "verify", "inputs": {"space": "O:2/I=1", "full": None},
+         "failures": [], "checks": [{"word": "oo", "indices": [[1, 2], 3], "ok": True},
+                                    {"word": "", "indices": [], "ok": False}],
+         "timing_seconds": 0.25},
+        {"command": "verify", "checks": [], "empty": {}, "nested": [[[]], {"a": [1]}]},
+        {"command": "verify", "checks": [{"text": "line\nbreak \u00e9"}]},
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_streamed_rows_match_json_dumps(self, payload):
+        buf = io.StringIO()
+        cli._write_json(dict(payload, checks=iter(payload["checks"])), buf)
+        assert buf.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_full_rows_stream_in_bounded_memory(self):
+        # 59,085 checks; building the whole document took about 3 KiB per check.
+        # The child reads its own VmHWM: ru_maxrss would carry over the
+        # pytest process's size from before the exec.
+        argv = ["verify", "--space", "O:2xO+:2/J=1,2", "--max-k", "4",
+                "--test-degree", "3", "--full"]
+        child = (
+            "import os, sys\n"
+            "from easywg.cli import main\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+            "print(code, hwm, file=sys.stderr)\n"
+        )
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, rss_kib = done.stderr.splitlines()[-1].split()
+        assert code == "0"
+        assert int(rss_kib) < 64 * 1024
 
 
 class TestRoundTrip:

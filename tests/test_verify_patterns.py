@@ -10,7 +10,7 @@ import pytest
 
 import easywg.spaces as spaces
 from easywg.spaces import parse_space, relation_set, verify_relations
-from verify_reference import reference_checks
+from verify_reference import coordinates, reference_checks
 
 DIFF_CASES = [
     ("O:2/I=1", 2, 3),  # N < d: patterns with more than N blocks are cut off
@@ -82,7 +82,7 @@ def test_work_does_not_grow_with_the_dimension(monkeypatch):
 
 
 def _expected_count(space, max_k, degree):
-    coords = len(list(space.coordinates()))
+    coords = len(coordinates(space))
     return len(relation_set(space, max_k)) * sum((2 * coords) ** d for d in range(degree + 1))
 
 

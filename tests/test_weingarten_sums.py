@@ -17,6 +17,7 @@ from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten
 from easywg.partitions import as_word, enumerate_partitions
 from easywg.spaces import _count_matrix, parse_space, relation_set, space_moment
+from verify_reference import coordinates
 
 
 def _fits(parts, tuples: np.ndarray) -> np.ndarray:
@@ -121,7 +122,7 @@ def _fitting_sum(space, relation, f_word, j) -> Fraction:
     """sum over delta-fitting indices i of the rescaled moment of the
     relation word followed by f_word, at i followed by j."""
     total = Fraction(0)
-    for i in itertools.product(space.coordinates(), repeat=relation.k):
+    for i in itertools.product(coordinates(space), repeat=relation.k):
         comps = [i] if not space.is_product else [
             tuple(x[r] for x in i) for r in range(len(space.factors))
         ]
@@ -134,7 +135,7 @@ def _brute_force_checks(space, max_k):
     """Each check of verify_relations at test degree 2, with its left side
     and right side computed from space moments."""
     report = spaces.verify_relations(space, max_k, 2)
-    monomials = sum((2 * len(list(space.coordinates()))) ** d for d in range(3))
+    monomials = sum((2 * len(coordinates(space))) ** d for d in range(3))
     assert len(report.checks) == len(spaces.relation_set(space, max_k)) * monomials
     for c in report.checks:
         lhs = _fitting_sum(space, c.relation, c.monomial_word, c.monomial_indices)

@@ -1,7 +1,7 @@
 """The eager relation-verification loop, kept as a reference for the tests.
 
 This is the library's former `verify_relations`: it walks every test
-tuple of `coordinates()^d`, computes each tuple's per-factor equality
+tuple of `coordinates(space)^d`, computes each tuple's per-factor equality
 pattern, decides each (relation word, test word, pattern) once, and
 builds one `RelationCheck` per check, in the order relation word, test
 word, test tuple, relation.  The library now decides each pattern once and
@@ -18,6 +18,14 @@ from easywg import spaces
 from easywg.integrator import _contract
 from easywg.partitions import enumerate_partitions, kernel_partition
 from easywg.spaces import RelationCheck, _count_matrix, _kernel, _word_key
+
+
+def coordinates(space) -> list:
+    """All coordinate labels of the space: ints for one factor, tuples for
+    products, in itertools.product order."""
+    if not space.is_product:
+        return list(range(1, space.factors[0].dimension + 1))
+    return list(itertools.product(*(range(1, f.dimension + 1) for f in space.factors)))
 
 
 def _components(space, indices: tuple) -> list[tuple]:
@@ -63,7 +71,7 @@ def reference_checks(space, max_k: int, test_degree: int) -> list[RelationCheck]
     tuples = {
         d: [
             (j, tuple(kernel_partition(c).rgs for c in _components(space, j)))
-            for j in itertools.product(space.coordinates(), repeat=d)
+            for j in itertools.product(coordinates(space), repeat=d)
         ]
         for d in range(test_degree + 1)
     }
