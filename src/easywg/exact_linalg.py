@@ -5,20 +5,20 @@ in the Weingarten role.  Inverses are computed from numpy int64 residues
 modulo word-size primes, combined by CRT and rational reconstruction, and
 certified exactly before they are returned.  All values are ints or
 fractions.Fraction; no floating point enters this module.
+
+numpy is imported inside the functions that compute with it, so importing
+this module, and every command that builds no matrix, never loads it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .partitions import (
     CategoryId,
@@ -30,6 +30,9 @@ from .partitions import (
     as_word,
     enumerate_partitions,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Matrix = Sequence[Sequence]
 
@@ -86,6 +89,8 @@ def _join_block_counts(index: Sequence[SetPartition], k: int) -> np.ndarray:
     holds the mask of its block of the join.  A block is counted at its
     lowest point: the point whose mask has no lower bit set.
     """
+    import numpy as np
+
     n = len(index)
     if n == 0:
         return np.zeros((0, 0), dtype=np.intp)
@@ -154,6 +159,8 @@ def _prime(i: int) -> int:
 
 def _as_array(g: Matrix) -> np.ndarray:
     """An integer matrix as int64 when it fits, else as Python ints."""
+    import numpy as np
+
     try:
         return np.array(g, dtype=np.int64)
     except OverflowError:
@@ -161,6 +168,8 @@ def _as_array(g: Matrix) -> np.ndarray:
 
 
 def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    import numpy as np
+
     return (a % p).astype(np.int64, copy=False)
 
 
@@ -183,6 +192,8 @@ def _rank_profile(a: np.ndarray, p: int) -> list[int]:
     row are reduced when used; the trailing block is reduced every _CHUNK
     pivots.  Overwrites a.
     """
+    import numpy as np
+
     profile: list[int] = []
     top = 0
     for c in range(a.shape[1]):
@@ -211,6 +222,8 @@ def _inverse_mod(a: np.ndarray, p: int) -> "np.ndarray | None":
     Reduction is delayed as in _rank_profile: the pivot column and row
     when used, the whole trailing block every _CHUNK pivots.
     """
+    import numpy as np
+
     m = a.shape[0]
     aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
     for c in range(m):
@@ -268,6 +281,8 @@ def _reconstruct(value: np.ndarray, modulus: int):
     sqrt(modulus/2): d grows by the denominator of the first entry that
     d*value does not yet make small.  None when the modulus is too small.
     """
+    import numpy as np
+
     bound = isqrt(modulus // 2)
     half = modulus // 2
     d = 1
@@ -287,6 +302,8 @@ def _profile_key(profile: list[int], n: int) -> list[int]:
     """Prefix ranks of a row profile.  Over Q every prefix of the matrix has
     at least the rank it has modulo a prime, so the profile over Q has the
     largest key of all."""
+    import numpy as np
+
     return np.cumsum(np.bincount(profile, minlength=n)).tolist()
 
 
@@ -322,6 +339,8 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     of _certify; a failed reconstruction or certificate adds primes, and a
     profile seen to be too small is replaced.
     """
+    import numpy as np
+
     n = len(gram.entries)
     if n == 0:
         return WeingartenMatrix(gram, (), 1, ())
@@ -371,6 +390,8 @@ def _certify(wg: WeingartenMatrix) -> bool:
     identities are checked modulo primes whose product exceeds twice an
     a-priori bound on both sides, which makes every check exact.
     """
+    import numpy as np
+
     g = wg.source.entries
     n = len(g)
     den = wg.denominator
@@ -473,6 +494,8 @@ def _from_record(record: dict, key, gram: GramMatrix) -> "WeingartenMatrix | Non
 def _write_record(key, wg: WeingartenMatrix) -> None:
     """Store a record atomically; on failure no temporary file is left and
     the run goes on without the record."""
+    import tempfile
+
     try:
         fd, tmp = tempfile.mkstemp(dir=_DISK_DIR, suffix=".tmp")
     except OSError:

@@ -54,7 +54,11 @@ class IndexSet:
 
     @classmethod
     def parse(cls, text: str) -> "IndexSet":
-        return cls(tuple(int(x) for x in text.split(",")))
+        try:
+            members = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise ValueError(f"cannot parse index set {text!r}") from None
+        return cls(members)
 
     @property
     def size(self) -> int:

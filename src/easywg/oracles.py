@@ -3,22 +3,25 @@
 Exhaustive integration over the permutation group, Monte Carlo sampling of
 Haar-distributed orthogonal/unitary matrices, and the standard counting
 recurrences.  Nothing here touches the Weingarten machinery: these are the
-brute-force sides of the dual-route checks.
+brute-force sides of the dual-route checks.  numpy and the thread pool
+are imported by the Monte Carlo functions when they run, so the exact
+oracles never load them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .integrator import IndexSet, MomentQuery
 from .partitions import CategoryId, WordLike, as_category, as_word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_EXHAUSTIVE = 8
 
@@ -97,6 +100,8 @@ class SampleReport:
 
 def _haar_block(kind: str, n: int, seed: int, block_index: int, size: int) -> np.ndarray:
     """One block of Haar matrices, deterministically derived from (seed, block)."""
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     if kind == "U":
         a = (rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n)))
@@ -139,6 +144,8 @@ def haar_mc_moment(
         raise ValueError("Monte Carlo sampling is available for O and U only")
     if samples < 10_000:
         raise ValueError("at least 10^4 samples are required")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     for x in query.rows + query.cols:
         if not 1 <= x <= n:
             raise ValueError(f"index {x} out of range 1..{n}")
@@ -151,6 +158,8 @@ def haar_mc_moment(
         blocks.append((idx, size))
         start += size
         idx += 1
+
+    import numpy as np
 
     legs = list(zip(query.word, query.rows, query.cols))
 
@@ -167,6 +176,8 @@ def haar_mc_moment(
         return float(np.sum(re)), float(np.sum(re * re))
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_block, blocks))
     else:
@@ -232,6 +243,8 @@ def counting_oracle(kind: str, k: int, t: Fraction = Fraction(1)) -> Fraction:
     if kind == "double-factorial":
         return Fraction(double_factorial_odd(k))
     if kind == "poisson-recurrence":
+        if t <= 0:
+            raise ValueError("t must be > 0")
         if k == 0:
             return Fraction(1)
         return poisson_moments(Fraction(t), k)[-1]

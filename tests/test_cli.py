@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,12 +8,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import easywg.exact_linalg as xl
 import easywg.cli as cli
 from easywg.exact_linalg import format_scalar
-from easywg.integrator import GroupSpec
-from easywg.partitions import as_word
+from easywg.integrator import GroupSpec, IndexSet
+from easywg.partitions import as_category, as_word
 from easywg.spaces import parse_space
 
 
@@ -29,6 +32,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this checkout's easywg, with argv
+    as sys.argv[1:]."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
 
 
 GOLDEN_GROUP_MOMENT = """{
@@ -344,6 +357,14 @@ _REJECTED = [
     ["weingarten", "--category", "O", "--word", "oo", "--n", "0"],
     ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
      "--cols", "1,1", "--samples", "10", "--seed", "1"],
+    ["oracle", "counting", "--kind", "poisson-recurrence", "--k", "3", "--t", "0"],
+    ["oracle", "counting", "--kind", "poisson-recurrence", "--k", "3", "--t", "-2"],
+    ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
+     "--cols", "1,1", "--samples", "10000", "--seed", "1", "--threads", "0"],
+    ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
+     "--cols", "1,1", "--samples", "10000", "--seed", "1", "--threads", "-4"],
+    ["oracle", "sn-space-moment", "--n", "3", "--index-set", "x", "--word", "o",
+     "--indices", "1"],
 ]
 
 
@@ -387,11 +408,7 @@ class TestVerifyFullStreaming:
             "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
             "print(code, hwm, file=sys.stderr)\n"
         )
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                              capture_output=True, text=True, check=True)
+        done = run_child(child, *argv)
         code, rss_kib = done.stderr.splitlines()[-1].split()
         assert code == "0"
         assert int(rss_kib) < 64 * 1024
@@ -415,3 +432,213 @@ class TestRoundTrip:
         )
         doc = json.loads(out)
         assert GroupSpec.parse(doc["inputs"]["group"][0]).text == "U+:4"
+
+
+# Modules that only the matrix engine, the Monte Carlo oracle, its thread
+# pool and the disk-record writer use; each is imported where it is used.
+_DEFERRED = ("numpy", "concurrent.futures", "tempfile")
+
+# Prints the exit code and the deferred modules that easywg loaded.  Modules
+# present before easywg is imported are left out: site hooks of some
+# installations load tempfile at interpreter start.
+_IMPORT_PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "if sys.argv[1:]:\n"
+    "    from easywg.cli import main\n"
+    "    code = main(sys.argv[1:])\n"
+    "else:\n"
+    "    import easywg\n"
+    "    code = 0\n"
+    f"print(code, *(m for m in {_DEFERRED!r} if m in sys.modules and m not in before),\n"
+    "      file=sys.stderr)\n"
+)
+
+_NUMPY_FREE = [
+    [],  # a bare import easywg
+    ["partitions", "--category", "O", "--word", "oooo"],
+    ["relations", "--space", "free-real-sphere:4", "--max-k", "2"],
+    ["char-asymptotic", "--categories", "O+", "--word", "oooo", "--t", "1"],
+    ["limit-moments", "--law", "poisson", "--t", "1", "--max-k", "4"],
+    ["bp-compare", "--category", "S", "--t", "1", "--max-k", "4"],
+    ["oracle", "sn-moment", "--n", "3", "--word", "o", "--rows", "1", "--cols", "1"],
+    ["oracle", "sn-space-moment", "--n", "3", "--index-set", "1,2", "--word", "o",
+     "--indices", "1"],
+    ["oracle", "counting", "--kind", "poisson-recurrence", "--k", "4", "--t", "2"],
+]
+
+_HAAR = ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
+         "--cols", "1,1", "--samples", "10000", "--seed", "1"]
+
+# argv and the deferred modules it loads, tempfile left aside: a cache write
+# loads it, and interpreter start may have loaded it already.
+_LOADS_NUMPY = [
+    (["weingarten", "--category", "O", "--word", "oooo", "--n", "3"], ["numpy"]),
+    (["group-moment", "--group", "O+:3", "--word", "oo", "--rows", "1,1",
+      "--cols", "1,1"], ["numpy"]),
+    (_HAAR + ["--threads", "1"], ["numpy"]),
+    (_HAAR + ["--threads", "2"], ["numpy", "concurrent.futures"]),
+]
+
+
+def _command(argv: list[str]) -> str:
+    if not argv:
+        return "import"
+    return " ".join(argv[:2] if argv[0] == "oracle" else argv[:1])
+
+
+def _loaded(argv: list[str], cache_dir) -> list[str]:
+    if argv:
+        argv = argv + ["--cache-dir", str(cache_dir)]
+    code, *loaded = run_child(_IMPORT_PROBE, *argv).stderr.splitlines()[-1].split()
+    assert code == "0"
+    return loaded
+
+
+class TestDeferredImports:
+    @pytest.mark.parametrize("argv", _NUMPY_FREE, ids=map(_command, _NUMPY_FREE))
+    def test_command_loads_none(self, argv, tmp_path):
+        assert _loaded(argv, tmp_path) == []
+
+    @pytest.mark.parametrize("argv, expected", _LOADS_NUMPY,
+                             ids=["weingarten", "group-moment", "haar-mc 1 thread",
+                                  "haar-mc 2 threads"])
+    def test_engine_command_loads_numpy(self, argv, expected, tmp_path):
+        assert [m for m in _loaded(argv, tmp_path) if m != "tempfile"] == expected
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed round trip of the "inputs" echo.
+
+_CATEGORIES = ("S", "S+", "O", "O+", "U", "U+")
+_WORD = st.text("ob", max_size=3)
+_T = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 12), st.integers(1, 12)),
+    st.decimals("0.05", "4", places=2).map(str),
+)
+
+
+def _spelt(lo: int, hi: int):
+    """An integer in lo..hi, written in one of the ways int() reads."""
+    return st.builds(str.format, st.sampled_from(["{}", "+{}", "0{}"]), st.integers(lo, hi))
+
+
+def _ints(lo: int, hi: int, size: int):
+    return st.lists(_spelt(lo, hi), min_size=size, max_size=size).map(",".join)
+
+
+@st.composite
+def _space(draw):
+    """A space text and the coordinate range of each factor."""
+    if draw(st.booleans()):
+        cat, n = draw(st.sampled_from(_CATEGORIES)), draw(st.integers(1, 3))
+        members = draw(st.lists(_spelt(1, n), min_size=1, max_size=n))
+        return f"{cat}:{n}/I={','.join(members)}", (n,)
+    cats = draw(st.lists(st.sampled_from(_CATEGORIES), min_size=2, max_size=2))
+    ns = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+    members = draw(st.lists(_spelt(1, min(ns)), min_size=1, max_size=2))
+    body = "x".join(f"{c}:{n}" for c, n in zip(cats, ns))
+    return f"{body}/J={','.join(members)}", tuple(ns)
+
+
+@st.composite
+def _group_moment(draw):
+    word = draw(_WORD)
+    argv = ["group-moment", "--word", word]
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 3))
+        argv += ["--group", f"{draw(st.sampled_from(_CATEGORIES))}:{draw(_spelt(n, n))}",
+                 "--rows", draw(_ints(1, n, len(word))),
+                 "--cols", draw(_ints(1, n, len(word)))]
+    return argv
+
+
+@st.composite
+def _space_moment(draw):
+    space, ranges = draw(_space())
+    word = draw(_WORD)
+    legs = [".".join(draw(_spelt(1, n)) for n in ranges) for _ in word]
+    return ["space-moment", "--space", space, "--word", word, "--indices", ",".join(legs)]
+
+
+@st.composite
+def _sn_moment(draw):
+    n, word = draw(st.integers(1, 4)), draw(_WORD)
+    return ["oracle", "sn-moment", "--n", draw(_spelt(n, n)), "--word", word,
+            "--rows", draw(_ints(1, n, len(word))), "--cols", draw(_ints(1, n, len(word)))]
+
+
+@st.composite
+def _sn_space_moment(draw):
+    n, word = draw(st.integers(1, 4)), draw(_WORD)
+    members = draw(st.lists(_spelt(1, n), min_size=1, max_size=n))
+    return ["oracle", "sn-space-moment", "--n", draw(_spelt(n, n)),
+            "--index-set", ",".join(members), "--word", word,
+            "--indices", draw(_ints(1, n, len(word)))]
+
+
+_ARGVS = {
+    "group-moment": _group_moment(),
+    "space-moment": _space_moment(),
+    "relations": st.tuples(_space(), _spelt(0, 2)).map(
+        lambda a: ["relations", "--space", a[0][0], "--max-k", a[1]]),
+    "char-asymptotic": st.tuples(
+        st.lists(st.sampled_from(_CATEGORIES), min_size=1, max_size=2), _WORD, _T).map(
+        lambda a: ["char-asymptotic", "--categories", ",".join(a[0]), "--word", a[1],
+                   "--t", a[2]]),
+    "limit-moments": st.tuples(
+        st.sampled_from(["poisson", "free-poisson", "gaussian", "semicircle",
+                         "classical-matching", "free-matching"]), _T, _spelt(0, 4)).map(
+        lambda a: ["limit-moments", "--law", a[0], "--t", a[1], "--max-k", a[2]]),
+    "bp-compare": st.tuples(st.sampled_from(["S", "O", "U"]), _T, _spelt(0, 4)).map(
+        lambda a: ["bp-compare", "--category", a[0], "--t", a[1], "--max-k", a[2]]),
+    "oracle counting": st.tuples(
+        st.sampled_from(["bell", "catalan", "double-factorial", "poisson-recurrence"]),
+        _spelt(0, 6), _T).map(
+        lambda a: ["oracle", "counting", "--kind", a[0], "--k", a[1], "--t", a[2]]),
+    "oracle sn-moment": _sn_moment(),
+    "oracle sn-space-moment": _sn_space_moment(),
+}
+
+# How an echoed input and its argv text are read; options not listed are
+# plain names, compared as strings.
+_READERS = {
+    "space": parse_space,
+    "group": GroupSpec.parse,
+    "word": as_word,
+    "t": Fraction,
+    "rows": cli._parse_ints,
+    "cols": cli._parse_ints,
+    "indices": lambda text: cli._parse_indices(text, product=True),  # plain or product
+    "index_set": IndexSet.parse,
+    "categories": lambda text: [as_category(c) for c in text.split(",")],
+    "category": as_category,
+    "n": int,
+    "k": int,
+    "max_k": int,
+}
+
+
+@pytest.mark.parametrize("command", list(_ARGVS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_echoed_inputs_parse_back_to_the_argv(command, data):
+    argv = data.draw(_ARGVS[command], label="argv")
+    options = argv[len(command.split()):]
+    given_values: dict = {}
+    for flag, value in zip(options[::2], options[1::2]):
+        given_values.setdefault(flag[2:].replace("-", "_"), []).append(value)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 0, err.getvalue()
+    inputs = json.loads(out.getvalue())["inputs"]
+    assert set(inputs) == set(given_values)
+    for name, values in given_values.items():
+        read = _READERS.get(name, str)
+        echo = inputs[name]
+        if isinstance(echo, list):  # a repeated option
+            assert [read(e) for e in echo] == [read(v) for v in values], name
+        else:
+            assert len(values) == 1 and read(echo) == read(values[0]), name
+            assert type(echo) is (int if read is int else str), name

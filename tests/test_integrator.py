@@ -39,6 +39,11 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet((0, 1))
 
+    @pytest.mark.parametrize("text", ["x", "1,x", "", "1,,2"])
+    def test_parse_rejects_non_integers(self, text):
+        with pytest.raises(ValueError, match=f"cannot parse index set {text!r}"):
+            IndexSet.parse(text)
+
 
 class TestGroupMoment:
     def test_symmetric_fixed_point(self):

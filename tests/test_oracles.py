@@ -95,6 +95,9 @@ class TestHaarMc:
             haar_mc_moment("O+", 4, q("oo", (1, 1), (1, 1)), 100_000, 1)
         with pytest.raises(ValueError):
             haar_mc_moment("O", 4, q("oo", (1, 1), (1, 1)), 100, 1)
+        for threads in (0, -4):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                haar_mc_moment("O", 2, q("oo", (1, 1), (1, 1)), 10_000, 1, threads=threads)
 
     def test_sign_correction_is_mandatory(self):
         # The raw QR factor is not Haar: without the diagonal sign
@@ -139,3 +142,6 @@ class TestCountingOracles:
             counting_oracle("bell", 13)
         with pytest.raises(ValueError):
             counting_oracle("mystery", 3)
+        for k, t in [(3, 0), (3, -2), (0, 0)]:
+            with pytest.raises(ValueError, match="t must be > 0"):
+                counting_oracle("poisson-recurrence", k, Fraction(t))
