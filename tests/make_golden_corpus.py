@@ -116,6 +116,25 @@ CASES: list[list[str]] = [
     ["verify", "--space", "O:3xO+:3/J=1,2", "--max-k", "4", "--test-degree", "3"],
     ["verify", "--space", "O:2xU+:2/J=1,2", "--max-k", "2", "--test-degree", "2",
      "--full"],
+    # S spaces, recorded from the Weingarten engine: the kernels of S factors
+    # come from the partition lattice and must reproduce these bytes; N < k
+    # is singular
+    ["space-moment", "--space", "S:2/I=1,2", "--word", "oooo", "--indices", "1,2,1,2"],
+    ["space-moment", "--space", "S:3/I=1,2", "--word", "ooooo", "--indices", "1,1,2,2,1"],
+    ["char-exact", "--space", "group-as-space:S:2", "--truncation", "2", "--word", "oooo"],
+    ["char-exact", "--space", "group-as-space:S:2", "--truncation", "1", "--word", "oooo"],
+    ["space-moment", "--space", "S:3xO:3/J=1,2", "--word", "oooo",
+     "--indices", "1.1,1.1,2.2,2.2"],
+    ["space-moment", "--space", "S:2xS+:3/J=1,2", "--word", "ooo",
+     "--indices", "1.1,2.2,1.1"],
+    ["char-exact", "--space", "S:2xU:2/J=1,2", "--truncation", "2", "--word", "obob"],
+    ["space-moment", "--space", "column-space:S:3:2", "--word", "oooo",
+     "--indices", "1.1,2.2,1.1,2.2"],
+    ["convergence", "--family", "group-as-space", "--category", "S",
+     "--word", "ooooo", "--sizes", "2,3,4"],
+    ["verify", "--space", "S:3/I=1,2", "--max-k", "3", "--test-degree", "2"],
+    ["verify", "--space", "S:2xO:2/J=1,2", "--max-k", "2", "--test-degree", "2",
+     "--full"],
 ]
 
 
