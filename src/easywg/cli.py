@@ -216,12 +216,12 @@ _FAMILIES = ("free-real-sphere", "free-complex-sphere", "classical-sphere", "gro
 
 def _cmd_convergence(args):
     sizes = _parse_ints(args.sizes)
+    if args.family in ("free-real-sphere", "free-complex-sphere") and args.category:
+        raise CliError(f"{args.family} family takes no --category")
     entries = []
     for n in sizes:
-        if args.family == "free-real-sphere":
-            space = preset("free-real-sphere", n)
-        elif args.family == "free-complex-sphere":
-            space = preset("free-complex-sphere", n)
+        if args.family in ("free-real-sphere", "free-complex-sphere"):
+            space = preset(args.family, n)
         elif args.family == "classical-sphere":
             if not args.category:
                 raise CliError("classical-sphere family needs --category O or U")

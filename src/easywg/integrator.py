@@ -91,28 +91,35 @@ def _check_bounds(indices: Sequence[int], n: int, what: str) -> None:
             raise ValueError(f"{what} index {x} out of range 1..{n}")
 
 
+# A sparse row lists (column, coefficient) pairs; a row set replaces one
+# axis of a tensor, one row per new position.
+Rows = Sequence[Sequence[tuple[int, int]]]
+
+
+def _delta_row(partitions: Sequence, indices: Sequence) -> list[tuple[int, int]]:
+    """The sparse row of the partitions that the indices fit."""
+    return [(j, 1) for j, p in enumerate(partitions) if p.delta(indices)]
+
+
 def _contract_axis(
     flat: "list[int] | tuple[int, ...]",
     shape: Sequence[int],
     axis: int,
-    matrix: Sequence[Sequence[int]],
+    rows: Rows,
 ) -> tuple[list[int], tuple[int, ...]]:
-    """Replace axis by matrix rows: out[..,a,..] = sum_b matrix[a][b] flat[..,b,..]."""
+    """Replace axis by sparse rows: out[..,a,..] = sum of c * flat[..,b,..]
+    over the pairs (b, c) of rows[a]."""
     n_old = shape[axis]
-    n_new = len(matrix)
+    n_new = len(rows)
     outer = math.prod(shape[:axis])
     inner = math.prod(shape[axis + 1 :])
     out = [0] * (outer * n_new * inner)
     for o in range(outer):
         base_in = o * n_old * inner
         base_out = o * n_new * inner
-        for a in range(n_new):
-            row = matrix[a]
+        for a, row in enumerate(rows):
             dst = base_out + a * inner
-            for b in range(n_old):
-                coeff = row[b]
-                if not coeff:
-                    continue
+            for b, coeff in row:
                 src = base_in + b * inner
                 for i in range(inner):
                     out[dst + i] += coeff * flat[src + i]
@@ -123,24 +130,24 @@ def _contract_axis(
 def _contract_each(
     flat: "list[int] | tuple[int, ...]",
     shape: Sequence[int],
-    options: Sequence[Sequence[Sequence[Sequence[int]]]],
+    options: Sequence[Sequence[Rows]],
 ) -> list:
-    """The tensor with each axis r replaced by the rows of one matrix from
-    options[r], for every choice, in itertools.product order; an axis
-    contracted once is shared by every choice on the later axes."""
+    """The tensor with each axis r replaced by one row set from options[r],
+    for every choice, in itertools.product order; an axis contracted once is
+    shared by every choice on the later axes."""
     layer = [(flat, shape)]
-    for axis, matrices in enumerate(options):
-        layer = [_contract_axis(f, s, axis, m) for f, s in layer for m in matrices]
+    for axis, row_sets in enumerate(options):
+        layer = [_contract_axis(f, s, axis, rows) for f, s in layer for rows in row_sets]
     return [f for f, _ in layer]
 
 
 def _contract(
     flat: "list[int] | tuple[int, ...]",
     shape: Sequence[int],
-    matrices: Sequence[Sequence[Sequence[int]]],
+    row_sets: Sequence[Rows],
 ) -> "list[int] | tuple[int, ...]":
-    """The tensor with each axis r replaced by the rows of matrices[r]."""
-    return _contract_each(flat, shape, [[m] for m in matrices])[0]
+    """The tensor with each axis r replaced by row_sets[r]."""
+    return _contract_each(flat, shape, [[rows] for rows in row_sets])[0]
 
 
 def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
@@ -155,7 +162,6 @@ def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
     _check_bounds(query.cols, group.dimension, "column")
     wg = get_weingarten(group.category, query.word, group.dimension)
     n = len(wg.index)
-    rows_fit = [p.delta(query.rows) for p in wg.index]
-    cols_fit = [p.delta(query.cols) for p in wg.index]
+    fits = [[_delta_row(wg.index, query.rows)], [_delta_row(wg.index, query.cols)]]
     flat = list(itertools.chain.from_iterable(wg.numerators))
-    return Fraction(_contract(flat, (n, n), [[rows_fit], [cols_fit]])[0], wg.denominator)
+    return Fraction(_contract(flat, (n, n), fits)[0], wg.denominator)

@@ -17,7 +17,15 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact_linalg import get_weingarten
-from .integrator import GroupSpec, IndexSet, _contract, _contract_each
+from .integrator import (
+    GroupSpec,
+    IndexSet,
+    Rows,
+    _contract,
+    _contract_axis,
+    _contract_each,
+    _delta_row,
+)
 from .partitions import (
     CategoryId,
     Color,
@@ -28,6 +36,7 @@ from .partitions import (
     as_word,
     enumerate_partitions,
     kernel_partition,
+    mobius_intervals,
 )
 
 
@@ -172,12 +181,17 @@ def parse_space(text: str) -> SpaceSpec:
 #
 # For a word w the kernel of a space is the tensor, over tuples of factor
 # partitions pi = (pi_1, ..., pi_s), of
-#     y[pi] = sum_sigma M^{|sigma_1 v ... v sigma_s|} prod_r W_r(pi_r, sigma_r)
+#     y[pi] = sum_sigma M^{|sigma_1 v ... v sigma_s|} prod_r X_r(pi_r, sigma_r)
 # so that the rescaled moment at indices i is  sum_pi delta_pi(i) y[pi],
 # a truncated-character moment is  sum_pi T^{|v pi|} y[pi],  and relation
-# verification contracts y with counting matrices.  Kernels are memoized:
-# they depend only on the factor list, M, and (for color-sensitive factor
-# categories) the word's colors.
+# verification contracts y with counting matrices.  X_r is any generalized
+# inverse of factor r's Gram matrix: each consumer contracts every axis
+# with sums of delta vectors of tuples in {1..N_r}^k, which lie in the
+# Gram matrix's range, so the moments do not depend on the choice.  S
+# factors use the partition lattice's inverse, every other factor the
+# Weingarten matrix.  Kernels are memoized: they depend only on the
+# factor list, M, and (for color-sensitive factor categories) the word's
+# colors.
 
 
 def _joined_tuples(
@@ -213,6 +227,33 @@ def _word_key(space: SpaceSpec, word: ColoredWord) -> "str | int":
     return len(word)
 
 
+def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
+    """The S category's inverse on k legs at dimension n, times L, as two
+    row sets applied in turn, and L = (n)_{min(k, n)}.
+
+    The Gram matrix factors over the partition lattice as G = Z D Z^T, with
+    Z[pi, tau] = [pi <= tau] and D = diag((n)_{|tau|}) (falling factorials),
+    so X = mu^T D^+ mu is a generalized inverse of G at every n, mu = Z^-1
+    being the lattice's Moebius function.  The first row set is mu scaled
+    by L D^+, over the tau with at most n blocks ((n)_{|tau|} = 0 for the
+    others), and the second is mu^T.  L / (n)_{|tau|} = (n - |tau|)! /
+    (n - min(k, n))! is an integer.
+    """
+    parts = enumerate_partitions(CategoryId.S, "o" * k)
+    intervals = mobius_intervals(k)
+    scale = math.perm(n, min(k, n))
+    first: list = []
+    second: list = [[] for _ in parts]
+    for t, tau in enumerate(parts):
+        if tau.block_count > n:
+            continue
+        d = scale // math.perm(n, tau.block_count)
+        first.append([(r, d * mu) for r, mu in intervals[t]])
+        for r, mu in intervals[t]:
+            second[r].append((len(first) - 1, mu))
+    return [first, second], scale
+
+
 def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
     key = (space.factors, space.m, _word_key(space, word))
     hit = _KERNELS.get(key)
@@ -225,10 +266,18 @@ def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
     blocks = tuple(b for _, b in _joined_tuples(space, word))
     values: "list[int] | tuple[int, ...]" = ()
     den = 1
-    if blocks:  # an empty partition set needs no Weingarten matrix
-        wgs = [get_weingarten(f.category, word, f.dimension) for f in space.factors]
-        values = _contract([space.m**b for b in blocks], shape, [wg.numerators for wg in wgs])
-        den = math.prod(wg.denominator for wg in wgs)
+    if blocks:  # an empty partition set needs no inverse
+        values, now = [space.m**b for b in blocks], shape
+        for axis, f in enumerate(space.factors):
+            if f.category is CategoryId.S:
+                steps, scale = _lattice_operator(len(word), f.dimension)
+            else:
+                wg = get_weingarten(f.category, word, f.dimension)
+                steps = [[[(j, c) for j, c in enumerate(row) if c] for row in wg.numerators]]
+                scale = wg.denominator
+            for rows in steps:
+                values, now = _contract_axis(values, now, axis, rows)
+            den *= scale
     kern = _Kernel(dlists, shape, tuple(values), blocks, den)
     _KERNELS[key] = kern
     return kern
@@ -244,7 +293,7 @@ def _moment_from_kernel(space: SpaceSpec, kern: _Kernel, indices: tuple) -> Frac
     if not kern.values:
         return Fraction(0)
     comps = _factor_components(space, indices)
-    rows = [[[p.delta(comp) for p in dlist]] for dlist, comp in zip(kern.dlists, comps)]
+    rows = [[_delta_row(dlist, comp)] for dlist, comp in zip(kern.dlists, comps)]
     return Fraction(_contract(kern.values, kern.shape, rows)[0], kern.denominator)
 
 
@@ -338,9 +387,9 @@ class VerificationReport:
 
 def _count_matrix(
     heads: Sequence[SetPartition], fulls: Sequence[SetPartition], tail: tuple, n: int
-) -> list[list[int]]:
-    """Entry [h][w]: the number of head tuples in {1..n}^k fitting h whose
-    concatenation with `tail` fits w on k+d legs.
+) -> list[list[tuple[int, int]]]:
+    """Sparse rows, entry [h][w]: the number of head tuples in {1..n}^k
+    fitting h whose concatenation with `tail` fits w on k+d legs.
 
     With J = (h + ker tail) v w, the tuple is constant on the blocks of J,
     so the count is n^(|J| - |ker tail|) when J restricted to the tail legs
@@ -354,10 +403,10 @@ def _count_matrix(
         k = h.ground_size
         both = SetPartition(h.rgs + tuple(h.block_count + x for x in ker.rgs))
         row = []
-        for w in fulls:
+        for c, w in enumerate(fulls):
             j = both.join(w)
-            fits = len(set(j.rgs[k:])) == ker.block_count
-            row.append(n ** (j.block_count - ker.block_count) if fits else 0)
+            if len(set(j.rgs[k:])) == ker.block_count:
+                row.append((c, n ** (j.block_count - ker.block_count)))
         out.append(row)
     return out
 

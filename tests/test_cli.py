@@ -365,6 +365,10 @@ _REJECTED = [
      "--cols", "1,1", "--samples", "10000", "--seed", "1", "--threads", "-4"],
     ["oracle", "sn-space-moment", "--n", "3", "--index-set", "x", "--word", "o",
      "--indices", "1"],
+    ["convergence", "--family", "free-real-sphere", "--category", "S", "--word", "oooo",
+     "--sizes", "2,3"],
+    ["convergence", "--family", "free-complex-sphere", "--category", "U", "--word", "obob",
+     "--sizes", "2"],
 ]
 
 
@@ -465,6 +469,12 @@ _NUMPY_FREE = [
     ["oracle", "sn-space-moment", "--n", "3", "--index-set", "1,2", "--word", "o",
      "--indices", "1"],
     ["oracle", "counting", "--kind", "poisson-recurrence", "--k", "4", "--t", "2"],
+    # S space kernels come from the partition lattice, not the engine
+    ["space-moment", "--space", "S:3/I=1,2", "--word", "oooo", "--indices", "1,2,1,2"],
+    ["char-exact", "--space", "group-as-space:S:3", "--truncation", "2", "--word", "ooo"],
+    ["convergence", "--family", "group-as-space", "--category", "S", "--word", "ooo",
+     "--sizes", "2,3"],
+    ["verify", "--space", "column-space:S:3:2", "--max-k", "2", "--test-degree", "1"],
 ]
 
 _HAAR = ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
@@ -478,6 +488,8 @@ _LOADS_NUMPY = [
       "--cols", "1,1"], ["numpy"]),
     (_HAAR + ["--threads", "1"], ["numpy"]),
     (_HAAR + ["--threads", "2"], ["numpy", "concurrent.futures"]),
+    (["space-moment", "--space", "S:3xO:3/J=1", "--word", "oo", "--indices", "1.1,1.1"],
+     ["numpy"]),  # the O factor keeps the engine
 ]
 
 
@@ -502,7 +514,7 @@ class TestDeferredImports:
 
     @pytest.mark.parametrize("argv, expected", _LOADS_NUMPY,
                              ids=["weingarten", "group-moment", "haar-mc 1 thread",
-                                  "haar-mc 2 threads"])
+                                  "haar-mc 2 threads", "space-moment SxO"])
     def test_engine_command_loads_numpy(self, argv, expected, tmp_path):
         assert [m for m in _loaded(argv, tmp_path) if m != "tempfile"] == expected
 

@@ -1,0 +1,250 @@
+"""The partition-lattice route for S factors.
+
+`spaces._kernel` contracts every S factor's axis with X = mu^T D^+ mu on
+the lattice of set partitions instead of the Weingarten matrix; every
+other factor, and `group_moment`, keep the engine.  Both are generalized
+inverses of the same Gram matrix, so every moment-level number must agree.
+These tests compare the two routes on such numbers, and the lattice route
+with closed forms and the exhaustive S_n oracle.
+"""
+
+import functools
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import easywg.characters as characters
+import easywg.exact_linalg as xl
+import easywg.spaces as spaces
+from easywg.characters import CharacterQuery, char_moment_exact
+from easywg.exact_linalg import get_weingarten, gram_matrix
+from easywg.integrator import (
+    GroupSpec,
+    IndexSet,
+    MomentQuery,
+    _contract,
+    _contract_axis,
+    group_moment,
+)
+from easywg.oracles import sn_exhaustive_space_moment
+from easywg.partitions import (
+    as_word,
+    enumerate_partitions,
+    kernel_partition,
+    mobius_intervals,
+)
+from easywg.spaces import parse_space, space_moment, verify_relations
+
+
+# ---------------------------------------------------------------------------
+# The Moebius function.
+
+def test_interval_counts():
+    # OEIS A000258: the number of intervals of the lattice of set partitions
+    counts = [sum(map(len, mobius_intervals(k))) for k in range(9)]
+    assert counts == [1, 1, 3, 12, 60, 358, 2471, 19302, 167894]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_mobius_inverts_the_zeta_matrix(k):
+    parts = enumerate_partitions("S", "o" * k)
+    zeta = [[int(p.join(q) == q) for q in parts] for p in parts]
+    for t, row in enumerate(mobius_intervals(k)):
+        assert all(zeta[t][r] for r, _ in row)  # only coarsenings are listed
+        product = [sum(mu * zeta[r][s] for r, mu in row) for s in range(len(parts))]
+        assert product == [int(s == t) for s in range(len(parts))]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("k", range(6))
+def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
+    # with G the Gram matrix and L X the operator: G X G = G and X G X = X;
+    # the second fails if D^+ keeps a partition with more than n blocks
+    steps, scale = spaces._lattice_operator(k, n)
+    size = len(enumerate_partitions("S", "o" * k))
+    flat, shape = [int(i == j) for i in range(size) for j in range(size)], (size, size)
+    for rows in steps:
+        flat, shape = _contract_axis(flat, shape, 0, rows)
+    x = [flat[i * size:(i + 1) * size] for i in range(size)]
+    g = [list(row) for row in gram_matrix("S", "o" * k, n).entries]
+    assert _matmul(_matmul(g, x), g) == [[scale * e for e in row] for row in g]
+    assert _matmul(_matmul(x, g), x) == [[scale * e for e in row] for row in x]
+
+
+# ---------------------------------------------------------------------------
+# Closed form of the S_N moments, against group_moment (the engine).
+
+@st.composite
+def _sn_query(draw):
+    n, k = draw(st.integers(1, 50)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+    if draw(st.booleans()):  # an equal kernel half the time: relabel the rows
+        values = sorted(set(rows))
+        image = draw(st.lists(st.integers(1, n), min_size=len(values),
+                              max_size=len(values), unique=True))
+        cols = [dict(zip(values, image))[x] for x in rows]
+    else:
+        cols = draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+    return n, rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sn_query())
+def test_sn_moment_closed_form(query):
+    # integral of prod u_{i_a j_a} = [ker i = ker j] (N - r)! / N!, r = |ker i|
+    n, rows, cols = query
+    same = kernel_partition(rows) == kernel_partition(cols)
+    r = len(set(rows))
+    expected = Fraction(math.factorial(n - r), math.factorial(n)) if same else 0
+    got = group_moment(GroupSpec("S", n), MomentQuery("o" * len(rows), rows, cols))
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The lattice kernel against an engine-route kernel.
+
+@functools.lru_cache(maxsize=None)
+def _engine_kernel(space, word) -> spaces._Kernel:
+    """The space's kernel with every factor's axis contracted with its
+    Weingarten numerators, S factors included."""
+    word = as_word(word)
+    dlists = tuple(tuple(enumerate_partitions(f.category, word)) for f in space.factors)
+    shape = tuple(map(len, dlists))
+    blocks = tuple(b for _, b in spaces._joined_tuples(space, word))
+    if not blocks:
+        return spaces._Kernel(dlists, shape, (), blocks, 1)
+    wgs = [get_weingarten(f.category, word, f.dimension) for f in space.factors]
+    rows = [[[(j, c) for j, c in enumerate(r) if c] for r in wg.numerators] for wg in wgs]
+    values = _contract([space.m**b for b in blocks], shape, rows)
+    den = math.prod(wg.denominator for wg in wgs)
+    return spaces._Kernel(dlists, shape, tuple(values), blocks, den)
+
+
+@pytest.fixture
+def engine(monkeypatch):
+    """Calls a function with every kernel taken from the engine route."""
+    def call(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_kernel", _engine_kernel)
+            m.setattr(characters, "_kernel", _engine_kernel)
+            return fn(*args)
+    return call
+
+
+def _spaces(n: int) -> list[str]:
+    j = ",".join(str(x) for x in range(1, min(n, 2) + 1))
+    return [
+        f"S:{n}/I=1",
+        f"S:{n}/I={','.join(str(x) for x in range(1, n + 1))}",
+        f"group-as-space:S:{n}",
+        f"column-space:S:{n}:{min(n, 3)}",
+        f"S:{n}xO:{n}/J={j}",
+        f"S:{n}xS+:{n}/J={j}",
+        f"U:{n}xS:{n}/J={j}",
+    ]
+
+
+SIZES = (1, 2, 3, 4, 10)  # N < k is singular
+SPACES = [s for n in SIZES for s in _spaces(n)]
+
+
+def _words(space) -> list[str]:
+    """Words of every length up to 6 (5 where two factors have more than
+    a hundred partitions at 6 legs); alternating colours reach U factors'
+    nonzero kernels."""
+    wide = sum(f.category.value in ("S", "S+") for f in space.factors) > 1
+    return ["ob" * (k // 2) + "o" * (k % 2) for k in range(6 if wide else 7)]
+
+
+def _sample(space, k: int, rng: random.Random, count: int = 12) -> list[tuple]:
+    """Index tuples with repeats, so that many are nonzero."""
+    out = []
+    for _ in range(count):
+        pool = [tuple(rng.randint(1, f.dimension) for f in space.factors)
+                for _ in range(rng.randint(1, 3))]
+        legs = [rng.choice(pool) for _ in range(k)]
+        out.append(tuple(legs) if space.is_product else tuple(x for (x,) in legs))
+    return out
+
+
+@pytest.mark.parametrize("text", SPACES)
+def test_space_and_character_moments_match_the_engine(text, engine):
+    space = parse_space(text)
+    rng = random.Random(text)
+    for word in _words(space):
+        for idx in _sample(space, len(word), rng):
+            assert space_moment(space, word, idx) == engine(space_moment, space, word, idx)
+        for t in range(1, min(f.dimension for f in space.factors) + 1):
+            query = CharacterQuery(space, t, word)
+            assert char_moment_exact(query) == engine(char_moment_exact, query)
+
+
+def test_group_as_space_at_six_legs_matches_the_engine(engine):
+    space, word = parse_space("group-as-space:S:3"), "oooooo"
+    for idx in _sample(space, 6, random.Random(6), 30):
+        assert space_moment(space, word, idx) == engine(space_moment, space, word, idx)
+    for t in (1, 2, 3):
+        query = CharacterQuery(space, t, word)
+        assert char_moment_exact(query) == engine(char_moment_exact, query)
+
+
+def _outcomes(report) -> tuple:
+    """The check count, the verdict and the outcome table: (ok, lhs, rhs)
+    per relation wherever one fails, for each pattern of test tuples."""
+    return len(report.checks), report.all_passed, report.checks._table
+
+
+@pytest.mark.parametrize("text", SPACES)
+@pytest.mark.parametrize("forced", [False, True], ids=["true", "forced-false"])
+def test_verify_outcomes_match_the_engine(text, forced, engine, monkeypatch):
+    space = parse_space(text)
+    if forced:  # one block too many on every right side, so failures carry values
+        true_set = spaces.relation_set
+        monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
+            spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
+            for r in true_set(space, max_k)
+        ])
+    max_k, degree = (2, 2) if space.is_product else (3, 2)
+    got = _outcomes(verify_relations(space, max_k, degree))
+    assert got == _outcomes(engine(verify_relations, space, max_k, degree))
+    assert got[1] == (not forced or space.m == 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_space_moments_match_the_sn_oracle(n):
+    for members in {(1,), tuple(range(1, n + 1)), (n,)}:
+        space = spaces.SpaceSpec((GroupSpec("S", n),), IndexSet(members))
+        for k in range(5):
+            for idx in itertools.product(range(1, n + 1), repeat=k):
+                expected = sn_exhaustive_space_moment(n, IndexSet(members), "o" * k, idx)
+                assert space_moment(space, "o" * k, idx) == expected
+
+
+def _clear_caches():
+    xl.clear_memo()
+    spaces._KERNELS.clear()
+
+
+def test_eight_legs_build_no_weingarten_matrix():
+    # 4140 partitions: far beyond what the engine can invert
+    _clear_caches()
+    space, idx = parse_space("S:6/I=1,2,3"), (1, 2, 1, 3, 1, 2, 1, 3)
+    value = space_moment(space, "o" * 8, idx)
+    assert value == sn_exhaustive_space_moment(6, IndexSet((1, 2, 3)), "o" * 8, idx)
+    assert value == Fraction(1, 20)
+    assert xl._MEMO == {}
+
+
+def test_only_the_non_s_factor_uses_the_engine():
+    _clear_caches()
+    space_moment(parse_space("S:3xO:3/J=1,2"), "oooo", ((1, 1), (2, 2), (1, 1), (2, 2)))
+    assert list(xl._MEMO) == [("O", "oooo", 3)]

@@ -37,7 +37,7 @@ def _components(space, indices: tuple) -> list[tuple]:
 def _moment(space, kern, indices: tuple) -> Fraction:
     if not kern.values:
         return Fraction(0)
-    rows = [[[p.delta(comp) for p in dlist]]
+    rows = [[[(j, 1) for j, p in enumerate(dlist) if p.delta(comp)]]
             for dlist, comp in zip(kern.dlists, _components(space, indices))]
     return Fraction(_contract(kern.values, kern.shape, rows)[0], kern.denominator)
 
