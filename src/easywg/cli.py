@@ -211,16 +211,17 @@ def _cmd_bp_compare(args):
     ]}
 
 
-_FAMILIES = ("free-real-sphere", "free-complex-sphere", "classical-sphere", "group-as-space")
+_FIXED_FAMILIES = ("free-real-sphere", "free-complex-sphere")  # their category is fixed
+_FAMILIES = _FIXED_FAMILIES + ("classical-sphere", "group-as-space")
 
 
 def _cmd_convergence(args):
     sizes = _parse_ints(args.sizes)
-    if args.family in ("free-real-sphere", "free-complex-sphere") and args.category:
+    if args.family in _FIXED_FAMILIES and args.category:
         raise CliError(f"{args.family} family takes no --category")
     entries = []
     for n in sizes:
-        if args.family in ("free-real-sphere", "free-complex-sphere"):
+        if args.family in _FIXED_FAMILIES:
             space = preset(args.family, n)
         elif args.family == "classical-sphere":
             if not args.category:
