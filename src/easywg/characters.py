@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .partitions import (
     CategoryId,
     CategoryLike,
     Color,
     ColoredWord,
+    SetPartition,
     WordLike,
     as_category,
     as_word,
@@ -56,6 +57,11 @@ def char_moment_exact(query: CharacterQuery) -> Fraction:
     return Fraction(num, kern.denominator)
 
 
+def _block_sum(parts: Iterable[SetPartition], t: Fraction) -> Fraction:
+    """Sum of t^{|pi|} over the partitions."""
+    return sum((t**p.block_count for p in parts), Fraction(0))
+
+
 def char_moment_asymptotic(
     categories: Sequence[CategoryLike], word: WordLike, t: Fraction
 ) -> Fraction:
@@ -71,7 +77,7 @@ def char_moment_asymptotic(
     common = set(enumerate_partitions(cats[0], word))
     for c in cats[1:]:
         common &= set(enumerate_partitions(c, word))
-    return sum((t**p.block_count for p in common), Fraction(0))
+    return _block_sum(common, t)
 
 
 _LAW_KINDS = {
@@ -122,12 +128,10 @@ def limit_law_moments(law: LimitLaw, max_k: int) -> list[Fraction]:
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    out = []
-    for k in range(1, max_k + 1):
-        word = _law_word(law.kind, k)
-        parts = enumerate_partitions(law.category, word)
-        out.append(sum((law.t**p.block_count for p in parts), Fraction(0)))
-    return out
+    return [
+        _block_sum(enumerate_partitions(law.category, _law_word(law.kind, k)), law.t)
+        for k in range(1, max_k + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -153,14 +157,11 @@ def bp_compare(
     rows = []
     for k in range(1, max_k + 1):
         word = _law_word("classical-matching" if cat is CategoryId.U else "poisson", k)
-        classical = sum(
-            (t**p.block_count for p in enumerate_partitions(cat, word)), Fraction(0)
-        )
-        free = sum(
-            (t**p.block_count for p in enumerate_partitions(cat.free_version, word)),
-            Fraction(0),
-        )
-        rows.append(BpRow(k, classical, free))
+        rows.append(BpRow(
+            k,
+            _block_sum(enumerate_partitions(cat, word), t),
+            _block_sum(enumerate_partitions(cat.free_version, word), t),
+        ))
     return rows
 
 

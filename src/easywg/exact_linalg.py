@@ -139,10 +139,9 @@ class WeingartenMatrix:
 # Multi-modular engine.  Residues live in numpy int64 arrays modulo primes
 # below 2**26: a product of two residues is below 2**52, so a sum of up to
 # 2**11 products plus one reduced residue stays below 2**63, and every
-# intermediate of the elimination, the products and the CRT is exact.  The
-# same bound, _CHUNK * (p - 1)**2 + p < 2**63, lets the elimination
-# subtract _CHUNK pivot updates from an entry before it reduces the
-# trailing block modulo p again.
+# intermediate of the sweep, the products and the CRT is exact.  The same
+# bound, _CHUNK * (p - 1)**2 + p < 2**63, lets the sweep subtract _CHUNK
+# pivot updates from an entry before it reduces the matrix modulo p again.
 _PRIME_LIMIT = 1 << 26
 _CHUNK = 1 << 11
 
@@ -183,65 +182,39 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _rank_profile(a: np.ndarray, p: int) -> list[int]:
-    """Greedy row rank profile of the symmetric residue matrix a modulo p.
+def _sweep(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Symmetric sweep of the residue matrix a modulo p (Goodnight, 1979).
 
-    A row is kept when it is not in the span of the rows before it.  For a
-    symmetric matrix this is the column rank profile, which forward
-    elimination finds column by column.  Only the pivot column and pivot
-    row are reduced when used; the trailing block is reduced every _CHUNK
-    pivots.  Overwrites a.
+    Diagonals are swept in index order, and one that is 0 modulo p is
+    skipped.  Sweeping c subtracts a[i, c] * a[c, j] / a[c, c] from every
+    other entry, divides row and column c by a[c, c] and sets a[c, c] to
+    -1 / a[c, c].  After the swept set B, a[B, B] = -G[B, B]^-1 and the
+    diagonal at c is the Schur complement of G[c, c] against the swept
+    indices before c.
+
+    Over Q a Gram matrix is positive semidefinite, so a zero Schur diagonal
+    means a zero Schur row: B is then the greedy row rank profile.  Modulo
+    p every swept prefix block is nonsingular, so B never has a larger
+    _profile_key than the profile over Q.  Column c is reduced when used
+    and the whole matrix every _CHUNK sweeps.  Overwrites a; returns B and
+    G[B, B]^-1 modulo p.
     """
     import numpy as np
 
-    profile: list[int] = []
-    top = 0
-    for c in range(a.shape[1]):
-        a[top:, c] %= p
-        nz = np.flatnonzero(a[top:, c])
-        if nz.size == 0:
+    swept: list[int] = []
+    for c in range(a.shape[0]):
+        col = a[:, c] % p
+        if col[c] == 0:
             continue
-        r = top + int(nz[0])
-        if r != top:
-            a[[top, r]] = a[[r, top]]
-        pivot = a[top, c:] % p * pow(int(a[top, c]), -1, p) % p
-        rest = a[top + 1:, c:]
-        rest -= np.outer(rest[:, 0], pivot)
-        profile.append(c)
-        top += 1
-        if top == a.shape[0]:
-            break
-        if top % _CHUNK == 0:
-            rest %= p
-    return profile
-
-
-def _inverse_mod(a: np.ndarray, p: int) -> "np.ndarray | None":
-    """Inverse of a square residue matrix modulo p (Gauss-Jordan), or None.
-
-    Reduction is delayed as in _rank_profile: the pivot column and row
-    when used, the whole trailing block every _CHUNK pivots.
-    """
-    import numpy as np
-
-    m = a.shape[0]
-    aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
-    for c in range(m):
-        aug[:, c] %= p
-        nz = np.flatnonzero(aug[c:, c])
-        if nz.size == 0:
-            return None
-        r = c + int(nz[0])
-        if r != c:
-            aug[[c, r]] = aug[[r, c]]
-        aug[c, c:] = aug[c, c:] % p * pow(int(aug[c, c]), -1, p) % p
-        col = aug[:, c].copy()
-        col[c] = 0
-        rest = aug[:, c:]
-        rest -= np.outer(col, aug[c, c:])
-        if (c + 1) % _CHUNK == 0:
-            rest %= p
-    return aug[:, m:] % p
+        inv = pow(int(col[c]), -1, p)
+        row = col * inv % p
+        a -= np.outer(col, row)
+        a[c] = a[:, c] = row
+        a[c, c] = -inv % p
+        swept.append(c)
+        if len(swept) % _CHUNK == 0:
+            a %= p
+    return swept, -a[np.ix_(swept, swept)] % p
 
 
 def _crt(residues: list, primes: list[int]) -> np.ndarray:
@@ -332,12 +305,13 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     invertible input yields its exact inverse with basis equal to the full
     index.
 
-    Multi-modular: the profile is taken modulo two primes, the kept block
-    is inverted modulo as many primes as needed, and the residues are
-    combined by CRT and rational reconstruction with one common
-    denominator.  The result is returned only after the exact certificate
-    of _certify; a failed reconstruction or certificate adds primes, and a
-    profile seen to be too small is replaced.
+    Multi-modular: each prime's _sweep gives a profile and the inverse of
+    its kept block.  Residues are combined, by CRT and rational
+    reconstruction with one common denominator, across the primes whose
+    profile has the largest _profile_key seen so far; a larger key starts
+    the combination again.  The result is returned only after the exact
+    certificate of _certify; a failed reconstruction or certificate adds
+    primes.
     """
     import numpy as np
 
@@ -345,17 +319,19 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     if n == 0:
         return WeingartenMatrix(gram, (), 1, ())
     a = _as_array(gram.entries)
-    basis = max((_rank_profile(_mod(a, _prime(i)), _prime(i)) for i in range(2)),
-                key=lambda b: _profile_key(b, n))
+    key: list[int] = []
     primes: list[int] = []
     inverses: list[np.ndarray] = []
     i = 0
     while True:
         p = _prime(i)
         i += 1
-        inv = _inverse_mod(_mod(a[np.ix_(basis, basis)], p), p)
-        if inv is None:  # p divides the determinant of the kept block
+        swept, inv = _sweep(_mod(a, p), p)
+        seen = _profile_key(swept, n)
+        if seen < key:  # p divides a Schur diagonal of a profile already seen
             continue
+        if seen > key:
+            basis, key, primes, inverses = swept, seen, [], []
         primes.append(p)
         inverses.append(inv)
         rec = _reconstruct(_crt(inverses, primes), prod(primes))
@@ -367,9 +343,6 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
                               _embed(n, basis, (num // g).tolist()))
         if _certify(wg):
             return wg
-        seen = _rank_profile(_mod(a, p), p)
-        if _profile_key(seen, n) > _profile_key(basis, n):
-            basis, primes, inverses = seen, [], []
 
 
 def _certify(wg: WeingartenMatrix) -> bool:

@@ -17,13 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .integrator import IndexSet, MomentQuery
+from .integrator import IndexSet, MomentQuery, _check_bounds
 from .partitions import CategoryId, WordLike, as_category, as_word
 
 if TYPE_CHECKING:
     import numpy as np
 
 _MAX_EXHAUSTIVE = 8
+# Haar matrices sampled per block; each block has its own sub-seed.
+_MC_BLOCK = 50_000
 
 
 @lru_cache(maxsize=None)
@@ -44,9 +46,8 @@ def sn_exhaustive_moment(n: int, query: MomentQuery) -> Fraction:
     """
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive enumeration capped at n <= {_MAX_EXHAUSTIVE}")
-    for x in query.rows + query.cols:
-        if not 1 <= x <= n:
-            raise ValueError(f"index {x} out of range 1..{n}")
+    _check_bounds(query.rows, n, "row")
+    _check_bounds(query.cols, n, "column")
     constraints = frozenset(zip(query.cols, query.rows))
     return Fraction(
         _consistent_permutations(n, constraints), math.factorial(n)
@@ -79,9 +80,7 @@ def sn_exhaustive_space_moment(
     indices = tuple(indices)
     if len(indices) != len(word):
         raise ValueError("indices length must equal word length")
-    for x in indices:
-        if not 1 <= x <= n:
-            raise ValueError(f"index {x} out of range 1..{n}")
+    _check_bounds(indices, n, "coordinate")
     if index_set.members[-1] > n:
         raise ValueError("index set exceeds the coordinate range")
     count = _image_hit_count(n, index_set.members, frozenset(indices))
@@ -125,7 +124,6 @@ def haar_mc_moment(
     samples: int,
     seed: int,
     threads: int = 1,
-    block_size: int = 50_000,
 ) -> SampleReport:
     """Monte Carlo estimate of a classical O_N/U_N Haar moment.
 
@@ -146,18 +144,10 @@ def haar_mc_moment(
         raise ValueError("at least 10^4 samples are required")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    for x in query.rows + query.cols:
-        if not 1 <= x <= n:
-            raise ValueError(f"index {x} out of range 1..{n}")
-
-    blocks = []
-    start = 0
-    idx = 0
-    while start < samples:
-        size = min(block_size, samples - start)
-        blocks.append((idx, size))
-        start += size
-        idx += 1
+    _check_bounds(query.rows, n, "row")
+    _check_bounds(query.cols, n, "column")
+    blocks = [(i, min(_MC_BLOCK, samples - start))
+              for i, start in enumerate(range(0, samples, _MC_BLOCK))]
 
     import numpy as np
 

@@ -339,14 +339,18 @@ def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:
 
     One relation per colored word and per tuple of factor partitions; the
     right-hand side exponent is the block count of the superposition join.
+    Words with the same _word_key share their joins.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    return [
-        Relation(word, combo, blocks)
-        for word in _all_words(max_k)
-        for combo, blocks in _joined_tuples(space, word)
-    ]
+    joined: dict = {}
+    out = []
+    for word in _all_words(max_k):
+        key = _word_key(space, word)
+        if key not in joined:
+            joined[key] = _joined_tuples(space, word)
+        out.extend(Relation(word, combo, blocks) for combo, blocks in joined[key])
+    return out
 
 
 @dataclass(frozen=True)
@@ -361,28 +365,22 @@ class RelationCheck:
 
 @dataclass
 class VerificationReport:
-    """The checks of a verification.  `checks` is a plain sequence, or the
-    lazy `_Checks` that `verify_relations` returns: its `len` is a count,
-    and failures are found from its outcome table without building the
-    passing checks."""
+    """The checks of a verification, as the lazy `_Checks` that
+    `verify_relations` returns: its `len` is a count, and failures are found
+    from its outcome table without building the passing checks."""
 
     space: SpaceSpec
     max_k: int
     test_degree: int
-    checks: "Sequence[RelationCheck] | _Checks"
-
-    def _failing(self) -> Iterator[RelationCheck]:
-        if isinstance(self.checks, _Checks):
-            return self.checks.failing()
-        return (c for c in self.checks if not c.ok)
+    checks: _Checks
 
     @property
     def failures(self) -> list[RelationCheck]:
-        return list(self._failing())
+        return list(self.checks.failing())
 
     @property
     def all_passed(self) -> bool:
-        return next(self._failing(), None) is None
+        return next(self.checks.failing(), None) is None
 
 
 def _count_matrix(

@@ -235,26 +235,22 @@ class TestVerifyCommand:
         assert json.loads(out)["all_passed"] is True
 
     def test_verify_failure_exits_two(self, capsys, monkeypatch):
-        # No valid space produces a failing verification, so force a
-        # failing report to pin the exit code and failure serialization.
-        from fractions import Fraction
-        from easywg.spaces import (
-            Relation, RelationCheck, VerificationReport, relation_set,
-        )
+        # No valid space produces a failing verification, so one block too
+        # many on every right side makes the relations false (M = 2 > 1).
+        import easywg.spaces as spaces
 
-        def fake_verify(space, max_k, test_degree):
-            rel = relation_set(space, 2)[-1]
-            bad = RelationCheck(rel, as_word(""), (), False, Fraction(1), Fraction(2))
-            return VerificationReport(space, max_k, test_degree, [bad])
-
-        monkeypatch.setattr(cli, "verify_relations", fake_verify)
+        true_set = spaces.relation_set
+        monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
+            spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
+            for r in true_set(space, max_k)
+        ])
         code, out, _ = run(
-            capsys, "verify", "--space", "free-real-sphere:4", "--max-k", "2",
+            capsys, "verify", "--space", "O+:4/I=1,2", "--max-k", "2",
             "--test-degree", "0",
         )
         assert code == 2
         doc = json.loads(out)
-        assert doc["failed"] == 1
+        assert doc["failed"] == doc["checked"] == 5
         assert doc["failures"][0]["lhs"] == "1/1"
         assert doc["failures"][0]["rhs"] == "2/1"
 

@@ -1,11 +1,12 @@
-"""The whole-matrix Gram construction and the delayed-reduction elimination,
+"""The whole-matrix Gram construction and the delayed-reduction sweep,
 each against a plain route to the same numbers.
 
 `gram_matrix` computes every join block count at once by a bitmask
 closure; here each entry is compared with `SetPartition.join` pair by pair.
-`_rank_profile` and `_inverse_mod` reduce the trailing block only every
-`_CHUNK` pivots; with `_CHUNK` patched small the periodic reduction runs
-many times, and the residues must not change.
+`_sweep` reduces the whole matrix only every `_CHUNK` pivots; with
+`_CHUNK` patched small the periodic reduction runs many times, and the
+residues must not change.  Its profile is the rational greedy basis of the
+Fraction reference.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 import easywg.exact_linalg as xl
 from easywg.exact_linalg import gram_matrix
 from easywg.partitions import enumerate_partitions
+from fraction_reference import bordering_weingarten
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 DIMENSIONS = (1, 2, 3, 10)
@@ -105,48 +107,50 @@ ELIMINATION_KEYS = [
 ]
 
 
-def _residues(cat, word, n, p):
+def _sweep(cat, word, n, p):
     a = xl._mod(xl._as_array(gram_matrix(cat, word, n).entries), p)
-    profile = xl._rank_profile(a.copy(), p)
-    full = xl._inverse_mod(a.copy(), p)
-    block = xl._inverse_mod(a[np.ix_(profile, profile)].copy(), p)
-    return a, profile, full, block
+    return (a, *xl._sweep(a.copy(), p))
 
 
 @pytest.mark.parametrize("cat,word,n,singular", ELIMINATION_KEYS)
 def test_delayed_reduction_keeps_residues(monkeypatch, cat, word, n, singular):
+    basis = list(bordering_weingarten(gram_matrix(cat, word, n).entries)[0])
     for p in (xl._prime(0), xl._prime(1)):
-        a, profile, full, block = _residues(cat, word, n, p)
-        assert (len(profile) < len(a)) == singular and (full is None) == singular
+        a, profile, block = _sweep(cat, word, n, p)
+        assert profile == basis, p
+        assert (len(profile) < len(a)) == singular
         # the real chunk against plain modular arithmetic
         kept = a[np.ix_(profile, profile)]
         assert np.array_equal(kept @ block % p, np.eye(len(profile), dtype=np.int64))
         assert block.min() >= 0 and block.max() < p
         for chunk in (1, 2, 3):
             monkeypatch.setattr(xl, "_CHUNK", chunk)
-            _, profile_c, full_c, block_c = _residues(cat, word, n, p)
+            _, profile_c, block_c = _sweep(cat, word, n, p)
             assert profile_c == profile, (chunk, p)
-            assert (full_c is None) == (full is None), (chunk, p)
-            assert full is None or np.array_equal(full_c, full), (chunk, p)
             assert np.array_equal(block_c, block), (chunk, p)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("cat,word", sorted({key[:2] for key in ELIMINATION_KEYS}))
+def test_dimension_equal_to_the_prime_sweeps_nothing(cat, word):
+    # every entry is a positive power of N, so G = 0 modulo p = N
+    p = xl._prime(0)
+    _, profile, block = _sweep(cat, word, p, p)
+    assert profile == [] and block.shape == (0, 0)
 
 
 @pytest.mark.parametrize("cat,word,n,singular", ELIMINATION_KEYS)
 def test_periodic_reduction_prevents_overflow(monkeypatch, cat, word, n, singular):
     # With p = 2**31 - 1 a single pivot update is near 2**62, so int64 holds
-    # at most two unreduced updates: chunks of 1 and 2 fit the bound, and an
-    # elimination that skipped the periodic reduction would wrap.  Python
-    # ints (object arrays) never wrap and give the reference residues.
+    # at most two unreduced updates: chunks of 1 and 2 fit the bound, and a
+    # sweep that skipped the periodic reduction would wrap.  Python ints
+    # (object arrays) never wrap and give the reference residues.
     p = 2**31 - 1
     a = xl._mod(xl._as_array(gram_matrix(cat, word, n).entries), p)
-    profile = xl._rank_profile(a.astype(object), p)
-    full = xl._inverse_mod(a.astype(object), p)
-    block = xl._inverse_mod(a[np.ix_(profile, profile)].astype(object), p)
+    profile, block = xl._sweep(a.astype(object), p)
     for chunk in (1, 2):
         assert chunk * (p - 1) ** 2 + p < 2**63
         monkeypatch.setattr(xl, "_CHUNK", chunk)
-        assert xl._rank_profile(a.copy(), p) == profile, chunk
-        got = xl._inverse_mod(a.copy(), p)
-        assert (got is None) == (full is None) and (full is None or np.array_equal(got, full))
-        assert np.array_equal(xl._inverse_mod(a[np.ix_(profile, profile)].copy(), p), block)
+        got_profile, got_block = xl._sweep(a.copy(), p)
+        assert got_profile == profile, chunk
+        assert np.array_equal(got_block, block), chunk

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from easywg.integrator import GroupSpec, IndexSet, MomentQuery
 from easywg.oracles import sn_exhaustive_moment, sn_exhaustive_space_moment
-from easywg.partitions import CategoryId, SetPartition, as_word
+from easywg.partitions import CategoryId, SetPartition, as_word, enumerate_partitions
 from easywg.spaces import (
     Relation,
     SpaceSpec,
@@ -217,6 +218,28 @@ class TestRelationSet:
     def test_empty_category_words_have_no_relations(self):
         sp = preset("free-complex-sphere", 3)
         assert all(r.word.text != "oo" for r in relation_set(sp, 2))
+
+    def test_colour_blind_words_share_their_joins(self, monkeypatch):
+        # one join per pair of partitions per word length, sum_k Bell(k)^2 =
+        # 2,960 for k <= 5, not one per coloured word (sum_k 2^k Bell(k)^2 = 90,347)
+        sp = preset("group-as-space", "S", 3)
+        real = SetPartition.join
+        joins = []
+        monkeypatch.setattr(SetPartition, "join", lambda p, q: joins.append(1) or real(p, q))
+        relation_set(sp, 5)
+        assert len(joins) == 2_960
+
+    @pytest.mark.parametrize("text", ["group-as-space:S:3", "O:2xU+:2/J=1,2"])
+    def test_relations_equal_per_word_joins(self, text):
+        sp = parse_space(text)
+        expected = [
+            Relation(w, combo, functools.reduce(SetPartition.join, combo).block_count)
+            for k in range(5)
+            for w in map(as_word, map("".join, itertools.product("ob", repeat=k)))
+            for combo in itertools.product(
+                *(enumerate_partitions(f.category, w) for f in sp.factors))
+        ]
+        assert relation_set(sp, 4) == expected
 
 
 class TestVerifyRelations:
