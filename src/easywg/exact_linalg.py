@@ -6,6 +6,13 @@ modulo word-size primes, combined by CRT and rational reconstruction, and
 certified exactly before they are returned.  All values are ints or
 fractions.Fraction; no floating point enters this module.
 
+A Gram matrix is stored as its join block counts, and the residues of
+N^count modulo a prime come from a table of powers indexed by the counts.
+A Weingarten matrix is stored as its block on basis x basis.  The full
+n x n views, ``GramMatrix.entries`` and ``WeingartenMatrix.numerators``,
+are built on first access.  A disk record, the one full matrix read in,
+must be zero outside its basis before its block is certified.
+
 numpy is imported inside the functions that compute with it, so importing
 this module, and every command that builds no matrix, never loads it.
 """
@@ -14,9 +21,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Sequence
 
@@ -34,8 +41,6 @@ from .partitions import (
 if TYPE_CHECKING:
     import numpy as np
 
-Matrix = Sequence[Sequence]
-
 
 def format_scalar(x) -> str:
     """Canonical "p/q" form with q > 0, denominator always explicit."""
@@ -49,13 +54,19 @@ def parse_scalar(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Inner products of partition vectors: entries N^{|pi v sigma|}."""
+    """Inner products of partition vectors: entries N^{|pi v sigma|}, kept
+    as the join block counts |pi v sigma|."""
 
     category: CategoryId
     word: ColoredWord
     dimension: int
     index: tuple[SetPartition, ...]
-    entries: tuple[tuple[int, ...], ...]
+    counts: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        powers = [self.dimension**c for c in range(len(self.word) + 1)]
+        return tuple(tuple(map(powers.__getitem__, row)) for row in self.counts.tolist())
 
 
 def gram_matrix(category: CategoryLike, word: WordLike, dimension: int) -> GramMatrix:
@@ -69,10 +80,7 @@ def gram_matrix(category: CategoryLike, word: WordLike, dimension: int) -> GramM
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     index = tuple(enumerate_partitions(category, word))
-    powers = [dimension**c for c in range(len(word) + 1)]
-    entries = tuple(tuple(map(powers.__getitem__, row))
-                    for row in _join_block_counts(index, len(word)).tolist())
-    return GramMatrix(category, word, dimension, index, entries)
+    return GramMatrix(category, word, dimension, index, _join_block_counts(index, len(word)))
 
 
 # Elements of the (k, rows, n) mask array built per slab of Gram rows.
@@ -113,22 +121,31 @@ def _join_block_counts(index: Sequence[SetPartition], k: int) -> np.ndarray:
 class WeingartenMatrix:
     """Generalized inverse of a Gram matrix, supported on a basis subset.
 
-    ``numerators[i][j] / denominator`` is the entry at positions i, j of the
-    full index; rows and columns outside ``basis`` are zero.  Restricted to
-    basis x basis it is the exact inverse of the Gram restriction.
+    ``block[a][b] / denominator`` is the entry at positions basis[a],
+    basis[b] of the full index, the exact inverse of the Gram restriction
+    to basis x basis; rows and columns outside ``basis`` are zero.
     """
 
     source: GramMatrix
     basis: tuple[int, ...]
     denominator: int
-    numerators: tuple[tuple[int, ...], ...]
+    block: tuple[tuple[int, ...], ...]
 
     @property
     def index(self) -> tuple[SetPartition, ...]:
         return self.source.index
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.numerators[i][j], self.denominator)
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n numerators: block on basis x basis, zeros elsewhere."""
+        n = len(self.index)
+        rows = [(0,) * n] * n
+        for i, row in zip(self.basis, self.block):
+            line = [0] * n
+            for j, x in zip(self.basis, row):
+                line[j] = x
+            rows[i] = tuple(line)
+        return tuple(rows)
 
     @property
     def entries(self) -> list[list[Fraction]]:
@@ -156,20 +173,12 @@ def _prime(i: int) -> int:
     return c
 
 
-def _as_array(g: Matrix) -> np.ndarray:
-    """An integer matrix as int64 when it fits, else as Python ints."""
+def _residues(gram: GramMatrix, p: int) -> np.ndarray:
+    """The Gram matrix modulo p as int64, from a table of N^c modulo p."""
     import numpy as np
 
-    try:
-        return np.array(g, dtype=np.int64)
-    except OverflowError:
-        return np.array(g, dtype=object)
-
-
-def _mod(a: np.ndarray, p: int) -> np.ndarray:
-    import numpy as np
-
-    return (a % p).astype(np.int64, copy=False)
+    powers = [pow(gram.dimension, c, p) for c in range(len(gram.word) + 1)]
+    return np.array(powers, dtype=np.int64)[gram.counts]
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -280,22 +289,6 @@ def _profile_key(profile: list[int], n: int) -> list[int]:
     return np.cumsum(np.bincount(profile, minlength=n)).tolist()
 
 
-def _embed(n: int, basis: list[int], block: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """The n x n matrix with block on basis x basis and zeros elsewhere."""
-    zero = (0,) * n
-    rows = dict(zip(basis, block))
-    out = []
-    for i in range(n):
-        if i not in rows:
-            out.append(zero)
-            continue
-        line = [0] * n
-        for j, x in zip(basis, rows[i]):
-            line[j] = x
-        out.append(tuple(line))
-    return tuple(out)
-
-
 def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     """Invert a Gram matrix, falling back to a canonical generalized inverse.
 
@@ -315,10 +308,9 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     """
     import numpy as np
 
-    n = len(gram.entries)
+    n = len(gram.index)
     if n == 0:
         return WeingartenMatrix(gram, (), 1, ())
-    a = _as_array(gram.entries)
     key: list[int] = []
     primes: list[int] = []
     inverses: list[np.ndarray] = []
@@ -326,7 +318,7 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     while True:
         p = _prime(i)
         i += 1
-        swept, inv = _sweep(_mod(a, p), p)
+        swept, inv = _sweep(_residues(gram, p), p)
         seen = _profile_key(swept, n)
         if seen < key:  # p divides a Schur diagonal of a profile already seen
             continue
@@ -340,7 +332,7 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
         den, num = rec
         g = gcd(den, *num.flat)
         wg = WeingartenMatrix(gram, tuple(basis), den // g,
-                              _embed(n, basis, (num // g).tolist()))
+                              tuple(map(tuple, (num // g).tolist())))
         if _certify(wg):
             return wg
 
@@ -348,12 +340,14 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
 def _certify(wg: WeingartenMatrix) -> bool:
     """Exact proof that wg is the canonical Weingarten matrix of its Gram matrix.
 
-    With G the Gram matrix, W = numerators/denominator and B the basis:
-    B is strictly increasing, W is symmetric and zero outside B x B, and
+    With G the Gram matrix, num = block, den = denominator and B the basis
+    (r indices): B is strictly increasing, num is a symmetric r x r block,
+    and, writing W for the matrix that is num/den on B x B and zero
+    elsewhere,
 
-      1. G[B,B] . num[B,B] = den . I
-      2. G . num . G = den . G
-      3. (G . num)[c, b] = 0 for every row c outside B and b in B, b > c.
+      1. G[B,B] . num = den . I
+      2. G . W . G = G
+      3. (G[:,B] . num)[c, b] = 0 for every row c outside B and b in B, b > c.
 
     (1) and (2) make W a generalized inverse of G supported on an
     independent set of rows spanning the row space; (3) says every other
@@ -365,38 +359,34 @@ def _certify(wg: WeingartenMatrix) -> bool:
     """
     import numpy as np
 
-    g = wg.source.entries
-    n = len(g)
+    gram = wg.source
+    n = len(gram.index)
     den = wg.denominator
     basis = list(wg.basis)
-    num = wg.numerators
-    if den < 1 or len(num) != n or any(len(row) != n for row in num):
+    r = len(basis)
+    if den < 1 or basis != sorted(set(basis)) or any(not 0 <= b < n for b in basis):
         return False
-    if basis != sorted(set(basis)) or any(not 0 <= b < n for b in basis):
+    if len(wg.block) != r or any(len(row) != r for row in wg.block):
         return False
-    kept = set(basis)
-    out = [i for i in range(n) if i not in kept]
-    w = [[num[i][j] for j in basis] for i in basis]
-    if (any(any(num[i]) for i in out) or any(num[i][j] for i in basis for j in out)
-            or w != [list(col) for col in zip(*w)]):
+    w = np.array(wg.block, dtype=object).reshape(r, r)
+    if (w != w.T).any():
         return False
     if n == 0:
         return True
-    a = _as_array(g)
+    kept = set(basis)
+    out = [i for i in range(n) if i not in kept]
     b = np.array(basis, dtype=np.intp)
     later = b[None, :] > np.array(out, dtype=np.intp)[:, None]
-    r = len(basis)
-    max_g = max(1, int(a.max()), -int(a.min()))
-    max_w = max((abs(x) for row in w for x in row), default=0)
+    max_g = gram.dimension ** int(gram.counts.max())
+    max_w = int(abs(w).max()) if r else 0
     bound = r * r * max_g * max_g * max_w + den * max_g
-    w = np.array(w, dtype=object).reshape(r, r)
     modulus, i = 1, 0
     while modulus <= 2 * bound:
         p = _prime(i)
         i += 1
         modulus *= p
-        ap = _mod(a, p)
-        y = _matmul_mod(ap[:, b], _mod(w, p), p)  # (G . num)[:, B]
+        ap = _residues(gram, p)
+        y = _matmul_mod(ap[:, b], (w % p).astype(np.int64), p)  # (G[:,B] . num)
         if not np.array_equal(y[b], np.eye(r, dtype=np.int64) * (den % p)):
             return False
         if y[out][later].any():
@@ -449,8 +439,9 @@ def _to_record(key, wg: WeingartenMatrix) -> dict:
 
 
 def _from_record(record: dict, key, gram: GramMatrix) -> "WeingartenMatrix | None":
-    """The record's matrix if its header names the key and it passes the
-    engine's certificate against the freshly built Gram matrix."""
+    """The record's matrix if its header names the key, its entries are n x n
+    with a basis in range and zeros outside basis x basis, and its block
+    passes the engine's certificate against the freshly built Gram matrix."""
     try:
         if [record["category"], record["word"], record["dimension"]] != list(key):
             return None
@@ -458,9 +449,15 @@ def _from_record(record: dict, key, gram: GramMatrix) -> "WeingartenMatrix | Non
         rows = [[parse_scalar(x) for x in row] for row in record["entries"]]
     except (KeyError, ValueError, TypeError, ZeroDivisionError):
         return None
-    den = lcm(*(x.denominator for row in rows for x in row))
-    numerators = tuple(tuple(int(x * den) for x in row) for row in rows)
-    wg = WeingartenMatrix(gram, basis, den, numerators)
+    n = len(gram.index)
+    kept = set(basis)
+    if (len(rows) != n or any(len(row) != n for row in rows) or not kept <= set(range(n))
+            or any(x for i, row in enumerate(rows) for j, x in enumerate(row)
+                   if i not in kept or j not in kept)):
+        return None
+    den = lcm(*(rows[i][j].denominator for i in basis for j in basis))
+    block = tuple(tuple(int(rows[i][j] * den) for j in basis) for i in basis)
+    wg = WeingartenMatrix(gram, basis, den, block)
     return wg if _certify(wg) else None
 
 

@@ -154,14 +154,16 @@ def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
     """Haar integral of the colored coordinate monomial over the group.
 
     Weingarten sum over pairs of partitions in the category's set for the
-    word, weighting each pair by whether the row and column indices fit:
-    W, read as a two-axis tensor, contracted with the row deltas and then
-    with the column deltas.  The degree-0 monomial integrates to 1.
+    word, weighting each pair by whether the row and column indices fit.
+    W vanishes outside its basis, so only the kept partitions take part:
+    the block, read as a two-axis tensor, is contracted with their row
+    deltas and then with their column deltas.  The degree-0 monomial
+    integrates to 1.
     """
     _check_bounds(query.rows, group.dimension, "row")
     _check_bounds(query.cols, group.dimension, "column")
     wg = get_weingarten(group.category, query.word, group.dimension)
-    n = len(wg.index)
-    fits = [[_delta_row(wg.index, query.rows)], [_delta_row(wg.index, query.cols)]]
-    flat = list(itertools.chain.from_iterable(wg.numerators))
-    return Fraction(_contract(flat, (n, n), fits)[0], wg.denominator)
+    kept = [wg.index[b] for b in wg.basis]
+    fits = [[_delta_row(kept, query.rows)], [_delta_row(kept, query.cols)]]
+    flat = list(itertools.chain.from_iterable(wg.block))
+    return Fraction(_contract(flat, (len(kept), len(kept)), fits)[0], wg.denominator)

@@ -44,6 +44,8 @@ def sn_exhaustive_moment(n: int, query: MomentQuery) -> Fraction:
     Entries are 0/1 reals, so colors are irrelevant; the monomial is 1
     exactly when the permutation maps every column index to its row index.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive enumeration capped at n <= {_MAX_EXHAUSTIVE}")
     _check_bounds(query.rows, n, "row")
@@ -74,6 +76,8 @@ def sn_exhaustive_space_moment(
     of the index set; the monomial is the indicator that all queried
     indices do.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive enumeration capped at n <= {_MAX_EXHAUSTIVE}")
     word = as_word(word)

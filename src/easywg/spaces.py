@@ -107,13 +107,14 @@ class SpaceSpec:
         return indices
 
 
-_PRESET_NAMES = (
-    "free-complex-sphere",
-    "free-real-sphere",
-    "classical-sphere",
-    "group-as-space",
-    "column-space",
-)
+# Each preset's parameters, in the order its text form gives them.
+_PRESETS = {
+    "free-complex-sphere": "N",
+    "free-real-sphere": "N",
+    "classical-sphere": "CATEGORY:N",
+    "group-as-space": "CATEGORY:N",
+    "column-space": "CATEGORY:N:M",
+}
 
 
 def preset(name: str, *params) -> SpaceSpec:
@@ -123,34 +124,36 @@ def preset(name: str, *params) -> SpaceSpec:
     classical-sphere(category O|U, N); group-as-space(category, N);
     column-space(category, N, M with M <= N).
     """
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {tuple(_PRESETS)}")
+    usage = f"{name} takes {_PRESETS[name]}"
+    fields = _PRESETS[name].split(":")
+    if len(params) != len(fields):
+        raise ValueError(usage)
+    try:
+        args = [x if f == "CATEGORY" else int(x) for f, x in zip(fields, params)]
+    except (TypeError, ValueError):
+        raise ValueError(usage) from None
     if name == "free-complex-sphere":
-        (n,) = params
-        return SpaceSpec((GroupSpec(CategoryId.U_PLUS, int(n)),), IndexSet((1,)))
+        return SpaceSpec((GroupSpec(CategoryId.U_PLUS, *args),), IndexSet((1,)))
     if name == "free-real-sphere":
-        (n,) = params
-        return SpaceSpec((GroupSpec(CategoryId.O_PLUS, int(n)),), IndexSet((1,)))
+        return SpaceSpec((GroupSpec(CategoryId.O_PLUS, *args),), IndexSet((1,)))
+    cat, n, *rest = args
+    cat = as_category(cat)
     if name == "classical-sphere":
-        cat, n = params
-        cat = as_category(cat)
         if cat not in (CategoryId.O, CategoryId.U):
             raise ValueError("classical-sphere takes category O or U")
-        return SpaceSpec((GroupSpec(cat, int(n)),), IndexSet((1,)))
+        return SpaceSpec((GroupSpec(cat, n),), IndexSet((1,)))
     if name == "group-as-space":
-        cat, n = params
-        n = int(n)
-        g = GroupSpec(as_category(cat), n)
+        g = GroupSpec(cat, n)
         return SpaceSpec((g, g), IndexSet(tuple(range(1, n + 1))))
-    if name == "column-space":
-        cat, n, m = params
-        n, m = int(n), int(m)
-        if m > n:
-            raise ValueError("column-space requires M <= N")
-        cat = as_category(cat)
-        return SpaceSpec(
-            (GroupSpec(cat, n), GroupSpec(cat, m)),
-            IndexSet(tuple(range(1, m + 1))),
-        )
-    raise ValueError(f"unknown preset {name!r}; expected one of {_PRESET_NAMES}")
+    (m,) = rest
+    if m > n:
+        raise ValueError("column-space requires M <= N")
+    return SpaceSpec(
+        (GroupSpec(cat, n), GroupSpec(cat, m)),
+        IndexSet(tuple(range(1, m + 1))),
+    )
 
 
 def parse_space(text: str) -> SpaceSpec:
@@ -161,7 +164,7 @@ def parse_space(text: str) -> SpaceSpec:
     "classical-sphere:U:3", "group-as-space:O:3", "column-space:O+:4:2".
     """
     head = text.split(":", 1)[0]
-    if head in _PRESET_NAMES:
+    if head in _PRESETS:
         parts = text.split(":")
         return preset(parts[0], *parts[1:])
     if "/" not in text:
@@ -273,8 +276,10 @@ def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
                 steps, scale = _lattice_operator(len(word), f.dimension)
             else:
                 wg = get_weingarten(f.category, word, f.dimension)
-                steps = [[[(j, c) for j, c in enumerate(row) if c] for row in wg.numerators]]
-                scale = wg.denominator
+                sparse = [[] for _ in wg.index]
+                for i, row in zip(wg.basis, wg.block):
+                    sparse[i] = [(j, c) for j, c in zip(wg.basis, row) if c]
+                steps, scale = [sparse], wg.denominator
             for rows in steps:
                 values, now = _contract_axis(values, now, axis, rows)
             den *= scale

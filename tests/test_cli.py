@@ -365,7 +365,16 @@ _REJECTED = [
      "--sizes", "2,3"],
     ["convergence", "--family", "free-complex-sphere", "--category", "U", "--word", "obob",
      "--sizes", "2"],
+    ["oracle", "sn-moment", "--n", "-1", "--word", "", "--rows", "", "--cols", ""],
 ]
+
+# Preset spaces with missing, extra or non-integer parameters.
+_BAD_PRESETS = [
+    "free-real-sphere", "group-as-space:O:3:4", "column-space:O:3", "classical-sphere:O",
+    "group-as-space:O:x",
+]
+_REJECTED += [["space-moment", "--space", text, "--word", "o", "--indices", "1"]
+              for text in _BAD_PRESETS]
 
 
 @pytest.mark.parametrize("argv", _REJECTED, ids=[" ".join(a) for a in _REJECTED])
@@ -374,6 +383,14 @@ def test_rejected_input_prints_one_error_line(capsys, argv):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("text", _BAD_PRESETS)
+def test_preset_errors_name_the_preset(capsys, text):
+    name = text.split(":")[0]
+    code, _, err = run(capsys, "space-moment", "--space", text, "--word", "o", "--indices", "1")
+    assert code == 1
+    assert err.startswith(f"error: {name} takes "), err
 
 
 class TestVerifyFullStreaming:

@@ -405,41 +405,80 @@ class TestEngineAgainstFractionReference:
 
 
 class TestCertificate:
+    """Each variant is rejected by the check it targets: the structural
+    checks (basis order, block shape, symmetry) before any modular
+    arithmetic, the identities only on well-formed r x r blocks."""
+
     def _canonical(self):
         return weingarten_matrix(gram_matrix("S", "oooo", 3))
 
-    def _variant(self, w, basis=None, den=None, numerators=None):
+    def _variant(self, w, basis=None, den=None, block=None):
         return WeingartenMatrix(
             w.source,
             w.basis if basis is None else basis,
             w.denominator if den is None else den,
-            w.numerators if numerators is None else numerators,
+            w.block if block is None else block,
         )
 
+    def _rejected_unmultiplied(self, monkeypatch, v):
+        def unreachable(*args):
+            raise AssertionError("a structural defect reached the modular checks")
+
+        monkeypatch.setattr(xl, "_residues", unreachable)
+        return not xl._certify(v)
+
+    def _rejected_well_formed(self, v):
+        r = len(v.basis)
+        assert list(v.basis) == sorted(set(v.basis))
+        assert len(v.block) == r and all(len(row) == r for row in v.block)
+        assert [list(row) for row in v.block] == [list(col) for col in zip(*v.block)]
+        return not xl._certify(v)
+
     def test_accepts_canonical(self):
-        assert xl._certify(self._canonical())
+        w = self._canonical()
+        assert len(w.block) == len(w.basis) < len(w.index)
+        assert xl._certify(w)
 
     def test_rejects_foreign_basis_inverse(self):
         w = self._canonical()
-        foreign, den, num = _foreign_inverse(w)
+        foreign, den, block = _foreign_inverse(w)
         assert foreign != w.basis
-        assert not xl._certify(self._variant(w, foreign, den, num))
+        v = self._variant(w, foreign, den, block)
+        # (1) and (2) hold exactly, so only the greedy-profile check (3) is left
+        g = [list(r) for r in w.source.entries]
+        kept = [[g[i][j] for j in foreign] for i in foreign]
+        assert matmul(kept, [list(r) for r in block]) == [
+            [den * (a == b) for b in range(len(foreign))] for a in range(len(foreign))
+        ]
+        assert matmul(matmul(g, v.entries), g) == g
+        assert self._rejected_well_formed(v)
 
     def test_rejects_perturbations(self):
+        # a symmetric change of one entry, and a wrong denominator
         w = self._canonical()
-        num = [list(r) for r in w.numerators]
-        num[0][1] += 1
-        num[1][0] += 1
-        assert not xl._certify(self._variant(w, numerators=tuple(map(tuple, num))))
-        assert not xl._certify(self._variant(w, den=w.denominator + 1))
-        assert not xl._certify(self._variant(w, basis=w.basis[::-1]))
-        asym = [list(r) for r in w.numerators]
-        asym[0][1] += 1
-        assert not xl._certify(self._variant(w, numerators=tuple(map(tuple, asym))))
-        outside = [list(r) for r in w.numerators]
-        missing = next(i for i in range(15) if i not in w.basis)
-        outside[missing][missing] = 1
-        assert not xl._certify(self._variant(w, numerators=tuple(map(tuple, outside))))
+        block = [list(r) for r in w.block]
+        block[0][1] += 1
+        block[1][0] += 1
+        assert self._rejected_well_formed(self._variant(w, block=tuple(map(tuple, block))))
+        assert self._rejected_well_formed(self._variant(w, den=w.denominator + 1))
+
+    def test_rejects_reversed_basis(self, monkeypatch):
+        w = self._canonical()
+        assert self._rejected_unmultiplied(monkeypatch, self._variant(w, basis=w.basis[::-1]))
+
+    def test_rejects_asymmetric_block(self, monkeypatch):
+        w = self._canonical()
+        block = [list(r) for r in w.block]
+        block[0][1] += 1
+        asym = self._variant(w, block=tuple(map(tuple, block)))
+        assert self._rejected_unmultiplied(monkeypatch, asym)
+
+    def test_rejects_misshapen_blocks(self, monkeypatch):
+        # the full n x n numerators in the block slot, a missing row, a short row
+        w = self._canonical()
+        short = (w.block[0][:-1],) + w.block[1:]
+        for block in (w.numerators, w.block[:-1], short):
+            assert self._rejected_unmultiplied(monkeypatch, self._variant(w, block=block))
 
 
 def _foreign_inverse(w):
@@ -451,11 +490,13 @@ def _foreign_inverse(w):
     assert foreign is not None
     inv = solve_inverse([[g[i][j] for j in foreign] for i in foreign])
     den = math.lcm(*(x.denominator for row in inv for x in row))
-    num = [[0] * n for _ in range(n)]
-    for a, i in enumerate(foreign):
-        for b, j in enumerate(foreign):
-            num[i][j] = int(inv[a][b] * den)
-    return foreign, den, tuple(map(tuple, num))
+    return foreign, den, tuple(tuple(int(x * den) for x in row) for row in inv)
+
+
+def _outside_basis(record):
+    """Put a nonzero entry on the diagonal at an index outside the basis."""
+    i = next(i for i in range(len(record["entries"])) if i not in record["basis"])
+    record["entries"][i][i] = "1/1"
 
 
 class TestDiskRecordCertificate:
@@ -476,10 +517,10 @@ class TestDiskRecordCertificate:
 
     def test_foreign_g_inverse_rejected_and_rebuilt(self, tmp_path):
         good, path, record = self._record(tmp_path)
-        foreign, den, num = _foreign_inverse(good)
+        foreign, den, block = _foreign_inverse(good)
         # a genuine g-inverse: G.W.G = G holds for it
         ge = [list(r) for r in good.source.entries]
-        wf = [[Fraction(x, den) for x in row] for row in num]
+        wf = WeingartenMatrix(good.source, foreign, den, block).entries
         assert matmul(matmul(ge, wf), ge) == ge
         record["basis"] = list(foreign)
         record["entries"] = [[format_scalar(x) for x in row] for row in wf]
@@ -505,12 +546,16 @@ class TestDiskRecordCertificate:
         lambda r: r["entries"][0].__setitem__(0, "1/0"),
         lambda r: r.pop("basis"),
         lambda r: r["entries"].pop(),
+        lambda r: r["basis"].append(len(r["entries"])),
+        _outside_basis,
     ])
     def test_malformed_records_rebuilt(self, tmp_path, mutate):
         good, path, record = self._record(tmp_path)
+        original = json.loads(json.dumps(record))
         mutate(record)
         path.write_text(json.dumps(record))
         assert get_weingarten("S", "oooo", 3).numerators == good.numerators
+        assert json.loads(path.read_text()) == original
 
     def test_unreadable_record_rebuilt(self, tmp_path):
         good, path, _ = self._record(tmp_path)
@@ -537,3 +582,32 @@ class TestDiskRecordCertificate:
         with pytest.raises(OSError):
             xl.set_disk_cache(str(target))
         assert xl._DISK_DIR is None
+
+
+def test_consumers_never_build_the_full_views(monkeypatch):
+    """The engine and every consumer work from the join counts and the kept
+    block; the n x n views are built only when something asks for them."""
+    from easywg import spaces
+    from easywg.characters import CharacterQuery, char_moment_exact
+    from easywg.integrator import GroupSpec, MomentQuery, group_moment
+
+    def refuse(self):
+        raise AssertionError("built a full n x n view")
+
+    monkeypatch.setattr(WeingartenMatrix, "numerators", property(refuse), raising=False)
+    monkeypatch.setattr(xl.GramMatrix, "entries", property(refuse), raising=False)
+    monkeypatch.setattr(xl, "_MEMO", {})
+    monkeypatch.setattr(xl, "_DISK_DIR", None)
+    monkeypatch.setattr(spaces, "_KERNELS", {})
+    w = get_weingarten("O+", "oooo", 4)
+    assert len(w.basis) == len(w.index)
+    q = MomentQuery("oooo", (1, 1, 2, 2), (1, 2, 1, 2))
+    assert group_moment(GroupSpec("O", 3), q) == Fraction(-1, 30)
+    for text, value in (("O+:3/I=1,2", Fraction(2, 3)), ("U:2xO:2/J=1,2", Fraction(1, 3))):
+        space = spaces.parse_space(text)
+        word = "obob" if space.is_product else "oooo"
+        one = (1, 1) if space.is_product else 1
+        assert spaces.space_moment(space, word, (one,) * 4) == value
+        assert char_moment_exact(CharacterQuery(space, 1, word)) == value
+    report = spaces.verify_relations(spaces.parse_space("O:2/I=1"), 2, 2)
+    assert len(report.checks) > 0 and report.all_passed

@@ -108,7 +108,7 @@ ELIMINATION_KEYS = [
 
 
 def _sweep(cat, word, n, p):
-    a = xl._mod(xl._as_array(gram_matrix(cat, word, n).entries), p)
+    a = xl._residues(gram_matrix(cat, word, n), p)
     return (a, *xl._sweep(a.copy(), p))
 
 
@@ -146,7 +146,7 @@ def test_periodic_reduction_prevents_overflow(monkeypatch, cat, word, n, singula
     # sweep that skipped the periodic reduction would wrap.  Python ints
     # (object arrays) never wrap and give the reference residues.
     p = 2**31 - 1
-    a = xl._mod(xl._as_array(gram_matrix(cat, word, n).entries), p)
+    a = xl._residues(gram_matrix(cat, word, n), p)
     profile, block = xl._sweep(a.astype(object), p)
     for chunk in (1, 2):
         assert chunk * (p - 1) ** 2 + p < 2**63

@@ -132,6 +132,7 @@ class TestProductGroupMoment:
         q2 = q("oo", (1, 1), (2, 2))
         w1 = get_weingarten("O", "oo", 3)
         w2 = get_weingarten("S", "oo", 2)
+        e1, e2 = w1.entries, w2.entries
         total = Fraction(0)
         for i1, p1 in enumerate(w1.index):
             for j1, s1 in enumerate(w1.index):
@@ -142,7 +143,7 @@ class TestProductGroupMoment:
                             * s1.delta(q1.cols)
                             * p2.delta(q2.rows)
                             * s2.delta(q2.cols)
-                            * w1.entry(i1, j1)
-                            * w2.entry(i2, j2)
+                            * e1[i1][j1]
+                            * e2[i2][j2]
                         )
         assert total == group_moment(g1, q1) * group_moment(g2, q2)

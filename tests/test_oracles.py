@@ -48,6 +48,14 @@ class TestSnExhaustive:
             sn_exhaustive_moment(9, q("o", (1,), (1,)))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_exhaustive_oracles_reject_n_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sn_exhaustive_moment(n, q("", (), ()))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sn_exhaustive_space_moment(n, IndexSet((1,)), "", ())
+
+
 class TestSnSpaceOracle:
     def test_single_point_index_set(self):
         got = sn_exhaustive_space_moment(3, IndexSet((1,)), "o", (1,))

@@ -59,6 +59,7 @@ def _explicit(space, word, row_weight) -> Fraction:
     word = as_word(word)
     wgs = [get_weingarten(f.category, word, f.dimension) for f in space.factors]
     ranges = [range(len(wg.index)) for wg in wgs]
+    entries = [wg.entries for wg in wgs]
     js = list(itertools.product(space.index.members, repeat=len(word)))
     total = Fraction(0)
     for pis in itertools.product(*ranges):
@@ -66,7 +67,7 @@ def _explicit(space, word, row_weight) -> Fraction:
         if not weight:
             continue
         for sigmas in itertools.product(*ranges):
-            w = math.prod(wg.entry(a, b) for wg, a, b in zip(wgs, pis, sigmas))
+            w = math.prod(e[a][b] for e, a, b in zip(entries, pis, sigmas))
             k_sigma = sum(
                 all(wg.index[b].delta(j) for wg, b in zip(wgs, sigmas)) for j in js
             )
