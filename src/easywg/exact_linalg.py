@@ -2,9 +2,11 @@
 
 Gram matrices of partition vectors and their exact (generalized) inverses
 in the Weingarten role.  Inverses are computed from numpy int64 residues
-modulo word-size primes, combined by CRT and rational reconstruction, and
-certified exactly before they are returned.  All values are ints or
-fractions.Fraction; no floating point enters this module.
+modulo word-size primes by a blocked symmetric sweep, combined by CRT and
+rational reconstruction, and certified exactly before they are returned.
+Products of residue matrices run on float64 BLAS with every value an
+integer of at most 2**53, so they are exact; all results are ints or
+fractions.Fraction.
 
 A Gram matrix is stored as its join block counts, and the residues of
 N^count modulo a prime come from a table of powers indexed by the counts.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .partitions import (
     CategoryId,
@@ -107,7 +109,7 @@ def _join_block_counts(index: Sequence[SetPartition], k: int) -> np.ndarray:
     rgs = np.array([p.rgs for p in index], dtype=np.intp)
     masks = ((rgs[:, :, None] == rgs[:, None, :]) * bits).sum(axis=2, dtype=dtype).T
     below = (bits - 1).reshape(k, 1, 1)
-    counts = np.empty((n, n), dtype=np.intp)
+    counts = np.empty((n, n), dtype=np.min_scalar_type(k))
     step = max(1, _SLAB // (n * max(k, 1)))
     for a in range(0, n, step):
         m = masks[:, a:a + step, None] | masks[:, None, :]
@@ -154,13 +156,21 @@ class WeingartenMatrix:
 
 
 # Multi-modular engine.  Residues live in numpy int64 arrays modulo primes
-# below 2**26: a product of two residues is below 2**52, so a sum of up to
-# 2**11 products plus one reduced residue stays below 2**63, and every
-# intermediate of the sweep, the products and the CRT is exact.  The same
-# bound, _CHUNK * (p - 1)**2 + p < 2**63, lets the sweep subtract _CHUNK
-# pivot updates from an entry before it reduces the matrix modulo p again.
+# below 2**26, and every product of residue matrices runs as float64 BLAS
+# matmul (_matmul_mod), which is exact while every partial sum stays at most
+# _EXACT = 2**53.  The left factor is split into halves below 2**s, s = 13
+# for these primes, so a term is below 2**13 * 2**26 and an inner chunk of
+# 2**13 indices (2**14 terms) sums exactly; a longer inner dimension is
+# taken chunk by chunk.  The split width and the chunk length are derived
+# from p, which keeps any p below 2**31.5 exact as well.  The sweep (_sweep)
+# pivots through panels of _PANEL diagonals.  Inside a panel an int64 entry
+# takes (2**63 - p) // (p - 1)**2 unreduced pivot updates, 2**11 for these
+# primes; between panels the matrix is left unreduced, each panel
+# subtracting one reduced product, so an entry stays above -(n / _PANEL) * p.
 _PRIME_LIMIT = 1 << 26
-_CHUNK = 1 << 11
+_EXACT = 1 << 53
+_PANEL = 128
+_TILE = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -182,34 +192,47 @@ def _residues(gram: GramMatrix, p: int) -> np.ndarray:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b modulo p, reducing after every 2**11 terms of each inner sum."""
-    out = a[:, :_CHUNK] @ b[:_CHUNK]
-    out %= p
-    for s in range(_CHUNK, a.shape[1], _CHUNK):
-        out += a[:, s:s + _CHUNK] @ b[s:s + _CHUNK]
-        out %= p
-    return out
+    """a @ b modulo p for int64 residues in [0, p), on float64 BLAS.
 
-
-def _sweep(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Symmetric sweep of the residue matrix a modulo p (Goodnight, 1979).
-
-    Diagonals are swept in index order, and one that is 0 modulo p is
-    skipped.  Sweeping c subtracts a[i, c] * a[c, j] / a[c, c] from every
-    other entry, divides row and column c by a[c, c] and sets a[c, c] to
-    -1 / a[c, c].  After the swept set B, a[B, B] = -G[B, B]^-1 and the
-    diagonal at c is the Schur complement of G[c, c] against the swept
-    indices before c.
-
-    Over Q a Gram matrix is positive semidefinite, so a zero Schur diagonal
-    means a zero Schur row: B is then the greedy row rank profile.  Modulo
-    p every swept prefix block is nonsingular, so B never has a larger
-    _profile_key than the profile over Q.  Column c is reduced when used
-    and the whole matrix every _CHUNK sweeps.  Overwrites a; returns B and
-    G[B, B]^-1 modulo p.
+    a = hi * 2**s + lo with both halves below 2**s, so a @ b = hi @ (2**s * b
+    mod p) + lo @ b modulo p: one float64 product [hi | lo] @ [2**s * b mod p;
+    b] per inner chunk of _EXACT // (2 * (2**s - 1) * (p - 1)) indices, in
+    which every partial sum is an integer of at most 2**53, added to the
+    reduced result in int64.  Rows of a are taken in tiles of about _TILE
+    output entries, which bounds the temporaries.
     """
     import numpy as np
 
+    s = ((p - 1).bit_length() + 1) // 2
+    k, n = b.shape
+    step = _EXACT // (2 * ((1 << s) - 1) * (p - 1))
+    rows = max(1, _TILE // max(n, 1))
+    out = np.zeros((a.shape[0], n), dtype=np.int64)
+    for c in range(0, k, step):
+        part = b[c:c + step]
+        z = np.concatenate(((part << s) % p, part), dtype=np.float64)
+        for i in range(0, a.shape[0], rows):
+            t = a[i:i + rows, c:c + step]
+            y = np.concatenate((t >> s, t & ((1 << s) - 1)), axis=1, dtype=np.float64) @ z
+            o = out[i:i + rows]
+            o += y.astype(np.int64)
+            o %= p
+    return out
+
+
+def _sweep_panel(a: np.ndarray, p: int) -> list[int]:
+    """Sweep the square block a modulo p, one diagonal at a time.
+
+    Sweeping c subtracts a[i, c] * a[c, j] / a[c, c] from every other entry,
+    divides row and column c by a[c, c] and sets a[c, c] to -1 / a[c, c]; a
+    diagonal that is 0 modulo p is skipped.  Column c is reduced when it is
+    used, and the whole block after every (2**63 - p) // (p - 1)**2 sweeps
+    (2**11 for the engine's primes), the unreduced updates an int64 entry
+    holds.  Overwrites a with its reduced sweep; returns the swept positions.
+    """
+    import numpy as np
+
+    every = (2**63 - p) // (p - 1) ** 2
     swept: list[int] = []
     for c in range(a.shape[0]):
         col = a[:, c] % p
@@ -217,30 +240,94 @@ def _sweep(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
             continue
         inv = pow(int(col[c]), -1, p)
         row = col * inv % p
-        a -= np.outer(col, row)
+        a -= np.multiply.outer(col, row)
         a[c] = a[:, c] = row
         a[c, c] = -inv % p
         swept.append(c)
-        if len(swept) % _CHUNK == 0:
+        if len(swept) % every == 0:
             a %= p
-    return swept, -a[np.ix_(swept, swept)] % p
+    a %= p
+    return swept
 
 
-def _crt(residues: list, primes: list[int]) -> np.ndarray:
-    """Residue matrices combined into Python ints in [0, prod(primes)).
+def _sweep(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Symmetric sweep of the residue matrix a modulo p (Goodnight, 1979).
 
-    Garner's mixed-radix digits are computed in int64; only the final
-    Horner sum runs on Python ints.
+    Diagonals are swept in index order, and one that is 0 modulo p is
+    skipped (see _sweep_panel).  After the swept set B, a[B, B] =
+    -G[B, B]^-1 and the diagonal at c is the Schur complement of G[c, c]
+    against the swept indices before c.
+
+    Over Q a Gram matrix is positive semidefinite, so a zero Schur diagonal
+    means a zero Schur row: B is then the greedy row rank profile.  Modulo
+    p every swept prefix block is nonsingular, so B never has a larger
+    _profile_key than the profile over Q.
+
+    Blocked: the diagonals of a panel of _PANEL indices P are swept on the
+    panel's own block, which decides the panel's swept set K exactly as one
+    diagonal at a time would.  With U = a[:, K] and M = a[K, K]^-1, sweeping
+    K is then one rank-|K| update of the whole matrix: V = U M, a -= V U^T,
+    a[:, K] = V, a[K, :] = V^T, and the panel's block takes its sweep.  A
+    panel that is the whole matrix needs no update.  Overwrites a; returns
+    B and G[B, B]^-1 modulo p.
     """
-    digits: list[np.ndarray] = []
-    for x, p in zip(residues, primes):
-        for d, q in zip(digits, primes):
+    import numpy as np
+
+    n = a.shape[0]
+    swept: list[int] = []
+    for s in range(0, n, _PANEL):
+        strip = a[:, s:s + _PANEL] % p
+        block = strip[s:s + _PANEL].copy()
+        kept = _sweep_panel(block, p)
+        if kept and len(block) < n:
+            u = strip[:, kept]
+            v = _matmul_mod(u, -block[kept][:, kept] % p, p)
+            a -= _matmul_mod(v, u.T, p)
+            k = s + np.array(kept)
+            a[:, k] = v
+            a[k, :] = v.T
+        a[s:s + _PANEL, s:s + _PANEL] = block
+        swept += [s + c for c in kept]
+    return swept, -a[swept][:, swept] % p
+
+
+class _Garner:
+    """Residue vectors combined by CRT, one prime at a time.
+
+    Garner's mixed-radix digits stay in int64 across primes, so adding a
+    prime costs one int64 pass per prime already held.  values() yields the
+    combination as Python ints in [0, modulus), _SCAN entries at a time
+    with two digits per int64 word, so a reconstruction that fails at an
+    early entry builds few of them.
+    """
+
+    def __init__(self):
+        self.digits: list = []
+        self.primes: list[int] = []
+        self.modulus = 1
+
+    def add(self, x: np.ndarray, p: int) -> None:
+        for d, q in zip(self.digits, self.primes):
             x = (x - d) % p * pow(q, -1, p) % p
-        digits.append(x)
-    value = digits[-1].astype(object)
-    for d, q in zip(digits[-2::-1], primes[-2::-1]):
-        value = value * q + d.astype(object)
-    return value
+        self.digits.append(x)
+        self.primes.append(p)
+        self.modulus *= p
+
+    def values(self) -> Iterator[int]:
+        words, radices = [], []
+        for j in range(0, len(self.primes), 2):
+            d, q = self.digits[j:j + 2], self.primes[j:j + 2]
+            words.append(d[0] + d[1] * q[0] if len(d) == 2 else d[0])  # < q0 * q1
+            radices.append(prod(q))
+        for s in range(0, len(words[0]), _SCAN):
+            v = words[-1][s:s + _SCAN].astype(object)
+            for w, q in zip(words[-2::-1], radices[-2::-1]):
+                v = v * q + w[s:s + _SCAN]
+            yield from v.tolist()
+
+
+# Entries per slab of _Garner.values.
+_SCAN = 1 << 12
 
 
 def _denominator(a: int, m: int, bound: int) -> "int | None":
@@ -256,28 +343,38 @@ def _denominator(a: int, m: int, bound: int) -> "int | None":
     return abs(t1)
 
 
-def _reconstruct(value: np.ndarray, modulus: int):
-    """One common denominator d and the integer matrix d*value.
+def _reconstruct(values: Callable[[], Iterable[int]], modulus: int
+                 ) -> "tuple[int, list[int]] | None":
+    """One common denominator d and the integers d*value, entry by entry.
 
     Rational reconstruction with numerators and denominator bounded by
-    sqrt(modulus/2): d grows by the denominator of the first entry that
-    d*value does not yet make small.  None when the modulus is too small.
+    sqrt(modulus/2), over the entries that values() yields.  They are
+    scanned in order; d grows by the denominator of an entry that d*value
+    does not make small, and the scan fails at the first entry that would
+    push d past the bound.  A second pass takes the entries before the last
+    growth again and checks them against the final d.  None when the
+    modulus is too small.
     """
-    import numpy as np
-
     bound = isqrt(modulus // 2)
-    half = modulus // 2
-    d = 1
-    while True:
-        y = value * d % modulus
-        y = np.where(y > half, y - modulus, y)
-        big = np.flatnonzero(np.abs(y) > bound)
-        if big.size == 0:
-            return d, y
-        q = _denominator(int(y.flat[big[0]]) % modulus, modulus, bound)
-        if q is None or q < 2 or d * q > bound:
+    top = modulus - bound
+    d, last = 1, 0
+    ys: list[int] = []
+    for v in values():
+        y = v * d % modulus
+        if bound < y < top:
+            q = _denominator(y, modulus, bound)
+            if q is None or q < 2 or d * q > bound:
+                return None
+            d *= q
+            last = len(ys)
+            y = v * d % modulus
+        ys.append(y - modulus if y > bound else y)
+    for e, v in zip(range(last), values()):
+        y = v * d % modulus
+        if bound < y < top:
             return None
-        d *= q
+        ys[e] = y - modulus if y > bound else y
+    return d, ys
 
 
 def _profile_key(profile: list[int], n: int) -> list[int]:
@@ -299,10 +396,11 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     index.
 
     Multi-modular: each prime's _sweep gives a profile and the inverse of
-    its kept block.  Residues are combined, by CRT and rational
-    reconstruction with one common denominator, across the primes whose
-    profile has the largest _profile_key seen so far; a larger key starts
-    the combination again.  The result is returned only after the exact
+    its kept block.  The upper triangles of the inverses are combined, by
+    CRT and rational reconstruction with one common denominator, across the
+    primes whose profile has the largest _profile_key seen so far; a larger
+    key starts the combination again.  The block is symmetric, so its lower
+    triangle is the mirror.  The result is returned only after the exact
     certificate of _certify; a failed reconstruction or certificate adds
     primes.
     """
@@ -312,8 +410,6 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     if n == 0:
         return WeingartenMatrix(gram, (), 1, ())
     key: list[int] = []
-    primes: list[int] = []
-    inverses: list[np.ndarray] = []
     i = 0
     while True:
         p = _prime(i)
@@ -323,18 +419,32 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
         if seen < key:  # p divides a Schur diagonal of a profile already seen
             continue
         if seen > key:
-            basis, key, primes, inverses = swept, seen, [], []
-        primes.append(p)
-        inverses.append(inv)
-        rec = _reconstruct(_crt(inverses, primes), prod(primes))
+            basis, key, crt = swept, seen, _Garner()
+            idx = np.arange(len(basis))
+            upper = idx[:, None] <= idx
+        crt.add(inv[upper], p)
+        del inv  # the certificate's products need the room
+        rec = _reconstruct(crt.values, crt.modulus)
         if rec is None:
             continue
-        den, num = rec
-        g = gcd(den, *num.flat)
-        wg = WeingartenMatrix(gram, tuple(basis), den // g,
-                              tuple(map(tuple, (num // g).tolist())))
+        wg = WeingartenMatrix(gram, tuple(basis), *_symmetric_block(*rec, len(basis)))
+        del rec
         if _certify(wg):
             return wg
+
+
+def _symmetric_block(den: int, upper: list[int], r: int):
+    """(denominator, block) in lowest terms from d and the upper triangle
+    of d*W, row by row; the lower triangle is its mirror."""
+    g = gcd(den, *upper)
+    if g > 1:
+        den, upper = den // g, [x // g for x in upper]
+    rows: list[list[int]] = []
+    at = 0
+    for i in range(r):
+        rows.append([row[i] for row in rows] + upper[at:at + r - i])
+        at += r - i
+    return den, tuple(map(tuple, rows))
 
 
 def _certify(wg: WeingartenMatrix) -> bool:
@@ -364,39 +474,76 @@ def _certify(wg: WeingartenMatrix) -> bool:
     den = wg.denominator
     basis = list(wg.basis)
     r = len(basis)
+    block = wg.block
     if den < 1 or basis != sorted(set(basis)) or any(not 0 <= b < n for b in basis):
         return False
-    if len(wg.block) != r or any(len(row) != r for row in wg.block):
+    if len(block) != r or any(len(row) != r for row in block):
         return False
-    w = np.array(wg.block, dtype=object).reshape(r, r)
-    if (w != w.T).any():
+    if any(tuple(row) != col for row, col in zip(block, zip(*block))):
         return False
     if n == 0:
         return True
     kept = set(basis)
     out = [i for i in range(n) if i not in kept]
-    b = np.array(basis, dtype=np.intp)
-    later = b[None, :] > np.array(out, dtype=np.intp)[:, None]
     max_g = gram.dimension ** int(gram.counts.max())
-    max_w = int(abs(w).max()) if r else 0
+    max_w = max((max(max(row), -min(row)) for row in block), default=0)
+    limbs = _limbs(block, max_w.bit_length())
     bound = r * r * max_g * max_g * max_w + den * max_g
     modulus, i = 1, 0
     while modulus <= 2 * bound:
         p = _prime(i)
         i += 1
         modulus *= p
-        ap = _residues(gram, p)
-        y = _matmul_mod(ap[:, b], (w % p).astype(np.int64), p)  # (G[:,B] . num)
-        if not np.array_equal(y[b], np.eye(r, dtype=np.int64) * (den % p)):
-            return False
-        if y[out][later].any():
-            return False
-        rhs = ap[out]
-        rhs *= den % p
-        rhs %= p
-        if not np.array_equal(_matmul_mod(y[out], ap[b], p), rhs):
+        if not _identities_hold(gram, basis, out, den, limbs, p):
             return False
     return True
+
+
+def _identities_hold(gram: GramMatrix, basis: list[int], out: list[int], den: int,
+                     limbs: list, p: int) -> bool:
+    """The certificate's identities (1)-(3) modulo p, with W's numerators
+    given as limbs (see _limbs)."""
+    import numpy as np
+
+    ap = _residues(gram, p)
+    w = limbs[-1] % p
+    for limb in limbs[-2::-1]:
+        w *= pow(2, 62, p)
+        w += limb % p
+        w %= p
+    y = _matmul_mod(ap if not out else ap[:, basis], w, p)  # (G[:,B] . num)
+    yb = y[basis]
+    if (yb.diagonal() != den % p).any():
+        return False
+    np.fill_diagonal(yb, 0)
+    if yb.any():
+        return False
+    if not out:
+        return True
+    y = y[out]
+    b = np.array(basis, dtype=np.intp)
+    if y[b[None, :] > np.array(out, dtype=np.intp)[:, None]].any():
+        return False
+    rhs = ap[out]
+    rhs *= den % p
+    rhs %= p
+    return np.array_equal(_matmul_mod(y, ap[basis], p), rhs)
+
+
+def _limbs(block: Sequence[Sequence[int]], width: int) -> list:
+    """A square block of integers below 2**width in absolute value as int64
+    limb matrices of 62 bits, least significant first: x = sum(limb[j] *
+    2**(62 j)), every limb but the last in [0, 2**62) and the last signed."""
+    import numpy as np
+
+    r = len(block)
+    limbs = []
+    for _ in range(max(width - 1, 0) // 62):
+        limbs.append(np.array([[x & ((1 << 62) - 1) for x in row] for row in block],
+                              dtype=np.int64).reshape(r, r))
+        block = [[x >> 62 for x in row] for row in block]
+    limbs.append(np.array(block, dtype=np.int64).reshape(r, r))
+    return limbs
 
 
 _MEMO: dict = {}
@@ -428,37 +575,68 @@ def _record_path(key) -> str:
 
 
 def _to_record(key, wg: WeingartenMatrix) -> dict:
+    """The record of wg: every entry as "p/q" in lowest terms, rows and
+    columns outside the basis the literal "0/1".  Built from the block, so
+    the memoised matrix keeps no n x n view."""
+    n = len(wg.index)
+    den = wg.denominator
+    rows = [[_ZERO] * n for _ in range(n)]
+    for i, row in zip(wg.basis, wg.block):
+        line = rows[i]
+        for j, x in zip(wg.basis, row):
+            g = gcd(x, den)
+            line[j] = f"{x // g}/{den // g}"
     return {
         "category": key[0],
         "word": key[1],
         "dimension": key[2],
         "basis": list(wg.basis),
-        "entries": [[format_scalar(Fraction(x, wg.denominator)) for x in row]
-                    for row in wg.numerators],
+        "entries": rows,
     }
+
+
+_ZERO = "0/1"
 
 
 def _from_record(record: dict, key, gram: GramMatrix) -> "WeingartenMatrix | None":
     """The record's matrix if its header names the key, its entries are n x n
-    with a basis in range and zeros outside basis x basis, and its block
-    passes the engine's certificate against the freshly built Gram matrix."""
+    with a basis in range, every entry outside basis x basis is the literal
+    "0/1", and its block passes the engine's certificate against the freshly
+    built Gram matrix.  Only the r x r block is parsed as fractions."""
     try:
         if [record["category"], record["word"], record["dimension"]] != list(key):
             return None
         basis = tuple(int(b) for b in record["basis"])
-        rows = [[parse_scalar(x) for x in row] for row in record["entries"]]
-    except (KeyError, ValueError, TypeError, ZeroDivisionError):
+        rows = record["entries"]
+        n = len(gram.index)
+        kept = set(basis)
+        if (not isinstance(rows, list) or len(rows) != n or not kept <= set(range(n))
+                or any(not isinstance(row, list) or len(row) != n for row in rows)):
+            return None
+        out = [j for j in range(n) if j not in kept]
+        blank = [_ZERO] * n
+        if any(rows[i] != blank for i in out):
+            return None
+        blank = blank[:len(out)]
+        if any([rows[i][j] for j in out] != blank for i in basis):
+            return None
+        block = [[_fraction(rows[i][j]) for j in basis] for i in basis]
+    except (KeyError, ValueError, TypeError, AttributeError):
         return None
-    n = len(gram.index)
-    kept = set(basis)
-    if (len(rows) != n or any(len(row) != n for row in rows) or not kept <= set(range(n))
-            or any(x for i, row in enumerate(rows) for j, x in enumerate(row)
-                   if i not in kept or j not in kept)):
-        return None
-    den = lcm(*(rows[i][j].denominator for i in basis for j in basis))
-    block = tuple(tuple(int(rows[i][j] * den) for j in basis) for i in basis)
-    wg = WeingartenMatrix(gram, basis, den, block)
+    den = lcm(*(q for row in block for _, q in row))
+    num = [[x * (den // q) for x, q in row] for row in block]
+    g = gcd(den, *(x for row in num for x in row))
+    wg = WeingartenMatrix(gram, basis, den // g, tuple(tuple(x // g for x in row) for row in num))
     return wg if _certify(wg) else None
+
+
+def _fraction(text: str) -> tuple[int, int]:
+    """(p, q) of the text "p/q" with q > 0; ValueError for anything else."""
+    p, q = text.split("/")
+    p, q = int(p), int(q)
+    if q < 1:
+        raise ValueError(text)
+    return p, q
 
 
 def _write_record(key, wg: WeingartenMatrix) -> None:

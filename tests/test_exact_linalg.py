@@ -340,6 +340,34 @@ class TestMemoAndDiskCache:
         assert record["dimension"] == 5
         assert record["entries"] == [["1/5"]]
 
+    @pytest.mark.parametrize("cat,word,n", [("S", "oooo", 3), ("U", "obob", 5), ("O+", "oooooo", 10)])
+    def test_record_bytes_and_no_cached_view(self, tmp_path, cat, word, n):
+        # the writer works from the block: the memoised matrix keeps no n x n
+        # view, and the file is what json.dump of every entry formatted by
+        # format_scalar gives
+        xl.set_disk_cache(str(tmp_path))
+        w = get_weingarten(cat, word, n)
+        assert "numerators" not in w.__dict__
+        (path,) = tmp_path.glob("wg_*.json")
+        expected = json.dumps({
+            "category": cat, "word": word, "dimension": n, "basis": list(w.basis),
+            "entries": [[format_scalar(x) for x in row] for row in w.entries],
+        })
+        assert path.read_text() == expected
+
+    def test_disk_read_parses_only_the_block(self, tmp_path, monkeypatch):
+        xl.set_disk_cache(str(tmp_path))
+        good = get_weingarten("S", "ooooo", 2)
+        r = len(good.basis)
+        assert r < len(good.index)
+        xl.clear_memo()
+        parsed = []
+        fraction = xl._fraction
+        monkeypatch.setattr(xl, "_fraction", lambda text: parsed.append(text) or fraction(text))
+        again = get_weingarten("S", "ooooo", 2)
+        assert len(parsed) == r * r
+        assert (again.basis, again.denominator, again.block) == (good.basis, good.denominator, good.block)
+
 
 def _words(cat, k):
     if cat not in ("U", "U+"):
@@ -398,9 +426,14 @@ class TestEngineAgainstFractionReference:
             assert _engine(g) == bordering_weingarten(g.entries), (cat, word, which)
 
     def test_primes_fit_the_int64_bound(self):
+        # every prime splits into halves below 2**13, a float64 product of
+        # a half and a residue sums 2**14 terms exactly, and an unreduced
+        # pivot update col * row stays inside int64
         p = xl._prime(0)
-        assert p < 2**26
-        assert xl._CHUNK * (p - 1) ** 2 + p < 2**63
+        assert p < xl._PRIME_LIMIT == 2**26
+        assert ((p - 1).bit_length() + 1) // 2 == 13
+        assert 2**14 * (2**13 - 1) * (p - 1) <= xl._EXACT == 2**53
+        assert (p - 1) ** 2 + p < 2**63
         assert len({xl._prime(i) for i in range(12)}) == 12
 
 
@@ -462,6 +495,21 @@ class TestCertificate:
         assert self._rejected_well_formed(self._variant(w, block=tuple(map(tuple, block))))
         assert self._rejected_well_formed(self._variant(w, den=w.denominator + 1))
 
+    def test_numerators_beyond_int64(self):
+        # the same W over a denominator scaled by 2**70 has numerators of
+        # up to 70 + a few bits, negative ones included, so they reach the
+        # products as two 62-bit limbs: accepted, and rejected once moved
+        w = self._canonical()
+        scale = 2**70
+        block = [[x * scale for x in row] for row in w.block]
+        assert max(abs(x) for row in block for x in row) >= 2**70
+        assert any(x < 0 for row in block for x in row)
+        assert xl._certify(self._variant(w, den=w.denominator * scale,
+                                         block=tuple(map(tuple, block))))
+        block[0][0] += 1
+        assert self._rejected_well_formed(self._variant(w, den=w.denominator * scale,
+                                                        block=tuple(map(tuple, block))))
+
     def test_rejects_reversed_basis(self, monkeypatch):
         w = self._canonical()
         assert self._rejected_unmultiplied(monkeypatch, self._variant(w, basis=w.basis[::-1]))
@@ -493,10 +541,11 @@ def _foreign_inverse(w):
     return foreign, den, tuple(tuple(int(x * den) for x in row) for row in inv)
 
 
-def _outside_basis(record):
-    """Put a nonzero entry on the diagonal at an index outside the basis."""
+def _outside_basis(record, text="1/1"):
+    """Put text on the diagonal at an index outside the basis: a nonzero
+    entry, or a zero spelled otherwise than the literal "0/1"."""
     i = next(i for i in range(len(record["entries"])) if i not in record["basis"])
-    record["entries"][i][i] = "1/1"
+    record["entries"][i][i] = text
 
 
 class TestDiskRecordCertificate:
@@ -548,6 +597,10 @@ class TestDiskRecordCertificate:
         lambda r: r["entries"].pop(),
         lambda r: r["basis"].append(len(r["entries"])),
         _outside_basis,
+        lambda r: _outside_basis(r, "0/2"),
+        lambda r: _outside_basis(r, "0"),
+        lambda r: r["entries"][r["basis"][0]].__setitem__(r["basis"][0], "1/2/3"),
+        lambda r: r["entries"][r["basis"][0]].__setitem__(r["basis"][0], 1),
     ])
     def test_malformed_records_rebuilt(self, tmp_path, mutate):
         good, path, record = self._record(tmp_path)
