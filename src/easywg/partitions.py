@@ -387,10 +387,20 @@ def _generate(category: CategoryId, word: ColoredWord) -> list[SetPartition]:
     return out
 
 
+WordKey = Union[int, tuple[Color, ...]]
+
+
+def word_key(category: CategoryId, word: ColoredWord) -> WordKey:
+    """What the category's partition set for the word depends on: the
+    word's colors for the unitary-type categories, its length otherwise."""
+    return word.colors if category.color_sensitive else len(word)
+
+
 @lru_cache(maxsize=None)
-def _enumerate(category: CategoryId, key: "int | str") -> tuple[SetPartition, ...]:
-    word = ColoredWord.parse(key) if isinstance(key, str) else ColoredWord.parse("o" * key)
-    return tuple(_generate(category, word))
+def _enumerate(category: CategoryId, key: WordKey) -> tuple[SetPartition, ...]:
+    """The partition set for a word_key, memoized for the process."""
+    colors = key if isinstance(key, tuple) else (Color.WHITE,) * key
+    return tuple(_generate(category, ColoredWord(colors)))
 
 
 def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPartition]:
@@ -400,9 +410,7 @@ def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPart
     empty word yields exactly the empty partition, for every category.
     """
     category = as_category(category)
-    word = as_word(word)
-    key = word.text if category.color_sensitive else len(word)
-    return list(_enumerate(category, key))
+    return list(_enumerate(category, word_key(category, as_word(word))))
 
 
 def kernel_partition(values: Sequence) -> SetPartition:

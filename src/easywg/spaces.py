@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .exact_linalg import get_weingarten
@@ -31,12 +32,14 @@ from .partitions import (
     Color,
     ColoredWord,
     SetPartition,
+    WordKey,
     WordLike,
+    _enumerate,
     as_category,
     as_word,
     enumerate_partitions,
-    kernel_partition,
     mobius_intervals,
+    word_key,
 )
 
 
@@ -194,7 +197,30 @@ def parse_space(text: str) -> SpaceSpec:
 # factors use the partition lattice's inverse, every other factor the
 # Weingarten matrix.  Kernels are memoized: they depend only on the
 # factor list, M, and (for color-sensitive factor categories) the word's
-# colors.
+# colors.  What depends on neither N nor M, the partition tuples' join
+# block counts and verify's count tables, is memoized for the process
+# under keys without N or M, so that every space, dimension and index set
+# shares it.
+
+
+def _factor_keys(space: SpaceSpec, word: ColoredWord) -> tuple:
+    """(category, word_key) per factor: what the word's partition tuples
+    and their joins depend on."""
+    return tuple((f.category, word_key(f.category, word)) for f in space.factors)
+
+
+@lru_cache(maxsize=None)
+def _join_blocks(keys: tuple) -> tuple[int, ...]:
+    """The block count of the join of every tuple of factor partitions, in
+    itertools.product order, for _factor_keys; empty when a factor has no
+    partitions."""
+    out = []
+    for combo in itertools.product(*(_enumerate(*key) for key in keys)):
+        j = combo[0]
+        for p in combo[1:]:
+            j = j.join(p)
+        out.append(j.block_count)
+    return tuple(out)
 
 
 def _joined_tuples(
@@ -202,14 +228,8 @@ def _joined_tuples(
 ) -> list[tuple[tuple[SetPartition, ...], int]]:
     """The word's tuples of factor partitions in row-major order, each with
     the block count of its join; empty when a factor has no partitions."""
-    out = []
-    dlists = [enumerate_partitions(f.category, word) for f in space.factors]
-    for combo in itertools.product(*dlists):
-        j = combo[0]
-        for p in combo[1:]:
-            j = j.join(p)
-        out.append((combo, j.block_count))
-    return out
+    keys = _factor_keys(space, word)
+    return list(zip(itertools.product(*(_enumerate(*key) for key in keys)), _join_blocks(keys)))
 
 
 @dataclass(frozen=True)
@@ -224,9 +244,9 @@ class _Kernel:
 _KERNELS: dict = {}
 
 
-def _word_key(space: SpaceSpec, word: ColoredWord) -> "str | int":
+def _word_key(space: SpaceSpec, word: ColoredWord) -> WordKey:
     if any(f.category.color_sensitive for f in space.factors):
-        return word.text
+        return word.colors
     return len(word)
 
 
@@ -262,11 +282,10 @@ def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
     hit = _KERNELS.get(key)
     if hit is not None:
         return hit
-    dlists = tuple(
-        tuple(enumerate_partitions(f.category, word)) for f in space.factors
-    )
+    keys = _factor_keys(space, word)
+    dlists = tuple(_enumerate(*key) for key in keys)
     shape = tuple(len(d) for d in dlists)
-    blocks = tuple(b for _, b in _joined_tuples(space, word))
+    blocks = _join_blocks(keys)
     values: "list[int] | tuple[int, ...]" = ()
     den = 1
     if blocks:  # an empty partition set needs no inverse
@@ -388,30 +407,45 @@ class VerificationReport:
         return next(self.checks.failing(), None) is None
 
 
-def _count_matrix(
-    heads: Sequence[SetPartition], fulls: Sequence[SetPartition], tail: tuple, n: int
-) -> list[list[tuple[int, int]]]:
-    """Sparse rows, entry [h][w]: the number of head tuples in {1..n}^k
-    fitting h whose concatenation with `tail` fits w on k+d legs.
+def _exponent_rows(
+    heads: Sequence[SetPartition], fulls: Sequence[SetPartition], pattern: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse rows, entry [h][w]: the exponent e with n^e head tuples in
+    {1..n}^k fitting h whose concatenation with a tail of equality pattern
+    `pattern` (a restricted-growth string on d legs) fits w on k+d legs.
 
-    With J = (h + ker tail) v w, the tuple is constant on the blocks of J,
-    so the count is n^(|J| - |ker tail|) when J restricted to the tail legs
-    is ker tail, and 0 when J would equate two distinct tail values.  The
-    restriction is never finer than ker tail, so the two are equal exactly
-    when they have the same number of blocks.
+    With J = (h + pattern) v w, the tuple is constant on the blocks of J,
+    so the count is n^(|J| - |pattern|) when J restricted to the tail legs
+    is the pattern, and 0 (no entry) when J would equate two distinct tail
+    values.  The restriction is never finer than the pattern, so the two
+    are equal exactly when they have the same number of blocks.
     """
-    ker = kernel_partition(tail)
+    tail = max(pattern) + 1 if pattern else 0
     out = []
     for h in heads:
         k = h.ground_size
-        both = SetPartition(h.rgs + tuple(h.block_count + x for x in ker.rgs))
+        both = SetPartition(h.rgs + tuple(h.block_count + x for x in pattern))
         row = []
         for c, w in enumerate(fulls):
             j = both.join(w)
-            if len(set(j.rgs[k:])) == ker.block_count:
-                row.append((c, n ** (j.block_count - ker.block_count)))
-        out.append(row)
-    return out
+            if len(set(j.rgs[k:])) == tail:
+                row.append((c, j.block_count - tail))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _count_table(
+    category: CategoryId, head: WordKey, full: WordKey, pattern: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """_exponent_rows for the category's partitions of two word keys,
+    memoized for the process: the rows depend on neither N nor M."""
+    return _exponent_rows(_enumerate(category, head), _enumerate(category, full), pattern)
+
+
+def _powers(rows: Sequence[Sequence[tuple[int, int]]], n: int) -> list[list[tuple[int, int]]]:
+    """Exponent rows as count rows at dimension n."""
+    return [[(c, n**e) for c, e in row] for row in rows]
 
 
 class _Patterns:
@@ -448,16 +482,19 @@ class _Patterns:
             for comps in itertools.product(*self.tails)
         ]
 
-    def lhs_vectors(self, kern: _Kernel, e_word: ColoredWord, size: int) -> list:
+    def lhs_vectors(self, kern: _Kernel, e_word: ColoredWord, word: ColoredWord,
+                    size: int) -> list:
         """For each pattern, the integrals (times the kernel's denominator) of
-        the left sides of e_word's relations times the test monomial."""
+        the left sides of e_word's relations times the test monomial; `word`
+        is the kernel's, e_word followed by the test word."""
         if not kern.values:  # no partition tuples: every integral is 0
             return [[0] * size] * len(self.combos)
         mats: dict = {}  # equal factors share their count matrices
-        for f, fulls, tails in zip(self.space.factors, kern.dlists, self.tails):
+        for f, opts in zip(self.space.factors, self.options):
             if f not in mats:
-                heads = enumerate_partitions(f.category, e_word)
-                mats[f] = [_count_matrix(heads, fulls, tail, f.dimension) for tail in tails]
+                head, full = word_key(f.category, e_word), word_key(f.category, word)
+                mats[f] = [_powers(_count_table(f.category, head, full, rho.rgs), f.dimension)
+                           for rho in opts]
         return _contract_each(kern.values, kern.shape, [mats[f] for f in self.space.factors])
 
     def tuples(self, chosen: Sequence[int]) -> list[tuple]:
@@ -556,9 +593,10 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
             pats = patterns[len(f_word)]
             if f_key not in moments:
                 moments[f_key] = pats.moments(_kernel(space, f_word))
-            kern = _kernel(space, e_word + f_word)
+            word = e_word + f_word
+            kern = _kernel(space, word)
             entries = []
-            for lvec, m_j in zip(pats.lhs_vectors(kern, e_word, len(rels)), moments[f_key]):
+            for lvec, m_j in zip(pats.lhs_vectors(kern, e_word, word, len(rels)), moments[f_key]):
                 right = m_j.numerator * kern.denominator
                 outs = tuple(
                     _PASSED if lhs * m_j.denominator == s * right

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import easywg.spaces as spaces
 from easywg.integrator import GroupSpec, IndexSet, MomentQuery
 from easywg.oracles import sn_exhaustive_moment, sn_exhaustive_space_moment
 from easywg.partitions import CategoryId, SetPartition, as_word, enumerate_partitions
@@ -223,6 +224,8 @@ class TestRelationSet:
         # one join per pair of partitions per word length, sum_k Bell(k)^2 =
         # 2,960 for k <= 5, not one per coloured word (sum_k 2^k Bell(k)^2 = 90,347)
         sp = preset("group-as-space", "S", 3)
+        fresh = functools.lru_cache(maxsize=None)(spaces._join_blocks.__wrapped__)
+        monkeypatch.setattr(spaces, "_join_blocks", fresh)
         real = SetPartition.join
         joins = []
         monkeypatch.setattr(SetPartition, "join", lambda p, q: joins.append(1) or real(p, q))

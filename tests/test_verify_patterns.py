@@ -6,8 +6,12 @@ every test tuple.  The lazy checks must equal the eager ones field by
 field and in order, with true relations and with relations forced false.
 """
 
+import functools
+
 import pytest
 
+import easywg.exact_linalg as xl
+import easywg.partitions as partitions
 import easywg.spaces as spaces
 from easywg.spaces import parse_space, relation_set, verify_relations
 from verify_reference import coordinates, reference_checks
@@ -69,10 +73,10 @@ def test_passing_checks_are_built_only_when_iterated(monkeypatch):
 
 def test_work_does_not_grow_with_the_dimension(monkeypatch):
     # with N >= d every pattern occurs, so N = 3 and N = 5 have the same
-    # patterns: 81 against 625 test tuples at d = 2, the same equality tests
+    # patterns: 81 against 625 test tuples at d = 2, the same count tables
     calls = []
-    real = spaces.kernel_partition
-    monkeypatch.setattr(spaces, "kernel_partition", lambda v: calls.append(v) or real(v))
+    real = spaces._count_table
+    monkeypatch.setattr(spaces, "_count_table", lambda *key: calls.append(key) or real(*key))
     counts = []
     for n in (3, 5):
         calls.clear()
@@ -107,3 +111,67 @@ def test_check_count_is_relations_times_monomials(text, max_k, degree):
     space = parse_space(text)
     report = verify_relations(space, max_k, degree)
     assert len(report.checks) == _expected_count(space, max_k, degree)
+
+
+# ---------------------------------------------------------------------------
+# Join work shared across spaces, dimensions and index sets.
+
+REUSE_SEQUENCE = [  # (space, test degree) at max_k 4
+    ("O:2/I=1", 3),
+    ("O:3/I=1,2", 2),
+    ("O:3/I=2", 2),
+    ("O:2xO+:2/J=1,2", 2),
+    ("column-space:O+:4:2", 2),
+    ("group-as-space:S:3", 1),
+]
+
+
+def _clear_caches():
+    xl.clear_memo()
+    spaces._KERNELS.clear()
+    for memo in (spaces._join_blocks, spaces._count_table, partitions._enumerate,
+                 partitions.mobius_intervals):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("forced_false", [False, True])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypatch):
+    """One process verifies spaces that share categories but not N or M, so
+    each reuses the memos the others left; every space's checks must equal
+    the eager loop run from empty caches."""
+    if forced_false:
+        _force_false(monkeypatch)
+    _clear_caches()
+    warm = [
+        (text, degree, [_fields(c) for c in verify_relations(parse_space(text), 4, degree).checks])
+        for text, degree in REUSE_SEQUENCE[::order]
+    ]
+    for text, degree, got in warm:
+        _clear_caches()
+        expected = [_fields(c) for c in reference_checks(parse_space(text), 4, degree)]
+        assert got == expected, text
+        # with M = 1 the extra block changes nothing and every check still passes
+        failed = any(not ok for _, _, _, ok, _, _ in got)
+        assert failed == (forced_false and parse_space(text).m > 1)
+
+
+def test_count_tables_are_built_once_per_key(monkeypatch):
+    # the nine O slots of the verify benchmark: N = 2 and 3, index sets of
+    # every size; O:3 meets every pattern that O:2 does, so one O:3 slot
+    # alone builds every table the nine need
+    slots = ["O:2/I=1", "O:2/I=2", "O:2/I=1,2", "O:3/I=1", "O:3/I=3", "O:3/I=1,3",
+             "O:3/I=2,3", "O:3/I=1,2,3", "O:3/I=1,2,3"]
+    build = spaces._count_table.__wrapped__
+
+    def run(texts):
+        """(tables built, distinct keys asked for, lookups), from an empty memo."""
+        table, keys = functools.lru_cache(maxsize=None)(build), []
+        monkeypatch.setattr(spaces, "_count_table", lambda *key: keys.append(key) or table(*key))
+        for text in texts:
+            assert verify_relations(parse_space(text), 4, 3).all_passed
+        return table.cache_info().misses, len(set(keys)), len(keys)
+
+    built, distinct, asked = run(slots)
+    assert built == distinct and asked > 5 * built
+    assert run(["O:3/I=2"])[0] == built

@@ -16,8 +16,8 @@ import easywg.spaces as spaces
 from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten
 from easywg.partitions import as_word, enumerate_partitions
-from easywg.spaces import _count_matrix, parse_space, relation_set, space_moment
-from verify_reference import coordinates
+from easywg.spaces import parse_space, relation_set, space_moment
+from verify_reference import _count_matrix, coordinates
 
 
 def _fits(parts, tuples: np.ndarray) -> np.ndarray:

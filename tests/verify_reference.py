@@ -17,7 +17,7 @@ from fractions import Fraction
 from easywg import spaces
 from easywg.integrator import _contract
 from easywg.partitions import enumerate_partitions, kernel_partition
-from easywg.spaces import RelationCheck, _count_matrix, _kernel, _word_key
+from easywg.spaces import RelationCheck, _exponent_rows, _kernel, _powers, _word_key
 
 
 def coordinates(space) -> list:
@@ -26,6 +26,12 @@ def coordinates(space) -> list:
     if not space.is_product:
         return list(range(1, space.factors[0].dimension + 1))
     return list(itertools.product(*(range(1, f.dimension + 1) for f in space.factors)))
+
+
+def _count_matrix(heads, fulls, tail: tuple, n: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows, entry [h][w]: the number of head tuples in {1..n}^k
+    fitting h whose concatenation with `tail` fits w on k+d legs."""
+    return _powers(_exponent_rows(heads, fulls, kernel_partition(tail).rgs), n)
 
 
 def _components(space, indices: tuple) -> list[tuple]:

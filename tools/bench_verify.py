@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""One verify round of the benchmark, layer by layer, for two checkouts.
+
+    python3 tools/bench_verify.py --parent DIR [--out BENCH_verify.json]
+
+DIR is a checkout of the commit to compare against, for example a `git
+clone` of this repository at that commit.  For each seed of SEEDS, the
+inputs are those of the benchmark's `verify` workload
+(`perfbench/workloads.py` of this checkout, read only, so both sides get
+the same inputs): 40 `verify_relations` calls at max_k 4, test degree 3.  Each round runs cold
+in a fresh process with one BLAS thread, twice per checkout and seed: once
+plain, for the wall time and the peak RSS, and once with the functions of
+each layer wrapped by a timer, for the self seconds per layer (a wrapped
+call's time minus that of the wrapped calls inside it):
+
+    count tables          _count_matrix, _count_table, _powers
+    joins                 _joined_tuples, _join_blocks
+    relations             relation_set, less its joins
+    kernels               _kernel, less its joins and the engine
+    engine                get_weingarten, as called by the spaces module
+    contraction           _contract_each and _moment_from_kernel
+    cross-multiplication  verify_relations, less everything above
+
+A name that a checkout lacks is skipped.  The two sides alternate which
+runs first from seed to seed.  The record, with each checkout's commit
+(marked when its tree has uncommitted changes), goes to --out as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import os
+import platform
+import random
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3, 4, 5)
+LAYERS = {
+    "_count_matrix": "count tables", "_count_table": "count tables", "_powers": "count tables",
+    "_joined_tuples": "joins", "_join_blocks": "joins",
+    "relation_set": "relations",
+    "_kernel": "kernels",
+    "get_weingarten": "engine",
+    "_contract_each": "contraction", "_moment_from_kernel": "contraction",
+    "verify_relations": "cross-multiplication",
+}
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+ENV.pop("PYTHONPATH", None)
+
+
+def child(src: str, seed: int, layered: bool) -> dict:
+    sys.path[:0] = [str(Path(src) / "src"), str(ROOT / "perfbench")]
+    import numpy  # noqa: F401  (loaded before the clock starts)
+    import workloads
+    from easywg import spaces
+
+    inputs = workloads.verify(random.Random(seed))
+    seconds: collections.Counter = collections.Counter()
+    inside = [0.0]  # per open wrapped call: seconds spent in wrapped calls below it
+
+    def timed(name):
+        f = getattr(spaces, name)
+
+        def wrapper(*args, **kwargs):
+            inside.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return f(*args, **kwargs)
+            finally:
+                spent = time.perf_counter() - t0
+                seconds[LAYERS[name]] += spent - inside.pop()
+                inside[-1] += spent
+        setattr(spaces, name, wrapper)
+
+    if layered:
+        for name in LAYERS:
+            if hasattr(spaces, name):
+                timed(name)
+    reports = []
+    t0 = time.perf_counter()
+    for item in inputs["spaces"]:
+        space = spaces.parse_space(item["space"])
+        reports.append(spaces.verify_relations(space, inputs["max_k"], inputs["test_degree"]))
+    wall = time.perf_counter() - t0
+    for item, report in zip(inputs["spaces"], reports):
+        if (len(report.checks), report.all_passed) != (item["checked"], True):
+            raise SystemExit(f"{item['space']}: wrong verify result")
+    return {"wall_s": round(wall, 4),
+            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+            "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
+
+
+def run(src: Path, seed: int, layered: bool) -> dict:
+    argv = [sys.executable, __file__, "--child", str(src), str(seed)]
+    out = subprocess.run(argv + (["--layered"] if layered else []), env=ENV,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def commit(src: Path) -> str:
+    try:
+        head, dirty = (subprocess.run(["git", "-C", str(src), *argv], capture_output=True,
+                                      text=True, check=True).stdout.strip()
+                       for argv in (["rev-parse", "HEAD"], ["status", "--porcelain"]))
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown (not a git checkout)"
+    return head + (" with uncommitted changes" if dirty else "")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--parent")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_verify.json"))
+    ap.add_argument("--child", nargs=2, metavar=("SRC", "SEED"))
+    ap.add_argument("--layered", action="store_true")
+    args = ap.parse_args()
+    if args.child:
+        src, seed = args.child
+        print(json.dumps(child(src, int(seed), args.layered)))
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    record = {
+        "what": "one cold round of the verify workload (40 verify_relations calls), "
+                "one process per side, seed and mode",
+        "command": "python3 tools/bench_verify.py --parent DIR",
+        "commits": {side: commit(src) for side, src in sides.items()},
+        "python": platform.python_version(),
+        "env": {"OPENBLAS_NUM_THREADS": "1"},
+        "cpus": os.cpu_count(),
+        "seeds": {},
+    }
+    for i, seed in enumerate(SEEDS):
+        row = {}
+        order = list(sides.items()) if i % 2 == 0 else list(sides.items())[::-1]
+        for side, src in order:
+            plain, layered = run(src, seed, False), run(src, seed, True)
+            row[side] = dict(plain, layers_s=layered["layers_s"])
+            print(seed, side, json.dumps(row[side]), file=sys.stderr)
+        record["seeds"][str(seed)] = {side: row[side] for side in sides}
+    record["median"] = {
+        side: {
+            "wall_s": statistics.median(r[side]["wall_s"] for r in record["seeds"].values()),
+            "peak_rss_mib": statistics.median(
+                r[side]["peak_rss_mib"] for r in record["seeds"].values()),
+            "layers_s": {
+                layer: round(statistics.median(
+                    r[side]["layers_s"].get(layer, 0.0) for r in record["seeds"].values()), 4)
+                for layer in sorted(set(LAYERS.values()))
+            },
+        }
+        for side in sides
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
