@@ -178,7 +178,7 @@ def _cmd_verify(args):
     fields = {
         "checked": len(report.checks),
         "failed": len(failures),
-        "all_passed": report.all_passed,
+        "all_passed": not failures,
         "failures": failures,
     }
     if args.full:  # written row by row as report.checks yields them

@@ -34,16 +34,24 @@ class Color(enum.Enum):
 
 
 class ColoredWord:
-    """An ordered word of leg colors; the empty word is legal."""
+    """An ordered word of leg colors; the empty word is legal.
 
-    __slots__ = ("colors",)
+    `code` is the word as one int: its colors as bits (white 0, black 1,
+    the first leg highest) under a leading 1, so that words of different
+    lengths get different codes.  The empty word's code is 1.
+    """
+
+    __slots__ = ("colors", "code")
 
     def __init__(self, colors: Iterable[Color] = ()) -> None:
         colors = tuple(colors)
+        code = 1
         for c in colors:
             if not isinstance(c, Color):
                 raise TypeError(f"not a Color: {c!r}")
+            code = code << 1 | (c is Color.BLACK)
         self.colors = colors
+        self.code = code
 
     @classmethod
     def parse(cls, text: str) -> "ColoredWord":
@@ -66,10 +74,10 @@ class ColoredWord:
         return ColoredWord(self.colors + as_word(other).colors)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ColoredWord) and self.colors == other.colors
+        return isinstance(other, ColoredWord) and self.code == other.code
 
     def __hash__(self) -> int:
-        return hash(self.colors)
+        return hash(self.code)
 
     def __repr__(self) -> str:
         return f"ColoredWord({self.text!r})"
@@ -387,19 +395,28 @@ def _generate(category: CategoryId, word: ColoredWord) -> list[SetPartition]:
     return out
 
 
-WordKey = Union[int, tuple[Color, ...]]
+def word_key(category: CategoryId, word: ColoredWord) -> int:
+    """What the category's partition set for the word depends on, as one
+    int: the word's code for the unitary-type categories, its length
+    otherwise."""
+    return word.code if category.color_sensitive else len(word)
 
 
-def word_key(category: CategoryId, word: ColoredWord) -> WordKey:
-    """What the category's partition set for the word depends on: the
-    word's colors for the unitary-type categories, its length otherwise."""
-    return word.colors if category.color_sensitive else len(word)
+def concat_key(category: CategoryId, head: int, tail: int) -> int:
+    """The word_key of a concatenation, from the word_keys of its parts."""
+    if not category.color_sensitive:
+        return head + tail
+    n = tail.bit_length() - 1  # the tail's length
+    return ((head - 1) << n) + tail
 
 
 @lru_cache(maxsize=None)
-def _enumerate(category: CategoryId, key: WordKey) -> tuple[SetPartition, ...]:
+def _enumerate(category: CategoryId, key: int) -> tuple[SetPartition, ...]:
     """The partition set for a word_key, memoized for the process."""
-    colors = key if isinstance(key, tuple) else (Color.WHITE,) * key
+    if category.color_sensitive:  # the code's bits below its leading 1
+        colors = tuple(Color.BLACK if b == "1" else Color.WHITE for b in bin(key)[3:])
+    else:
+        colors = (Color.WHITE,) * key
     return tuple(_generate(category, ColoredWord(colors)))
 
 

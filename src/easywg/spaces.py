@@ -32,11 +32,11 @@ from .partitions import (
     Color,
     ColoredWord,
     SetPartition,
-    WordKey,
     WordLike,
     _enumerate,
     as_category,
     as_word,
+    concat_key,
     enumerate_partitions,
     mobius_intervals,
     word_key,
@@ -196,11 +196,11 @@ def parse_space(text: str) -> SpaceSpec:
 # Gram matrix's range, so the moments do not depend on the choice.  S
 # factors use the partition lattice's inverse, every other factor the
 # Weingarten matrix.  Kernels are memoized: they depend only on the
-# factor list, M, and (for color-sensitive factor categories) the word's
-# colors.  What depends on neither N nor M, the partition tuples' join
+# factor list, M, and the word's code (with a color-sensitive factor) or
+# its length.  What depends on neither N nor M, the partition tuples' join
 # block counts and verify's count tables, is memoized for the process
 # under keys without N or M, so that every space, dimension and index set
-# shares it.
+# shares it.  Every word key is one int (partitions.word_key).
 
 
 def _factor_keys(space: SpaceSpec, word: ColoredWord) -> tuple:
@@ -244,9 +244,9 @@ class _Kernel:
 _KERNELS: dict = {}
 
 
-def _word_key(space: SpaceSpec, word: ColoredWord) -> WordKey:
+def _word_key(space: SpaceSpec, word: ColoredWord) -> int:
     if any(f.category.color_sensitive for f in space.factors):
-        return word.colors
+        return word.code
     return len(word)
 
 
@@ -436,7 +436,7 @@ def _exponent_rows(
 
 @lru_cache(maxsize=None)
 def _count_table(
-    category: CategoryId, head: WordKey, full: WordKey, pattern: tuple[int, ...]
+    category: CategoryId, head: int, full: int, pattern: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """_exponent_rows for the category's partitions of two word keys,
     memoized for the process: the rows depend on neither N nor M."""
@@ -520,7 +520,8 @@ class _Checks:
 
     `table[e_key, f_key][i]` holds the outcome of each relation of a word
     with key e_key against a test word with key f_key at pattern i: None
-    when every relation passes, else one (ok, lhs, rhs) per relation.
+    when every relation passes, else one (ok, lhs, rhs) per relation.  The
+    entry of a pair is None when every relation passes at every pattern.
     Iteration builds the checks in order: relation word, test word, test
     tuple in itertools.product order, relation.
     """
@@ -546,6 +547,10 @@ class _Checks:
             passed = (_PASSED,) * len(rels)
             for f_word, f_key in self._tests:
                 entries = self._table[e_key, f_key]
+                if entries is None:
+                    if failing:
+                        continue
+                    entries = (None,) * len(self._patterns[len(f_word)].combos)
                 chosen = tuple(
                     i for i, e in enumerate(entries) if not failing or e is not None
                 )
@@ -560,6 +565,15 @@ class _Checks:
                             yield RelationCheck(rel, f_word, j, *o)
 
 
+def _vanishes(heads: tuple, tails: tuple) -> bool:
+    """True when some factor has no partitions for a word followed by
+    another, given the _factor_keys of the two: then every integral
+    against the concatenated word is 0."""
+    return any(
+        not _enumerate(c, concat_key(c, h, t)) for (c, h), (_, t) in zip(heads, tails)
+    )
+
+
 def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> VerificationReport:
     """Check every relation in expectation against every test monomial.
 
@@ -571,7 +585,11 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
     relation word's key, the test word's key and the per-factor equality
     pattern of the test indices, so it is decided once per pattern, by
     integer cross-multiplication on the pattern's canonical tuple, and the
-    pattern's tuples are counted rather than enumerated.  The report's
+    pattern's tuples are counted rather than enumerated.  A pair of
+    relation word and test word is decided wholesale, before any kernel of
+    their concatenation is built, when the test monomial's moment is 0 at
+    every pattern and some factor has no partitions for the concatenated
+    word: every integral is then 0, and 0 = M^b . 0 passes.  The report's
     checks are built only when iterated.
     """
     if test_degree < 0:
@@ -583,16 +601,24 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
         for e_word, rels in itertools.groupby(relation_set(space, max_k), key=lambda r: r.word)
     ]
     moments: dict = {}  # f_key -> the test monomial's moment at each pattern
+    for f_word, f_key in tests:
+        if f_key not in moments:
+            moments[f_key] = patterns[len(f_word)].moments(_kernel(space, f_word))
+    silent = {  # f_key -> _factor_keys of a test word whose moments are all 0
+        f_key: _factor_keys(space, f_word) for f_word, f_key in tests if not any(moments[f_key])
+    }
     table: dict = {}
     for e_key, rels in groups:
         e_word = rels[0].word
+        e_keys = _factor_keys(space, e_word)
         scales = [space.m**rel.join_blocks for rel in rels]
         for f_word, f_key in tests:
             if (e_key, f_key) in table:
                 continue
+            if f_key in silent and _vanishes(e_keys, silent[f_key]):
+                table[e_key, f_key] = None  # 0 = M^b . 0 for every check
+                continue
             pats = patterns[len(f_word)]
-            if f_key not in moments:
-                moments[f_key] = pats.moments(_kernel(space, f_word))
             word = e_word + f_word
             kern = _kernel(space, word)
             entries = []
@@ -604,5 +630,5 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
                     for lhs, s in zip(lvec, scales)
                 )
                 entries.append(None if all(o is _PASSED for o in outs) else outs)
-            table[e_key, f_key] = entries
+            table[e_key, f_key] = entries if any(entries) else None
     return VerificationReport(space, max_k, test_degree, _Checks(groups, tests, patterns, table))

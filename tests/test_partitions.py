@@ -12,9 +12,11 @@ from easywg.partitions import (
     SetPartition,
     as_category,
     as_word,
+    concat_key,
     enumerate_partitions,
     is_member,
     kernel_partition,
+    word_key,
 )
 from fraction_reference import filter_enumerate
 
@@ -294,6 +296,34 @@ class TestGenerationAgainstFilter:
         ] + ["o" * 7, "o" * 8, "obobobob", "oooobbbb"]
         for word in words:
             assert enumerate_partitions(cat, word) == filter_enumerate(cat, word), word
+
+
+class TestWordKeys:
+    """The one-int word keys of the partition memos, and the fact that lets
+    verification pass a pair of words with no partitions wholesale."""
+
+    WORDS = [ColoredWord.parse("".join(w)) for k in range(9) for w in itertools.product("ob", repeat=k)]
+
+    @pytest.mark.parametrize("cat", ALL_CATEGORIES)
+    def test_concatenations(self, cat):
+        # for e with partitions: f has partitions exactly when e + f does,
+        # and the key of e + f follows from the keys of e and f
+        cat = as_category(cat)
+        for e in self.WORDS:
+            if not enumerate_partitions(cat, e):
+                continue
+            for f in self.WORDS[:2 ** (9 - len(e)) - 1]:  # |e| + |f| <= 8
+                assert bool(enumerate_partitions(cat, f)) == bool(enumerate_partitions(cat, e + f)), (e, f)
+                assert concat_key(cat, word_key(cat, e), word_key(cat, f)) == word_key(cat, e + f)
+
+    @pytest.mark.parametrize("cat", ALL_CATEGORIES)
+    def test_distinct_words_get_distinct_keys(self, cat):
+        # one key per word for U and U+, one per length for the colour-blind
+        # categories: the pairs (word or length, key) make a bijection
+        cat = as_category(cat)
+        pairs = {(w.text if cat.color_sensitive else len(w), word_key(cat, w)) for w in self.WORDS}
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+        assert len({w.code for w in self.WORDS}) == len(self.WORDS)
 
 
 def _integer_partitions(k, largest=None):

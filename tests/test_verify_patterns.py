@@ -6,6 +6,7 @@ every test tuple.  The lazy checks must equal the eager ones field by
 field and in order, with true relations and with relations forced false.
 """
 
+import collections
 import functools
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import easywg.exact_linalg as xl
 import easywg.partitions as partitions
 import easywg.spaces as spaces
+from easywg.partitions import enumerate_partitions
 from easywg.spaces import parse_space, relation_set, verify_relations
 from verify_reference import coordinates, reference_checks
 
@@ -123,6 +125,10 @@ REUSE_SEQUENCE = [  # (space, test degree) at max_k 4
     ("O:2xO+:2/J=1,2", 2),
     ("column-space:O+:4:2", 2),
     ("group-as-space:S:3", 1),
+    ("U:2/I=1", 3),
+    ("U+:3/I=1,2", 3),
+    ("U:2xU+:2/J=1,2", 2),
+    ("group-as-space:U:2", 2),
 ]
 
 
@@ -175,3 +181,21 @@ def test_count_tables_are_built_once_per_key(monkeypatch):
     built, distinct, asked = run(slots)
     assert built == distinct and asked > 5 * built
     assert run(["O:3/I=2"])[0] == built
+
+
+def test_zero_pairs_build_no_kernel(monkeypatch):
+    # a U word has partitions only when balanced, so a pair's concatenation
+    # has none exactly when the test word is unbalanced: such a pair is
+    # passed wholesale, and only the test words and the other pairs get a
+    # kernel
+    space = parse_space("U:3/I=1,2")
+    calls = collections.Counter()
+    real = spaces._kernel
+    monkeypatch.setattr(spaces, "_kernel", lambda sp, w: calls.update([w.text]) or real(sp, w))
+    report = verify_relations(space, 4, 3)
+    assert report.all_passed and report.failures == []
+    tests = list(spaces._all_words(3))
+    heads = {r.word for r in relation_set(space, 4)}
+    kept = [e + f for e in heads for f in tests if enumerate_partitions("U", e + f)]
+    assert len(heads) == 9 and len(kept) == 27
+    assert calls == collections.Counter(w.text for w in tests + kept)

@@ -13,16 +13,20 @@ plain, for the wall time and the peak RSS, and once with the functions of
 each layer wrapped by a timer, for the self seconds per layer (a wrapped
 call's time minus that of the wrapped calls inside it):
 
-    count tables          _count_matrix, _count_table, _powers
+    count tables          _count_table, _powers
     joins                 _joined_tuples, _join_blocks
     relations             relation_set, less its joins
     kernels               _kernel, less its joins and the engine
     engine                get_weingarten, as called by the spaces module
     contraction           _contract_each and _moment_from_kernel
+    zero pairs            _vanishes
     cross-multiplication  verify_relations, less everything above
 
-A name that a checkout lacks is skipped.  The two sides alternate which
-runs first from seed to seed.  The record, with each checkout's commit
+A name that a checkout lacks is skipped.  The layered run also counts the
+round's work: the (relation word key, test word key) pairs of the outcome
+tables, those computed (one `lhs_vectors` call each), those decided
+wholesale as zero pairs (the rest) and the kernels built.  The two sides
+alternate which runs first from seed to seed.  The record, with each checkout's commit
 (marked when its tree has uncommitted changes), goes to --out as JSON.
 """
 
@@ -44,12 +48,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 LAYERS = {
-    "_count_matrix": "count tables", "_count_table": "count tables", "_powers": "count tables",
+    "_count_table": "count tables", "_powers": "count tables",
     "_joined_tuples": "joins", "_join_blocks": "joins",
     "relation_set": "relations",
     "_kernel": "kernels",
     "get_weingarten": "engine",
     "_contract_each": "contraction", "_moment_from_kernel": "contraction",
+    "_vanishes": "zero pairs",
     "verify_relations": "cross-multiplication",
 }
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -80,10 +85,17 @@ def child(src: str, seed: int, layered: bool) -> dict:
                 inside[-1] += spent
         setattr(spaces, name, wrapper)
 
+    computed = [0]
     if layered:
         for name in LAYERS:
             if hasattr(spaces, name):
                 timed(name)
+        lhs_vectors = spaces._Patterns.lhs_vectors
+
+        def counted(*args):
+            computed[0] += 1
+            return lhs_vectors(*args)
+        spaces._Patterns.lhs_vectors = counted
     reports = []
     t0 = time.perf_counter()
     for item in inputs["spaces"]:
@@ -93,9 +105,14 @@ def child(src: str, seed: int, layered: bool) -> dict:
     for item, report in zip(inputs["spaces"], reports):
         if (len(report.checks), report.all_passed) != (item["checked"], True):
             raise SystemExit(f"{item['space']}: wrong verify result")
-    return {"wall_s": round(wall, 4),
-            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
-            "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
+    out = {"wall_s": round(wall, 4),
+           "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+           "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
+    if layered:
+        pairs = sum(len(report.checks._table) for report in reports)
+        out["work"] = {"pairs": pairs, "pairs_wholesale": pairs - computed[0],
+                       "pairs_computed": computed[0], "kernel_builds": len(spaces._KERNELS)}
+    return out
 
 
 def run(src: Path, seed: int, layered: bool) -> dict:
@@ -144,7 +161,7 @@ def main() -> int:
         order = list(sides.items()) if i % 2 == 0 else list(sides.items())[::-1]
         for side, src in order:
             plain, layered = run(src, seed, False), run(src, seed, True)
-            row[side] = dict(plain, layers_s=layered["layers_s"])
+            row[side] = dict(plain, layers_s=layered["layers_s"], work=layered["work"])
             print(seed, side, json.dumps(row[side]), file=sys.stderr)
         record["seeds"][str(seed)] = {side: row[side] for side in sides}
     record["median"] = {
