@@ -23,7 +23,6 @@ from .exact_linalg import (
     format_scalar,
     get_weingarten,
     gram_matrix,
-    parse_scalar,
     set_disk_cache,
     weingarten_matrix,
 )

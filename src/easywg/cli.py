@@ -406,12 +406,11 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    cache_dir = args.cache_dir or os.environ.get("WG_CACHE_DIR")
-    if cache_dir:
+    if args.cache_dir:
         try:
-            exact_linalg.set_disk_cache(cache_dir)
+            exact_linalg.set_disk_cache(args.cache_dir)
         except OSError as err:
-            print(f"error: cannot use cache directory {cache_dir!r}: "
+            print(f"error: cannot use cache directory {args.cache_dir!r}: "
                   f"{err.strerror or err}", file=sys.stderr)
             return 1
     started = time.perf_counter()

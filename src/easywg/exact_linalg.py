@@ -12,8 +12,8 @@ A Gram matrix is stored as its join block counts, and the residues of
 N^count modulo a prime come from a table of powers indexed by the counts.
 A Weingarten matrix is stored as its block on basis x basis.  The full
 n x n views, ``GramMatrix.entries`` and ``WeingartenMatrix.numerators``,
-are built on first access.  A disk record, the one full matrix read in,
-must be zero outside its basis before its block is certified.
+are built on first access.  A disk record holds what the engine holds,
+the basis, denominator and block, and is certified like a new build.
 
 numpy is imported inside the functions that compute with it, so importing
 this module, and every command that builds no matrix, never loads it.
@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .partitions import (
@@ -38,6 +38,7 @@ from .partitions import (
     as_category,
     as_word,
     enumerate_partitions,
+    word_key,
 )
 
 if TYPE_CHECKING:
@@ -48,10 +49,6 @@ def format_scalar(x) -> str:
     """Canonical "p/q" form with q > 0, denominator always explicit."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_scalar(text: str) -> Fraction:
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -562,84 +559,33 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def _cache_key(category: CategoryId, word: ColoredWord, dimension: int):
-    # Color-blind categories share one record per word length.
-    wkey = word.text if category.color_sensitive else "o" * len(word)
-    return (category.value, wkey, dimension)
+def _record_path(name: list) -> str:
+    category, wkey, dimension = name
+    safe = category.replace("+", "p")
+    return os.path.join(_DISK_DIR, f"wg_{safe}_{wkey}_{dimension}.json")
 
 
-def _record_path(key) -> str:
-    cat, wkey, dim = key
-    safe = cat.replace("+", "p")
-    return os.path.join(_DISK_DIR, f"wg_{safe}_{wkey or 'e'}_{dim}.json")
-
-
-def _to_record(key, wg: WeingartenMatrix) -> dict:
-    """The record of wg: every entry as "p/q" in lowest terms, rows and
-    columns outside the basis the literal "0/1".  Built from the block, so
-    the memoised matrix keeps no n x n view."""
-    n = len(wg.index)
-    den = wg.denominator
-    rows = [[_ZERO] * n for _ in range(n)]
-    for i, row in zip(wg.basis, wg.block):
-        line = rows[i]
-        for j, x in zip(wg.basis, row):
-            g = gcd(x, den)
-            line[j] = f"{x // g}/{den // g}"
-    return {
-        "category": key[0],
-        "word": key[1],
-        "dimension": key[2],
-        "basis": list(wg.basis),
-        "entries": rows,
-    }
-
-
-_ZERO = "0/1"
-
-
-def _from_record(record: dict, key, gram: GramMatrix) -> "WeingartenMatrix | None":
-    """The record's matrix if its header names the key, its entries are n x n
-    with a basis in range, every entry outside basis x basis is the literal
-    "0/1", and its block passes the engine's certificate against the freshly
-    built Gram matrix.  Only the r x r block is parsed as fractions."""
+def _from_record(record, name: list, gram: GramMatrix) -> "WeingartenMatrix | None":
+    """The record's matrix if its key is name, every number in it is a JSON
+    integer, its block is in lowest terms, and it passes the engine's
+    certificate against the freshly built Gram matrix."""
     try:
-        if [record["category"], record["word"], record["dimension"]] != list(key):
-            return None
-        basis = tuple(int(b) for b in record["basis"])
-        rows = record["entries"]
-        n = len(gram.index)
-        kept = set(basis)
-        if (not isinstance(rows, list) or len(rows) != n or not kept <= set(range(n))
-                or any(not isinstance(row, list) or len(row) != n for row in rows)):
-            return None
-        out = [j for j in range(n) if j not in kept]
-        blank = [_ZERO] * n
-        if any(rows[i] != blank for i in out):
-            return None
-        blank = blank[:len(out)]
-        if any([rows[i][j] for j in out] != blank for i in basis):
-            return None
-        block = [[_fraction(rows[i][j]) for j in basis] for i in basis]
-    except (KeyError, ValueError, TypeError, AttributeError):
+        key, basis, den = record["key"], tuple(record["basis"]), record["denominator"]
+        block = tuple(map(tuple, record["block"]))
+    except (KeyError, TypeError):
         return None
-    den = lcm(*(q for row in block for _, q in row))
-    num = [[x * (den // q) for x, q in row] for row in block]
-    g = gcd(den, *(x for row in num for x in row))
-    wg = WeingartenMatrix(gram, basis, den // g, tuple(tuple(x // g for x in row) for row in num))
+    if key != name:
+        return None
+    numbers = [x for row in block for x in row]
+    if any(type(x) is not int for x in [*key[1:], *basis, den, *numbers]):
+        return None
+    if gcd(den, *numbers) != 1:
+        return None
+    wg = WeingartenMatrix(gram, basis, den, block)
     return wg if _certify(wg) else None
 
 
-def _fraction(text: str) -> tuple[int, int]:
-    """(p, q) of the text "p/q" with q > 0; ValueError for anything else."""
-    p, q = text.split("/")
-    p, q = int(p), int(q)
-    if q < 1:
-        raise ValueError(text)
-    return p, q
-
-
-def _write_record(key, wg: WeingartenMatrix) -> None:
+def _write_record(name: list, wg: WeingartenMatrix) -> None:
     """Store a record atomically; on failure no temporary file is left and
     the run goes on without the record."""
     import tempfile
@@ -650,8 +596,9 @@ def _write_record(key, wg: WeingartenMatrix) -> None:
         return
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(_to_record(key, wg), fh)
-        os.replace(tmp, _record_path(key))
+            json.dump({"key": name, "basis": wg.basis, "denominator": wg.denominator,
+                       "block": wg.block}, fh)
+        os.replace(tmp, _record_path(name))
     except OSError:
         try:
             os.remove(tmp)
@@ -664,31 +611,32 @@ def get_weingarten(
 ) -> WeingartenMatrix:
     """Memoized Weingarten matrix for (category, word, dimension).
 
-    The in-process cache is shared and its writes are idempotent, so
-    concurrent use is safe.  When a disk directory is configured, records
-    are re-certified against a freshly built Gram matrix, with the same
-    certificate as a new build, before being trusted; a record that fails
-    is rebuilt and overwritten.
+    Words with one word_key share a matrix.  The in-process cache is shared
+    and its writes are idempotent, so concurrent use is safe.  When a disk
+    directory is configured, records are re-certified against a freshly
+    built Gram matrix, with the same certificate as a new build, before
+    being trusted; a record that fails is rebuilt and overwritten.
     """
     category = as_category(category)
     word = as_word(word)
-    key = _cache_key(category, word, dimension)
+    wkey = word_key(category, word)
+    key = (category, wkey, dimension)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    gram = gram_matrix(category, ColoredWord.parse(key[1]), dimension)
+    gram = gram_matrix(category, word, dimension)
     wg = None
+    name = [category.value, wkey, dimension]  # the record's key
     if _DISK_DIR is not None:
         try:
-            with open(_record_path(key)) as fh:
+            with open(_record_path(name)) as fh:
                 record = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):  # json recurses on nested arrays
             record = None
-        if isinstance(record, dict):
-            wg = _from_record(record, key, gram)
+        wg = _from_record(record, name, gram)
     if wg is None:
         wg = weingarten_matrix(gram)
         if _DISK_DIR is not None:
-            _write_record(key, wg)
+            _write_record(name, wg)
     _MEMO[key] = wg
     return wg

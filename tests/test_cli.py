@@ -289,24 +289,13 @@ class TestErrorsAndFlags:
         assert code == 0
         assert list(tmp_path.glob("wg_*.json"))
 
-    def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(
-            capsys, "weingarten", "--category", "U", "--word", "ob", "--n", "4"
-        )
-        assert code == 0
-        assert list(tmp_path.glob("wg_*.json"))
-
-    @pytest.mark.parametrize("via_env", [False, True])
-    def test_cache_dir_naming_a_file_exits_one(self, capsys, tmp_path, monkeypatch, via_env):
+    def test_cache_dir_naming_a_file_exits_one(self, capsys, tmp_path):
         target = tmp_path / "plain-file"
         target.write_text("not a directory")
-        argv = ["weingarten", "--category", "U", "--word", "ob", "--n", "3"]
-        if via_env:
-            monkeypatch.setenv("WG_CACHE_DIR", str(target))
-        else:
-            argv += ["--cache-dir", str(target)]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(
+            capsys, "weingarten", "--category", "U", "--word", "ob", "--n", "3",
+            "--cache-dir", str(target),
+        )
         assert code == 1
         assert out == ""
         lines = err.splitlines()

@@ -13,10 +13,9 @@ from easywg.exact_linalg import (
     format_scalar,
     get_weingarten,
     gram_matrix,
-    parse_scalar,
     weingarten_matrix,
 )
-from easywg.partitions import SetPartition
+from easywg.partitions import SetPartition, as_category, as_word, word_key
 import fraction_reference as fr
 from fraction_reference import SingularMatrixError, bordering_weingarten, solve_inverse
 
@@ -54,10 +53,6 @@ class TestScalars:
     def test_format_always_has_denominator(self):
         assert format_scalar(Fraction(3)) == "3/1"
         assert format_scalar(Fraction(-1, 2)) == "-1/2"
-
-    def test_parse(self):
-        assert parse_scalar("3/4") == Fraction(3, 4)
-        assert parse_scalar("5") == Fraction(5)
 
 
 class TestSolveInverse:
@@ -321,7 +316,7 @@ class TestMemoAndDiskCache:
         good = get_weingarten("O+", "oooo", 4)
         (path,) = tmp_path.glob("wg_*.json")
         record = json.loads(path.read_text())
-        record["entries"][0][0] = "1/7"  # corrupt one entry
+        record["block"][0][0] += 7  # corrupt one entry
         path.write_text(json.dumps(record))
         xl.clear_memo()
         rebuilt = get_weingarten("O+", "oooo", 4)
@@ -334,39 +329,49 @@ class TestMemoAndDiskCache:
         xl.set_disk_cache(str(tmp_path))
         get_weingarten("U", "ob", 5)
         (path,) = tmp_path.glob("wg_*.json")
-        record = json.loads(path.read_text())
-        assert record["category"] == "U"
-        assert record["word"] == "ob"
-        assert record["dimension"] == 5
-        assert record["entries"] == [["1/5"]]
+        assert json.loads(path.read_text()) == {
+            "key": ["U", 0b101, 5], "basis": [0], "denominator": 5, "block": [[1]],
+        }
 
     @pytest.mark.parametrize("cat,word,n", [("S", "oooo", 3), ("U", "obob", 5), ("O+", "oooooo", 10)])
     def test_record_bytes_and_no_cached_view(self, tmp_path, cat, word, n):
-        # the writer works from the block: the memoised matrix keeps no n x n
-        # view, and the file is what json.dump of every entry formatted by
-        # format_scalar gives
+        # the file is json.dumps of the memoised matrix's own fields, and the
+        # matrix keeps no n x n view
         xl.set_disk_cache(str(tmp_path))
         w = get_weingarten(cat, word, n)
         assert "numerators" not in w.__dict__
         (path,) = tmp_path.glob("wg_*.json")
         expected = json.dumps({
-            "category": cat, "word": word, "dimension": n, "basis": list(w.basis),
-            "entries": [[format_scalar(x) for x in row] for row in w.entries],
+            "key": [cat, word_key(as_category(cat), as_word(word)), n], "basis": list(w.basis),
+            "denominator": w.denominator, "block": [list(row) for row in w.block],
         })
         assert path.read_text() == expected
 
     def test_disk_read_parses_only_the_block(self, tmp_path, monkeypatch):
+        # a singular key: the file holds the r x r block and nothing of the
+        # n x n matrix, and a hit builds no matrix
         xl.set_disk_cache(str(tmp_path))
         good = get_weingarten("S", "ooooo", 2)
         r = len(good.basis)
         assert r < len(good.index)
+        (path,) = tmp_path.glob("wg_*.json")
+        assert [len(row) for row in json.loads(path.read_text())["block"]] == [r] * r
         xl.clear_memo()
-        parsed = []
-        fraction = xl._fraction
-        monkeypatch.setattr(xl, "_fraction", lambda text: parsed.append(text) or fraction(text))
+        monkeypatch.setattr(xl, "weingarten_matrix", _refuse)
         again = get_weingarten("S", "ooooo", 2)
-        assert len(parsed) == r * r
         assert (again.basis, again.denominator, again.block) == (good.basis, good.denominator, good.block)
+
+    def test_color_blind_words_share_one_record(self, tmp_path, monkeypatch):
+        xl.set_disk_cache(str(tmp_path))
+        good = get_weingarten("S", "ob", 3)
+        xl.clear_memo()
+        monkeypatch.setattr(xl, "weingarten_matrix", _refuse)
+        assert get_weingarten("S", "oo", 3).block == good.block
+        assert len(list(tmp_path.glob("wg_*.json"))) == 1
+
+
+def _refuse(*args):
+    raise AssertionError("built a matrix where the record should have served")
 
 
 def _words(cat, k):
@@ -541,11 +546,29 @@ def _foreign_inverse(w):
     return foreign, den, tuple(tuple(int(x * den) for x in row) for row in inv)
 
 
-def _outside_basis(record, text="1/1"):
-    """Put text on the diagonal at an index outside the basis: a nonzero
-    entry, or a zero spelled otherwise than the literal "0/1"."""
-    i = next(i for i in range(len(record["entries"])) if i not in record["basis"])
-    record["entries"][i][i] = text
+def _outside_basis(record, value=1):
+    """Take the first index outside the basis into it, with value on the
+    diagonal and zeros elsewhere in its row and column: a nonzero entry
+    there, or a zero row.  The block stays symmetric and in lowest terms."""
+    basis, block = record["basis"], record["block"]
+    i = next(i for i in itertools.count() if i not in basis)
+    at = sum(b < i for b in basis)
+    basis.insert(at, i)
+    for row in block:
+        row.insert(at, 0)
+    block.insert(at, [0] * len(basis))
+    block[at][at] = value
+
+
+def _first_one(record, value):
+    """Put value, equal to 1 but not a JSON integer, in place of the block's
+    first entry 1: only the integer check tells the records apart."""
+    row = next(row for row in record["block"] if 1 in row)
+    row[row.index(1)] = value
+
+
+# The partitions of S on four legs, Bell(4): one past the last index.
+_N = 15
 
 
 class TestDiskRecordCertificate:
@@ -571,8 +594,7 @@ class TestDiskRecordCertificate:
         ge = [list(r) for r in good.source.entries]
         wf = WeingartenMatrix(good.source, foreign, den, block).entries
         assert matmul(matmul(ge, wf), ge) == ge
-        record["basis"] = list(foreign)
-        record["entries"] = [[format_scalar(x) for x in row] for row in wf]
+        record.update(basis=list(foreign), denominator=den, block=[list(row) for row in block])
         path.write_text(json.dumps(record))
         again = get_weingarten("S", "oooo", 3)
         assert again.basis == good.basis
@@ -580,35 +602,45 @@ class TestDiskRecordCertificate:
         assert json.loads(path.read_text())["basis"] == list(good.basis)
 
     @pytest.mark.parametrize("field,value", [
-        ("category", "S+"), ("word", "ooob"), ("dimension", 4),
+        ("category", "S+"), ("word", 5), ("dimension", 4),
     ])
     def test_header_must_name_the_key(self, tmp_path, field, value):
         good, path, record = self._record(tmp_path)
-        record[field] = value
+        at = ["category", "word", "dimension"].index(field)
+        record["key"][at] = value
         path.write_text(json.dumps(record))
         assert get_weingarten("S", "oooo", 3).numerators == good.numerators
-        assert json.loads(path.read_text())[field] != value
+        assert json.loads(path.read_text())["key"][at] != value
 
     @pytest.mark.parametrize("mutate", [
-        lambda r: r.update(entries="x"),
+        lambda r: r.update(block="x"),
         lambda r: r.update(basis=[0, 0]),
-        lambda r: r["entries"][0].__setitem__(0, "1/0"),
+        lambda r: r["block"][0].__setitem__(0, "1/0"),
         lambda r: r.pop("basis"),
-        lambda r: r["entries"].pop(),
-        lambda r: r["basis"].append(len(r["entries"])),
+        lambda r: r["block"].pop(),
+        lambda r: r["basis"].__setitem__(-1, _N),
         _outside_basis,
-        lambda r: _outside_basis(r, "0/2"),
-        lambda r: _outside_basis(r, "0"),
-        lambda r: r["entries"][r["basis"][0]].__setitem__(r["basis"][0], "1/2/3"),
-        lambda r: r["entries"][r["basis"][0]].__setitem__(r["basis"][0], 1),
+        lambda r: _outside_basis(r, 0),
+        lambda r: _first_one(r, True),
+        lambda r: _first_one(r, 1.0),
+        lambda r: r["block"][0].__setitem__(0, "1/2"),
+        lambda r: r.pop("denominator"),
+        lambda r: r.update(denominator=0),
+        # the same matrix over a negative denominator, and not in lowest terms
+        lambda r: r.update(denominator=-r["denominator"],
+                           block=[[-x for x in row] for row in r["block"]]),
+        lambda r: r.update(denominator=2 * r["denominator"],
+                           block=[[2 * x for x in row] for row in r["block"]]),
+        lambda r: r["key"].__setitem__(2, 3.0),
+        lambda r: r.pop("key"),
     ])
     def test_malformed_records_rebuilt(self, tmp_path, mutate):
         good, path, record = self._record(tmp_path)
-        original = json.loads(json.dumps(record))
+        original = path.read_text()
         mutate(record)
         path.write_text(json.dumps(record))
         assert get_weingarten("S", "oooo", 3).numerators == good.numerators
-        assert json.loads(path.read_text()) == original
+        assert path.read_text() == original  # as text: true == 1 in Python
 
     def test_unreadable_record_rebuilt(self, tmp_path):
         good, path, _ = self._record(tmp_path)
@@ -617,6 +649,10 @@ class TestDiskRecordCertificate:
         path.write_text("[1, 2]")
         xl.clear_memo()
         assert get_weingarten("S", "oooo", 3).numerators == good.numerators
+        path.write_text("[" * 100000)  # json.load raises RecursionError
+        xl.clear_memo()
+        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
+        assert json.loads(path.read_text())["basis"] == list(good.basis)
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         xl.set_disk_cache(str(tmp_path))

@@ -33,6 +33,7 @@ from easywg.integrator import (
 )
 from easywg.oracles import sn_exhaustive_space_moment
 from easywg.partitions import (
+    CategoryId,
     as_word,
     enumerate_partitions,
     kernel_partition,
@@ -247,4 +248,4 @@ def test_eight_legs_build_no_weingarten_matrix():
 def test_only_the_non_s_factor_uses_the_engine():
     _clear_caches()
     space_moment(parse_space("S:3xO:3/J=1,2"), "oooo", ((1, 1), (2, 2), (1, 1), (2, 2)))
-    assert list(xl._MEMO) == [("O", "oooo", 3)]
+    assert list(xl._MEMO) == [(CategoryId.O, 4, 3)]
