@@ -46,8 +46,6 @@ from .partitions import (
     as_category,
     as_word,
     enumerate_partitions,
-    is_member,
-    kernel_partition,
 )
 from .spaces import (
     Relation,

@@ -12,8 +12,11 @@ A Gram matrix is stored as its join block counts, and the residues of
 N^count modulo a prime come from a table of powers indexed by the counts.
 A Weingarten matrix is stored as its block on basis x basis.  The full
 n x n views, ``GramMatrix.entries`` and ``WeingartenMatrix.numerators``,
-are built on first access.  A disk record holds what the engine holds,
-the basis, denominator and block, and is certified like a new build.
+are built on first access.  get_weingarten memoizes matrices for the
+process in an lru_cache keyed by the category, the word's word_key and N,
+like every memo of the package.  A disk record holds what the engine
+holds, the basis, denominator and block, and is certified like a new
+build.
 
 numpy is imported inside the functions that compute with it, so importing
 this module, and every command that builds no matrix, never loads it.
@@ -38,6 +41,7 @@ from .partitions import (
     as_category,
     as_word,
     enumerate_partitions,
+    key_word,
     word_key,
 )
 
@@ -543,7 +547,6 @@ def _limbs(block: Sequence[Sequence[int]], width: int) -> list:
     return limbs
 
 
-_MEMO: dict = {}
 _DISK_DIR: str | None = None
 
 
@@ -553,10 +556,6 @@ def set_disk_cache(directory: "str | None") -> None:
     if directory is not None:
         os.makedirs(directory, exist_ok=True)
     _DISK_DIR = directory
-
-
-def clear_memo() -> None:
-    _MEMO.clear()
 
 
 def _record_path(name: list) -> str:
@@ -611,20 +610,21 @@ def get_weingarten(
 ) -> WeingartenMatrix:
     """Memoized Weingarten matrix for (category, word, dimension).
 
-    Words with one word_key share a matrix.  The in-process cache is shared
-    and its writes are idempotent, so concurrent use is safe.  When a disk
+    Words with one word_key share a matrix, built from the word that
+    key_word gives for the key.  The memo is the lru_cache of _weingarten,
+    whose cache_info() counts hits and builds; it is shared, and safe for
+    concurrent use.  When a disk
     directory is configured, records are re-certified against a freshly
     built Gram matrix, with the same certificate as a new build, before
     being trusted; a record that fails is rebuilt and overwritten.
     """
     category = as_category(category)
-    word = as_word(word)
-    wkey = word_key(category, word)
-    key = (category, wkey, dimension)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    gram = gram_matrix(category, word, dimension)
+    return _weingarten(category, word_key(category, as_word(word)), dimension)
+
+
+@lru_cache(maxsize=None)
+def _weingarten(category: CategoryId, wkey: int, dimension: int) -> WeingartenMatrix:
+    gram = gram_matrix(category, key_word(wkey, category.color_sensitive), dimension)
     wg = None
     name = [category.value, wkey, dimension]  # the record's key
     if _DISK_DIR is not None:
@@ -638,5 +638,4 @@ def get_weingarten(
         wg = weingarten_matrix(gram)
         if _DISK_DIR is not None:
             _write_record(name, wg)
-    _MEMO[key] = wg
     return wg

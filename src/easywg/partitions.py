@@ -117,32 +117,6 @@ class SetPartition:
         self.rgs = rgs
         self._blocks: tuple[tuple[int, ...], ...] | None = None
 
-    @classmethod
-    def from_blocks(
-        cls, blocks: Iterable[Iterable[int]], ground_size: int | None = None
-    ) -> "SetPartition":
-        """Build a partition from blocks of 1-based points, validating cover."""
-        blocks = [tuple(sorted(b)) for b in blocks]
-        seen: dict[int, int] = {}
-        for label, block in enumerate(sorted(blocks)):
-            if not block:
-                raise ValueError("empty block")
-            for x in block:
-                if x in seen:
-                    raise ValueError(f"point {x} appears in two blocks")
-                seen[x] = label
-        k = ground_size if ground_size is not None else len(seen)
-        if sorted(seen) != list(range(1, k + 1)):
-            raise ValueError(f"blocks do not cover {{1,...,{k}}}")
-        relabel: dict[int, int] = {}
-        rgs = []
-        for x in range(1, k + 1):
-            lab = seen[x]
-            if lab not in relabel:
-                relabel[lab] = len(relabel)
-            rgs.append(relabel[lab])
-        return cls(rgs)
-
     @property
     def ground_size(self) -> int:
         return len(self.rgs)
@@ -205,55 +179,11 @@ class SetPartition:
             out.append(relabel[root])
         return SetPartition(out)
 
-    def is_pairing(self) -> bool:
-        """True when every block has exactly two points."""
-        return len(self.rgs) == 2 * self.block_count and all(
-            len(b) == 2 for b in self.blocks
-        )
-
-    def is_color_matching(self, word: WordLike) -> bool:
-        """True for a pairing whose every pair joins one white and one black leg."""
-        word = as_word(word)
-        if len(word) != len(self.rgs):
-            raise ValueError("word length does not match ground size")
-        if not self.is_pairing():
-            return False
-        return all(word[a - 1] != word[b - 1] for a, b in self.blocks)
-
-    def is_noncrossing(self) -> bool:
-        """Stack scan: no a<b<c<d with a,c in one block and b,d in another."""
-        last: dict[int, int] = {}
-        for pos, label in enumerate(self.rgs):
-            last[label] = pos
-        stack: list[int] = []
-        opened: set[int] = set()
-        for pos, label in enumerate(self.rgs):
-            if label not in opened:
-                opened.add(label)
-                stack.append(label)
-            elif stack[-1] != label:
-                return False
-            if last[label] == pos:
-                stack.pop()
-        return True
-
     def to_text(self) -> str:
         """Blocks joined by '|': digit runs for ground size <= 9, else commas."""
         if self.ground_size <= 9:
             return "|".join("".join(str(x) for x in b) for b in self.blocks)
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)
-
-    @classmethod
-    def from_text(cls, text: str, ground_size: int | None = None) -> "SetPartition":
-        """Parse to_text output.  Text with a comma or more than nine digits
-        is in comma form, where a part without a comma is a single point."""
-        if text == "":
-            return cls(())
-        if "," in text or sum(ch.isdigit() for ch in text) > 9:
-            blocks = [[int(x) for x in part.split(",")] for part in text.split("|")]
-        else:
-            blocks = [[int(ch) for ch in part] for part in text.split("|")]
-        return cls.from_blocks(blocks, ground_size)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SetPartition) and self.rgs == other.rgs
@@ -321,25 +251,6 @@ def as_category(category: CategoryLike) -> CategoryId:
     if isinstance(category, str):
         return CategoryId.parse(category)
     raise TypeError(f"cannot interpret {category!r} as a category")
-
-
-def is_member(category: CategoryLike, word: WordLike, partition: SetPartition) -> bool:
-    """Membership of a partition in the category's set for the given word."""
-    category = as_category(category)
-    word = as_word(word)
-    if partition.ground_size != len(word):
-        raise ValueError("partition ground size does not match word length")
-    if category is CategoryId.S:
-        return True
-    if category is CategoryId.S_PLUS:
-        return partition.is_noncrossing()
-    if category is CategoryId.O:
-        return partition.is_pairing()
-    if category is CategoryId.O_PLUS:
-        return partition.is_pairing() and partition.is_noncrossing()
-    if category is CategoryId.U:
-        return partition.is_color_matching(word)
-    return partition.is_color_matching(word) and partition.is_noncrossing()
 
 
 def _generate(category: CategoryId, word: ColoredWord) -> list[SetPartition]:
@@ -410,14 +321,18 @@ def concat_key(category: CategoryId, head: int, tail: int) -> int:
     return ((head - 1) << n) + tail
 
 
+def key_word(key: int, coded: bool) -> ColoredWord:
+    """A word with the given key: the word whose code is key when coded,
+    else key white legs."""
+    if coded:  # the code's bits below its leading 1
+        return ColoredWord(Color.BLACK if b == "1" else Color.WHITE for b in bin(key)[3:])
+    return ColoredWord((Color.WHITE,) * key)
+
+
 @lru_cache(maxsize=None)
 def _enumerate(category: CategoryId, key: int) -> tuple[SetPartition, ...]:
     """The partition set for a word_key, memoized for the process."""
-    if category.color_sensitive:  # the code's bits below its leading 1
-        colors = tuple(Color.BLACK if b == "1" else Color.WHITE for b in bin(key)[3:])
-    else:
-        colors = (Color.WHITE,) * key
-    return tuple(_generate(category, ColoredWord(colors)))
+    return tuple(_generate(category, key_word(key, category.color_sensitive)))
 
 
 def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPartition]:
@@ -428,17 +343,6 @@ def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPart
     """
     category = as_category(category)
     return list(_enumerate(category, word_key(category, as_word(word))))
-
-
-def kernel_partition(values: Sequence) -> SetPartition:
-    """The partition of positions grouping equal values (kernel of a tuple)."""
-    labels: dict[object, int] = {}
-    rgs = []
-    for v in values:
-        if v not in labels:
-            labels[v] = len(labels)
-        rgs.append(labels[v])
-    return SetPartition(rgs)
 
 
 @lru_cache(maxsize=None)

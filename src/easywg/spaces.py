@@ -38,6 +38,7 @@ from .partitions import (
     as_word,
     concat_key,
     enumerate_partitions,
+    key_word,
     mobius_intervals,
     word_key,
 )
@@ -179,6 +180,8 @@ def parse_space(text: str) -> SpaceSpec:
         raise ValueError(f"cannot parse index set in {text!r}")
     if tag == "I" and len(factors) > 1:
         raise ValueError("products only support diagonal index sets (J=...)")
+    if tag == "J" and len(factors) == 1:
+        raise ValueError("a single factor takes an index set I=..., not J=...")
     return SpaceSpec(factors, IndexSet.parse(members))
 
 
@@ -203,10 +206,10 @@ def parse_space(text: str) -> SpaceSpec:
 # shares it.  Every word key is one int (partitions.word_key).
 
 
-def _factor_keys(space: SpaceSpec, word: ColoredWord) -> tuple:
+def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple:
     """(category, word_key) per factor: what the word's partition tuples
     and their joins depend on."""
-    return tuple((f.category, word_key(f.category, word)) for f in space.factors)
+    return tuple((f.category, word_key(f.category, word)) for f in factors)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +231,7 @@ def _joined_tuples(
 ) -> list[tuple[tuple[SetPartition, ...], int]]:
     """The word's tuples of factor partitions in row-major order, each with
     the block count of its join; empty when a factor has no partitions."""
-    keys = _factor_keys(space, word)
+    keys = _factor_keys(space.factors, word)
     return list(zip(itertools.product(*(_enumerate(*key) for key in keys)), _join_blocks(keys)))
 
 
@@ -239,9 +242,6 @@ class _Kernel:
     values: tuple[int, ...]  # flat, row-major over the shape
     blocks: tuple[int, ...]  # join block count per position, same order
     denominator: int
-
-
-_KERNELS: dict = {}
 
 
 def _word_key(space: SpaceSpec, word: ColoredWord) -> int:
@@ -278,19 +278,23 @@ def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
 
 
 def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
-    key = (space.factors, space.m, _word_key(space, word))
-    hit = _KERNELS.get(key)
-    if hit is not None:
-        return hit
-    keys = _factor_keys(space, word)
+    return _space_kernel(space.factors, space.m, _word_key(space, word))
+
+
+@lru_cache(maxsize=None)
+def _space_kernel(factors: tuple[GroupSpec, ...], m: int, wkey: int) -> _Kernel:
+    """The kernel over the factors at M = m of the words with _word_key
+    wkey; index sets of one size share it."""
+    word = key_word(wkey, any(f.category.color_sensitive for f in factors))
+    keys = _factor_keys(factors, word)
     dlists = tuple(_enumerate(*key) for key in keys)
     shape = tuple(len(d) for d in dlists)
     blocks = _join_blocks(keys)
     values: "list[int] | tuple[int, ...]" = ()
     den = 1
     if blocks:  # an empty partition set needs no inverse
-        values, now = [space.m**b for b in blocks], shape
-        for axis, f in enumerate(space.factors):
+        values, now = [m**b for b in blocks], shape
+        for axis, f in enumerate(factors):
             if f.category is CategoryId.S:
                 steps, scale = _lattice_operator(len(word), f.dimension)
             else:
@@ -302,9 +306,7 @@ def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
             for rows in steps:
                 values, now = _contract_axis(values, now, axis, rows)
             den *= scale
-    kern = _Kernel(dlists, shape, tuple(values), blocks, den)
-    _KERNELS[key] = kern
-    return kern
+    return _Kernel(dlists, shape, tuple(values), blocks, den)
 
 
 def _factor_components(space: SpaceSpec, indices: tuple) -> list[tuple]:
@@ -605,12 +607,13 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
         if f_key not in moments:
             moments[f_key] = patterns[len(f_word)].moments(_kernel(space, f_word))
     silent = {  # f_key -> _factor_keys of a test word whose moments are all 0
-        f_key: _factor_keys(space, f_word) for f_word, f_key in tests if not any(moments[f_key])
+        f_key: _factor_keys(space.factors, f_word)
+        for f_word, f_key in tests if not any(moments[f_key])
     }
     table: dict = {}
     for e_key, rels in groups:
         e_word = rels[0].word
-        e_keys = _factor_keys(space, e_word)
+        e_keys = _factor_keys(space.factors, e_word)
         scales = [space.m**rel.join_blocks for rel in rels]
         for f_word, f_key in tests:
             if (e_key, f_key) in table:

@@ -4,7 +4,9 @@ These are the library's former code paths, kept here as oracles: a
 fraction-free Bareiss inverse, the incremental Fraction bordering that
 built Weingarten matrices before the multi-modular engine, and the
 enumeration that scans every restricted-growth string and filters by
-membership.  Nothing in src imports this module.
+membership, with the membership predicates of the six categories and a
+block and text form of partitions.  `clear_caches` empties every process
+memo of the library.  Nothing in src imports this module.
 """
 
 from __future__ import annotations
@@ -12,11 +14,19 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import sys
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from easywg.partitions import SetPartition, as_category, as_word, is_member
+from easywg.partitions import (
+    CategoryId,
+    CategoryLike,
+    SetPartition,
+    WordLike,
+    as_category,
+    as_word,
+)
 
 Matrix = Sequence[Sequence]
 
@@ -137,6 +147,108 @@ def bordering_weingarten(entries: Matrix):
         for bj, j in enumerate(basis):
             numerators[i][j] = int(inv[bi][bj] * den)
     return tuple(basis), den, tuple(tuple(r) for r in numerators)
+
+
+def clear_caches() -> None:
+    """Empty every lru_cache of the loaded easywg modules: every memo the
+    library keeps for the process."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("easywg."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def from_blocks(
+    blocks: Iterable[Iterable[int]], ground_size: int | None = None
+) -> SetPartition:
+    """Build a partition from blocks of 1-based points, validating cover."""
+    blocks = [tuple(sorted(b)) for b in blocks]
+    seen: dict[int, int] = {}
+    for label, block in enumerate(sorted(blocks)):
+        if not block:
+            raise ValueError("empty block")
+        for x in block:
+            if x in seen:
+                raise ValueError(f"point {x} appears in two blocks")
+            seen[x] = label
+    k = ground_size if ground_size is not None else len(seen)
+    if sorted(seen) != list(range(1, k + 1)):
+        raise ValueError(f"blocks do not cover {{1,...,{k}}}")
+    relabel: dict[int, int] = {}
+    rgs = []
+    for x in range(1, k + 1):
+        lab = seen[x]
+        if lab not in relabel:
+            relabel[lab] = len(relabel)
+        rgs.append(relabel[lab])
+    return SetPartition(rgs)
+
+
+def from_text(text: str, ground_size: int | None = None) -> SetPartition:
+    """Parse SetPartition.to_text output.  Text with a comma or more than nine
+    digits is in comma form, where a part without a comma is a single point."""
+    if text == "":
+        return SetPartition(())
+    if "," in text or sum(ch.isdigit() for ch in text) > 9:
+        blocks = [[int(x) for x in part.split(",")] for part in text.split("|")]
+    else:
+        blocks = [[int(ch) for ch in part] for part in text.split("|")]
+    return from_blocks(blocks, ground_size)
+
+
+def is_pairing(partition: SetPartition) -> bool:
+    """True when every block has exactly two points."""
+    return len(partition.rgs) == 2 * partition.block_count and all(
+        len(b) == 2 for b in partition.blocks
+    )
+
+
+def is_color_matching(partition: SetPartition, word: WordLike) -> bool:
+    """True for a pairing whose every pair joins one white and one black leg."""
+    word = as_word(word)
+    if len(word) != len(partition.rgs):
+        raise ValueError("word length does not match ground size")
+    if not is_pairing(partition):
+        return False
+    return all(word[a - 1] != word[b - 1] for a, b in partition.blocks)
+
+
+def is_noncrossing(partition: SetPartition) -> bool:
+    """Stack scan: no a<b<c<d with a,c in one block and b,d in another."""
+    last: dict[int, int] = {}
+    for pos, label in enumerate(partition.rgs):
+        last[label] = pos
+    stack: list[int] = []
+    opened: set[int] = set()
+    for pos, label in enumerate(partition.rgs):
+        if label not in opened:
+            opened.add(label)
+            stack.append(label)
+        elif stack[-1] != label:
+            return False
+        if last[label] == pos:
+            stack.pop()
+    return True
+
+
+def is_member(category: CategoryLike, word: WordLike, partition: SetPartition) -> bool:
+    """Membership of a partition in the category's set for the given word."""
+    category = as_category(category)
+    word = as_word(word)
+    if partition.ground_size != len(word):
+        raise ValueError("partition ground size does not match word length")
+    if category is CategoryId.S:
+        return True
+    if category is CategoryId.S_PLUS:
+        return is_noncrossing(partition)
+    if category is CategoryId.O:
+        return is_pairing(partition)
+    if category is CategoryId.O_PLUS:
+        return is_pairing(partition) and is_noncrossing(partition)
+    if category is CategoryId.U:
+        return is_color_matching(partition, word)
+    return is_color_matching(partition, word) and is_noncrossing(partition)
 
 
 def _iter_rgs(k: int):

@@ -1,7 +1,7 @@
 """Record the golden CLI corpus: `python tests/make_golden_corpus.py`.
 
-Runs every invocation in CASES through `easywg.cli.main` with an empty
-memo and no disk cache, and writes argv and stdout to
+Runs every invocation in CASES through `easywg.cli.main` with empty
+memos and no disk cache, and writes argv and stdout to
 `tests/golden_corpus.json`.  `tests/test_golden_corpus.py` replays the
 file and requires byte-identical stdout, so regenerate it only when an
 output change is intended.  No case passes `--timing`, so no
@@ -140,10 +140,11 @@ CASES: list[list[str]] = [
 
 def record() -> list[dict]:
     from easywg import cli, exact_linalg
+    from fraction_reference import clear_caches
 
     out = []
     for argv in CASES:
-        exact_linalg.clear_memo()
+        clear_caches()
         exact_linalg.set_disk_cache(None)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):

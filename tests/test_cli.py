@@ -17,14 +17,15 @@ from easywg.exact_linalg import format_scalar
 from easywg.integrator import GroupSpec, IndexSet
 from easywg.partitions import as_category, as_word
 from easywg.spaces import parse_space
+from fraction_reference import clear_caches
 
 
 @pytest.fixture(autouse=True)
 def reset_caches():
-    xl.clear_memo()
+    clear_caches()
     xl.set_disk_cache(None)
     yield
-    xl.clear_memo()
+    clear_caches()
     xl.set_disk_cache(None)
 
 
@@ -339,6 +340,7 @@ _REJECTED = [
     ["oracle", "counting", "--kind", "catalan", "--k", "3", "--t", "1/0"],
     ["space-moment", "--space", "O:2xO:2/J=1", "--word", "o", "--indices", "1.x"],
     ["space-moment", "--space", "O:2/I=1", "--word", "oz", "--indices", "1,1"],
+    ["space-moment", "--space", "O:3/J=1", "--word", "oo", "--indices", "1,1"],
     ["weingarten", "--category", "O", "--word", "oo", "--n", "0"],
     ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
      "--cols", "1,1", "--samples", "10", "--seed", "1"],

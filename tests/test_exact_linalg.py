@@ -17,7 +17,12 @@ from easywg.exact_linalg import (
 )
 from easywg.partitions import SetPartition, as_category, as_word, word_key
 import fraction_reference as fr
-from fraction_reference import SingularMatrixError, bordering_weingarten, solve_inverse
+from fraction_reference import (
+    SingularMatrixError,
+    bordering_weingarten,
+    clear_caches,
+    solve_inverse,
+)
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 
@@ -288,11 +293,11 @@ class TestWeingarten:
 
 class TestMemoAndDiskCache:
     def setup_method(self):
-        xl.clear_memo()
+        clear_caches()
         xl.set_disk_cache(None)
 
     def teardown_method(self):
-        xl.clear_memo()
+        clear_caches()
         xl.set_disk_cache(None)
 
     def test_memo_identity_and_color_normalization(self):
@@ -306,7 +311,7 @@ class TestMemoAndDiskCache:
         first = get_weingarten("O+", "oooo", 4)
         files = list(tmp_path.glob("wg_*.json"))
         assert len(files) == 1
-        xl.clear_memo()
+        clear_caches()
         again = get_weingarten("O+", "oooo", 4)
         assert again.numerators == first.numerators
         assert again.denominator == first.denominator
@@ -318,11 +323,11 @@ class TestMemoAndDiskCache:
         record = json.loads(path.read_text())
         record["block"][0][0] += 7  # corrupt one entry
         path.write_text(json.dumps(record))
-        xl.clear_memo()
+        clear_caches()
         rebuilt = get_weingarten("O+", "oooo", 4)
         assert rebuilt.entries == good.entries
         # and the bad record was replaced by a verified one
-        xl.clear_memo()
+        clear_caches()
         assert get_weingarten("O+", "oooo", 4).entries == good.entries
 
     def test_record_format(self, tmp_path):
@@ -356,7 +361,7 @@ class TestMemoAndDiskCache:
         assert r < len(good.index)
         (path,) = tmp_path.glob("wg_*.json")
         assert [len(row) for row in json.loads(path.read_text())["block"]] == [r] * r
-        xl.clear_memo()
+        clear_caches()
         monkeypatch.setattr(xl, "weingarten_matrix", _refuse)
         again = get_weingarten("S", "ooooo", 2)
         assert (again.basis, again.denominator, again.block) == (good.basis, good.denominator, good.block)
@@ -364,7 +369,7 @@ class TestMemoAndDiskCache:
     def test_color_blind_words_share_one_record(self, tmp_path, monkeypatch):
         xl.set_disk_cache(str(tmp_path))
         good = get_weingarten("S", "ob", 3)
-        xl.clear_memo()
+        clear_caches()
         monkeypatch.setattr(xl, "weingarten_matrix", _refuse)
         assert get_weingarten("S", "oo", 3).block == good.block
         assert len(list(tmp_path.glob("wg_*.json"))) == 1
@@ -573,18 +578,18 @@ _N = 15
 
 class TestDiskRecordCertificate:
     def setup_method(self):
-        xl.clear_memo()
+        clear_caches()
         xl.set_disk_cache(None)
 
     def teardown_method(self):
-        xl.clear_memo()
+        clear_caches()
         xl.set_disk_cache(None)
 
     def _record(self, tmp_path):
         xl.set_disk_cache(str(tmp_path))
         good = get_weingarten("S", "oooo", 3)
         (path,) = tmp_path.glob("wg_*.json")
-        xl.clear_memo()
+        clear_caches()
         return good, path, json.loads(path.read_text())
 
     def test_foreign_g_inverse_rejected_and_rebuilt(self, tmp_path):
@@ -647,10 +652,10 @@ class TestDiskRecordCertificate:
         path.write_text("[1, 2")
         assert get_weingarten("S", "oooo", 3).numerators == good.numerators
         path.write_text("[1, 2]")
-        xl.clear_memo()
+        clear_caches()
         assert get_weingarten("S", "oooo", 3).numerators == good.numerators
         path.write_text("[" * 100000)  # json.load raises RecursionError
-        xl.clear_memo()
+        clear_caches()
         assert get_weingarten("S", "oooo", 3).numerators == good.numerators
         assert json.loads(path.read_text())["basis"] == list(good.basis)
 
@@ -685,9 +690,8 @@ def test_consumers_never_build_the_full_views(monkeypatch):
 
     monkeypatch.setattr(WeingartenMatrix, "numerators", property(refuse), raising=False)
     monkeypatch.setattr(xl.GramMatrix, "entries", property(refuse), raising=False)
-    monkeypatch.setattr(xl, "_MEMO", {})
     monkeypatch.setattr(xl, "_DISK_DIR", None)
-    monkeypatch.setattr(spaces, "_KERNELS", {})
+    clear_caches()
     w = get_weingarten("O+", "oooo", 4)
     assert len(w.basis) == len(w.index)
     q = MomentQuery("oooo", (1, 1, 2, 2), (1, 2, 1, 2))

@@ -7,6 +7,7 @@ import pytest
 
 import easywg.cli as cli
 import easywg.exact_linalg as xl
+from fraction_reference import clear_caches
 
 CORPUS = json.loads(
     pathlib.Path(__file__).with_name("golden_corpus.json").read_text()
@@ -17,7 +18,7 @@ CORPUS = json.loads(
     "case", CORPUS, ids=[" ".join(c["argv"]) for c in CORPUS]
 )
 def test_stdout_is_byte_identical(case, capsys):
-    xl.clear_memo()
+    clear_caches()
     xl.set_disk_cache(None)
     code = cli.main(list(case["argv"]))
     assert code == case["exit"]

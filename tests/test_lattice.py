@@ -33,13 +33,13 @@ from easywg.integrator import (
 )
 from easywg.oracles import sn_exhaustive_space_moment
 from easywg.partitions import (
-    CategoryId,
     as_word,
     enumerate_partitions,
-    kernel_partition,
     mobius_intervals,
 )
 from easywg.spaces import parse_space, space_moment, verify_relations
+from fraction_reference import clear_caches
+from verify_reference import kernel_partition
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +230,20 @@ def test_space_moments_match_the_sn_oracle(n):
                 assert space_moment(space, "o" * k, idx) == expected
 
 
-def _clear_caches():
-    xl.clear_memo()
-    spaces._KERNELS.clear()
-
-
 def test_eight_legs_build_no_weingarten_matrix():
     # 4140 partitions: far beyond what the engine can invert
-    _clear_caches()
+    clear_caches()
     space, idx = parse_space("S:6/I=1,2,3"), (1, 2, 1, 3, 1, 2, 1, 3)
     value = space_moment(space, "o" * 8, idx)
     assert value == sn_exhaustive_space_moment(6, IndexSet((1, 2, 3)), "o" * 8, idx)
     assert value == Fraction(1, 20)
-    assert xl._MEMO == {}
+    assert xl._weingarten.cache_info().misses == 0
 
 
 def test_only_the_non_s_factor_uses_the_engine():
-    _clear_caches()
+    clear_caches()
     space_moment(parse_space("S:3xO:3/J=1,2"), "oooo", ((1, 1), (2, 2), (1, 1), (2, 2)))
-    assert list(xl._MEMO) == [(CategoryId.O, 4, 3)]
+    assert xl._weingarten.cache_info().misses == 1
+    hits = xl._weingarten.cache_info().hits
+    get_weingarten("O", "oooo", 3)
+    assert xl._weingarten.cache_info()[:2] == (hits + 1, 1)

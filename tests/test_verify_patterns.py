@@ -11,11 +11,10 @@ import functools
 
 import pytest
 
-import easywg.exact_linalg as xl
-import easywg.partitions as partitions
 import easywg.spaces as spaces
 from easywg.partitions import enumerate_partitions
 from easywg.spaces import parse_space, relation_set, verify_relations
+from fraction_reference import clear_caches
 from verify_reference import coordinates, reference_checks
 
 DIFF_CASES = [
@@ -132,14 +131,6 @@ REUSE_SEQUENCE = [  # (space, test degree) at max_k 4
 ]
 
 
-def _clear_caches():
-    xl.clear_memo()
-    spaces._KERNELS.clear()
-    for memo in (spaces._join_blocks, spaces._count_table, partitions._enumerate,
-                 partitions.mobius_intervals):
-        memo.cache_clear()
-
-
 @pytest.mark.parametrize("forced_false", [False, True])
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
 def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypatch):
@@ -148,13 +139,13 @@ def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypat
     the eager loop run from empty caches."""
     if forced_false:
         _force_false(monkeypatch)
-    _clear_caches()
+    clear_caches()
     warm = [
         (text, degree, [_fields(c) for c in verify_relations(parse_space(text), 4, degree).checks])
         for text, degree in REUSE_SEQUENCE[::order]
     ]
     for text, degree, got in warm:
-        _clear_caches()
+        clear_caches()
         expected = [_fields(c) for c in reference_checks(parse_space(text), 4, degree)]
         assert got == expected, text
         # with M = 1 the extra block changes nothing and every check still passes

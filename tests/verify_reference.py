@@ -6,7 +6,8 @@ pattern, decides each (relation word, test word, pattern) once, and
 builds one `RelationCheck` per check, in the order relation word, test
 word, test tuple, relation.  The library now decides each pattern once and
 counts its tuples; `tests/test_verify_patterns.py` compares the two check
-by check.  Nothing in src imports this module.
+by check.  `kernel_partition` gives a tuple's equality pattern.  Nothing in
+src imports this module.
 """
 
 from __future__ import annotations
@@ -16,8 +17,19 @@ from fractions import Fraction
 
 from easywg import spaces
 from easywg.integrator import _contract
-from easywg.partitions import enumerate_partitions, kernel_partition
+from easywg.partitions import SetPartition, enumerate_partitions
 from easywg.spaces import RelationCheck, _exponent_rows, _kernel, _powers, _word_key
+
+
+def kernel_partition(values) -> SetPartition:
+    """The partition of positions grouping equal values (kernel of a tuple)."""
+    labels: dict[object, int] = {}
+    rgs = []
+    for v in values:
+        if v not in labels:
+            labels[v] = len(labels)
+        rgs.append(labels[v])
+    return SetPartition(rgs)
 
 
 def coordinates(space) -> list:

@@ -7,9 +7,11 @@ DIR is a checkout of the commit to compare against, for example a `git
 clone` of this repository at that commit.  Every key is built cold in a
 fresh process with one BLAS thread, twice per checkout: once plain, for the
 wall time and the peak RSS, and once with each engine function wrapped by a
-timer, for the seconds per layer.  Products run inside the sweep and the
-certificate, so `products` overlaps both; reconstruction includes building
-the combined values from the CRT digits where the engine does that lazily.
+timer, for the seconds per layer.  A function that a checkout lacks is not
+timed, and the record lists it under `missing_layers` for that side.
+Products run inside the sweep and the certificate, so `products` overlaps
+both; reconstruction includes building the combined values from the CRT
+digits where the engine does that lazily.
 The record, with each checkout's commit (marked when its tree has
 uncommitted changes), goes to --out as JSON.
 """
@@ -29,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KEYS = [("O", "o" * 10, 10), ("S", "o" * 7, 10), ("S+", "o" * 8, 10)]
-LAYERS = {"_sweep": "sweep", "_matmul_mod": "products", "_crt": "crt", "add": "crt",
+LAYERS = {"_sweep": "sweep", "_matmul_mod": "products", "add": "crt",
           "_reconstruct": "reconstruction", "_certify": "certificate",
           "_join_block_counts": "gram"}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -53,17 +55,20 @@ def child(src: str, cat: str, word: str, n: int, layered: bool) -> dict:
                 seconds[LAYERS[name]] += time.perf_counter() - t0
         setattr(owner, name, wrapper)
 
+    owners = [owner for owner in (xl, getattr(xl, "_Garner", None)) if owner is not None]
+    missing = [name for name in LAYERS if not any(hasattr(owner, name) for owner in owners)]
     if layered:
-        for owner in (xl, getattr(xl, "_Garner", None)):
+        for owner in owners:
             for name in LAYERS:
-                if owner is not None and hasattr(owner, name):
+                if hasattr(owner, name):
                     timed(owner, name)
     t0 = time.perf_counter()
     w = xl.get_weingarten(cat, word, n)
     wall = time.perf_counter() - t0
     return {"n": len(w.index), "basis": len(w.basis), "wall_s": round(wall, 2),
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
-            "layers_s": {k: round(v, 3) for k, v in sorted(seconds.items())}}
+            "layers_s": {k: round(v, 3) for k, v in sorted(seconds.items())},
+            "missing_layers": missing}
 
 
 def run(src: Path, key, layered: bool) -> dict:
@@ -108,6 +113,7 @@ def main() -> int:
         "blas": numpy.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version"),
         "env": {"OPENBLAS_NUM_THREADS": "1"},
         "cpus": os.cpu_count(),
+        "missing_layers": {},
         "keys": {},
     }
     for key in KEYS:
@@ -116,6 +122,7 @@ def main() -> int:
             plain, layered = run(src, key, False), run(src, key, True)
             row[side] = {"n": plain["n"], "basis": plain["basis"], "wall_s": plain["wall_s"],
                          "peak_rss_mib": plain["peak_rss_mib"], "layers_s": layered["layers_s"]}
+            record["missing_layers"][side] = layered["missing_layers"]
             print(" ".join(map(str, key)), side, json.dumps(row[side]), file=sys.stderr)
         record["keys"][" ".join(map(str, key))] = row
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

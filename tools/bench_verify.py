@@ -22,10 +22,11 @@ call's time minus that of the wrapped calls inside it):
     zero pairs            _vanishes
     cross-multiplication  verify_relations, less everything above
 
-A name that a checkout lacks is skipped.  The layered run also counts the
-round's work: the (relation word key, test word key) pairs of the outcome
-tables, those computed (one `lhs_vectors` call each), those decided
-wholesale as zero pairs (the rest) and the kernels built.  The two sides
+A name that a checkout lacks is not timed, and the record lists it under
+`missing_layers` for that side.  The layered run also counts the round's
+work: the (relation word key, test word key) pairs of the outcome tables,
+those computed (one `lhs_vectors` call each), those decided wholesale as
+zero pairs (the rest) and the kernels built.  The two sides
 alternate which runs first from seed to seed.  The record, with each checkout's commit
 (marked when its tree has uncommitted changes), goes to --out as JSON.
 """
@@ -86,9 +87,10 @@ def child(src: str, seed: int, layered: bool) -> dict:
         setattr(spaces, name, wrapper)
 
     computed = [0]
+    missing = [name for name in LAYERS if not hasattr(spaces, name)]
     if layered:
         for name in LAYERS:
-            if hasattr(spaces, name):
+            if name not in missing:
                 timed(name)
         lhs_vectors = spaces._Patterns.lhs_vectors
 
@@ -110,8 +112,11 @@ def child(src: str, seed: int, layered: bool) -> dict:
            "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
     if layered:
         pairs = sum(len(report.checks._table) for report in reports)
+        builds = (spaces._space_kernel.cache_info().misses if hasattr(spaces, "_space_kernel")
+                  else len(spaces._KERNELS))
         out["work"] = {"pairs": pairs, "pairs_wholesale": pairs - computed[0],
-                       "pairs_computed": computed[0], "kernel_builds": len(spaces._KERNELS)}
+                       "pairs_computed": computed[0], "kernel_builds": builds}
+        out["missing_layers"] = missing
     return out
 
 
@@ -154,6 +159,7 @@ def main() -> int:
         "python": platform.python_version(),
         "env": {"OPENBLAS_NUM_THREADS": "1"},
         "cpus": os.cpu_count(),
+        "missing_layers": {},
         "seeds": {},
     }
     for i, seed in enumerate(SEEDS):
@@ -162,6 +168,7 @@ def main() -> int:
         for side, src in order:
             plain, layered = run(src, seed, False), run(src, seed, True)
             row[side] = dict(plain, layers_s=layered["layers_s"], work=layered["work"])
+            record["missing_layers"][side] = layered["missing_layers"]
             print(seed, side, json.dumps(row[side]), file=sys.stderr)
         record["seeds"][str(seed)] = {side: row[side] for side in sides}
     record["median"] = {
