@@ -217,23 +217,18 @@ _FAMILIES = _FIXED_FAMILIES + ("classical-sphere", "group-as-space")
 
 def _cmd_convergence(args):
     sizes = _parse_ints(args.sizes)
-    if args.family in _FIXED_FAMILIES and args.category:
-        raise CliError(f"{args.family} family takes no --category")
-    entries = []
-    for n in sizes:
-        if args.family in _FIXED_FAMILIES:
-            space = preset(args.family, n)
-        elif args.family == "classical-sphere":
-            if not args.category:
-                raise CliError("classical-sphere family needs --category O or U")
-            space = preset("classical-sphere", args.category, n)
-        elif args.family == "group-as-space":
-            if not args.category:
-                raise CliError("group-as-space family needs --category")
-            space = preset("group-as-space", args.category, n)
-        else:
-            raise CliError(f"unknown family {args.family!r}")
-        entries.append((space, n))  # truncation rule: T = N
+    if args.family not in _FAMILIES:
+        raise CliError(f"unknown family {args.family!r}")
+    if args.family in _FIXED_FAMILIES:
+        if args.category:
+            raise CliError(f"{args.family} family takes no --category")
+        params = ()
+    elif args.category:
+        params = (args.category,)
+    else:
+        raise CliError(f"{args.family} family needs --category")
+    preset(args.family, *params, 1)  # rejects a category the family does not take
+    entries = [(preset(args.family, *params, n), n) for n in sizes]  # truncation rule: T = N
     rows = convergence_profile(entries, args.word)
     return {"rows": [
         {

@@ -35,13 +35,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from .partitions import (
     CategoryId,
     CategoryLike,
-    ColoredWord,
     SetPartition,
     WordLike,
+    _enumerate,
     as_category,
     as_word,
-    enumerate_partitions,
-    key_word,
+    key_length,
     word_key,
 )
 
@@ -57,18 +56,18 @@ def format_scalar(x) -> str:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Inner products of partition vectors: entries N^{|pi v sigma|}, kept
-    as the join block counts |pi v sigma|."""
+    """Inner products of partition vectors on `legs` points: entries
+    N^{|pi v sigma|}, kept as the join block counts |pi v sigma|."""
 
     category: CategoryId
-    word: ColoredWord
+    legs: int
     dimension: int
     index: tuple[SetPartition, ...]
     counts: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        powers = [self.dimension**c for c in range(len(self.word) + 1)]
+        powers = [self.dimension**c for c in range(self.legs + 1)]
         return tuple(tuple(map(powers.__getitem__, row)) for row in self.counts.tolist())
 
 
@@ -79,11 +78,15 @@ def gram_matrix(category: CategoryLike, word: WordLike, dimension: int) -> GramM
     exhaustive inner product of the two 0/1 partition vectors.
     """
     category = as_category(category)
-    word = as_word(word)
+    return _gram(category, word_key(category, as_word(word)), dimension)
+
+
+def _gram(category: CategoryId, wkey: int, dimension: int) -> GramMatrix:
+    """gram_matrix for the words with word_key wkey."""
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    index = tuple(enumerate_partitions(category, word))
-    return GramMatrix(category, word, dimension, index, _join_block_counts(index, len(word)))
+    index, legs = _enumerate(category, wkey), key_length(category, wkey)
+    return GramMatrix(category, legs, dimension, index, _join_block_counts(index, legs))
 
 
 # Elements of the (k, rows, n) mask array built per slab of Gram rows.
@@ -188,7 +191,7 @@ def _residues(gram: GramMatrix, p: int) -> np.ndarray:
     """The Gram matrix modulo p as int64, from a table of N^c modulo p."""
     import numpy as np
 
-    powers = [pow(gram.dimension, c, p) for c in range(len(gram.word) + 1)]
+    powers = [pow(gram.dimension, c, p) for c in range(gram.legs + 1)]
     return np.array(powers, dtype=np.int64)[gram.counts]
 
 
@@ -610,13 +613,13 @@ def get_weingarten(
 ) -> WeingartenMatrix:
     """Memoized Weingarten matrix for (category, word, dimension).
 
-    Words with one word_key share a matrix, built from the word that
-    key_word gives for the key.  The memo is the lru_cache of _weingarten,
-    whose cache_info() counts hits and builds; it is shared, and safe for
-    concurrent use.  When a disk
-    directory is configured, records are re-certified against a freshly
-    built Gram matrix, with the same certificate as a new build, before
-    being trusted; a record that fails is rebuilt and overwritten.
+    The word enters as its word_key, so words with one key share a matrix.
+    The memo is the lru_cache of _weingarten, keyed by (category, word_key,
+    dimension), whose cache_info() counts hits and builds; it is shared,
+    and safe for concurrent use.  When a disk directory is configured,
+    records are re-certified against a freshly built Gram matrix, with the
+    same certificate as a new build, before being trusted; a record that
+    fails is rebuilt and overwritten.
     """
     category = as_category(category)
     return _weingarten(category, word_key(category, as_word(word)), dimension)
@@ -624,7 +627,7 @@ def get_weingarten(
 
 @lru_cache(maxsize=None)
 def _weingarten(category: CategoryId, wkey: int, dimension: int) -> WeingartenMatrix:
-    gram = gram_matrix(category, key_word(wkey, category.color_sensitive), dimension)
+    gram = _gram(category, wkey, dimension)
     wg = None
     name = [category.value, wkey, dimension]  # the record's key
     if _DISK_DIR is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -172,7 +173,10 @@ def haar_mc_moment(
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # each running block holds _MC_BLOCK matrices, so no more workers
+        # than blocks or cores
+        workers = min(threads, len(blocks), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, blocks))
     else:
         results = [run_block(b) for b in blocks]

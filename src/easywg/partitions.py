@@ -253,9 +253,10 @@ def as_category(category: CategoryLike) -> CategoryId:
     raise TypeError(f"cannot interpret {category!r} as a category")
 
 
-def _generate(category: CategoryId, word: ColoredWord) -> list[SetPartition]:
-    """The category's partitions for the word by depth-first generation of
-    restricted-growth strings, labels ascending, so in lexicographic order.
+def _generate(category: CategoryId, key: int) -> list[SetPartition]:
+    """The category's partitions for the words with word_key key, by
+    depth-first generation of restricted-growth strings, labels ascending,
+    so in lexicographic order.
 
     Branches that cannot lead to a member are cut: pairing categories join
     a leg only to a one-point block (of the opposite color for U, U+) and
@@ -264,10 +265,11 @@ def _generate(category: CategoryId, word: ColoredWord) -> list[SetPartition]:
     grow: joining a block closes every block above it, so a free pairing
     joins only the top of its stack of waiting blocks.
     """
-    k = len(word)
+    k = key_length(category, key)
     pairs = category not in (CategoryId.S, CategoryId.S_PLUS)
     nested = category.is_free
-    colors = word.colors if category.color_sensitive else None
+    # leg i's color is the code's bit k-1-i (see ColoredWord)
+    colors = [key >> (k - 1 - i) & 1 for i in range(k)] if category.color_sensitive else None
     rgs = [0] * k
     size: list[int] = []
     first_color: list = []
@@ -321,18 +323,15 @@ def concat_key(category: CategoryId, head: int, tail: int) -> int:
     return ((head - 1) << n) + tail
 
 
-def key_word(key: int, coded: bool) -> ColoredWord:
-    """A word with the given key: the word whose code is key when coded,
-    else key white legs."""
-    if coded:  # the code's bits below its leading 1
-        return ColoredWord(Color.BLACK if b == "1" else Color.WHITE for b in bin(key)[3:])
-    return ColoredWord((Color.WHITE,) * key)
+def key_length(category: CategoryId, key: int) -> int:
+    """The length of the words with the given word_key."""
+    return key.bit_length() - 1 if category.color_sensitive else key
 
 
 @lru_cache(maxsize=None)
 def _enumerate(category: CategoryId, key: int) -> tuple[SetPartition, ...]:
     """The partition set for a word_key, memoized for the process."""
-    return tuple(_generate(category, key_word(key, category.color_sensitive)))
+    return tuple(_generate(category, key))
 
 
 def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPartition]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .exact_linalg import get_weingarten
+from .exact_linalg import _weingarten
 from .integrator import (
     GroupSpec,
     IndexSet,
@@ -37,8 +37,6 @@ from .partitions import (
     as_category,
     as_word,
     concat_key,
-    enumerate_partitions,
-    key_word,
     mobius_intervals,
     word_key,
 )
@@ -198,41 +196,33 @@ def parse_space(text: str) -> SpaceSpec:
 # with sums of delta vectors of tuples in {1..N_r}^k, which lie in the
 # Gram matrix's range, so the moments do not depend on the choice.  S
 # factors use the partition lattice's inverse, every other factor the
-# Weingarten matrix.  Kernels are memoized: they depend only on the
-# factor list, M, and the word's code (with a color-sensitive factor) or
-# its length.  What depends on neither N nor M, the partition tuples' join
-# block counts and verify's count tables, is memoized for the process
-# under keys without N or M, so that every space, dimension and index set
-# shares it.  Every word key is one int (partitions.word_key).
+# Weingarten matrix.  A word enters as its factor keys, one
+# partitions.word_key per factor, and nothing below reads the word itself:
+# kernels are memoized by the factor list, M and the factor keys, and what
+# depends on neither N nor M, the partition tuples' join block counts and
+# verify's count tables, is memoized for the process under the factors'
+# categories and keys, so that every space, dimension and index set
+# shares it.
 
 
-def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple:
-    """(category, word_key) per factor: what the word's partition tuples
-    and their joins depend on."""
-    return tuple((f.category, word_key(f.category, word)) for f in factors)
+def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple[int, ...]:
+    """The word's word_key per factor: all that its partition tuples,
+    their joins and its kernels depend on."""
+    return tuple(word_key(f.category, word) for f in factors)
 
 
 @lru_cache(maxsize=None)
-def _join_blocks(keys: tuple) -> tuple[int, ...]:
+def _join_blocks(categories: tuple, keys: tuple) -> tuple[int, ...]:
     """The block count of the join of every tuple of factor partitions, in
-    itertools.product order, for _factor_keys; empty when a factor has no
-    partitions."""
+    itertools.product order, for the factors' categories and keys; empty
+    when a factor has no partitions."""
     out = []
-    for combo in itertools.product(*(_enumerate(*key) for key in keys)):
+    for combo in itertools.product(*map(_enumerate, categories, keys)):
         j = combo[0]
         for p in combo[1:]:
             j = j.join(p)
         out.append(j.block_count)
     return tuple(out)
-
-
-def _joined_tuples(
-    space: SpaceSpec, word: ColoredWord
-) -> list[tuple[tuple[SetPartition, ...], int]]:
-    """The word's tuples of factor partitions in row-major order, each with
-    the block count of its join; empty when a factor has no partitions."""
-    keys = _factor_keys(space.factors, word)
-    return list(zip(itertools.product(*(_enumerate(*key) for key in keys)), _join_blocks(keys)))
 
 
 @dataclass(frozen=True)
@@ -242,12 +232,6 @@ class _Kernel:
     values: tuple[int, ...]  # flat, row-major over the shape
     blocks: tuple[int, ...]  # join block count per position, same order
     denominator: int
-
-
-def _word_key(space: SpaceSpec, word: ColoredWord) -> int:
-    if any(f.category.color_sensitive for f in space.factors):
-        return word.code
-    return len(word)
 
 
 def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
@@ -262,7 +246,7 @@ def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
     others), and the second is mu^T.  L / (n)_{|tau|} = (n - |tau|)! /
     (n - min(k, n))! is an integer.
     """
-    parts = enumerate_partitions(CategoryId.S, "o" * k)
+    parts = _enumerate(CategoryId.S, k)
     intervals = mobius_intervals(k)
     scale = math.perm(n, min(k, n))
     first: list = []
@@ -278,27 +262,26 @@ def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
 
 
 def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
-    return _space_kernel(space.factors, space.m, _word_key(space, word))
+    return _space_kernel(space.factors, space.m, _factor_keys(space.factors, word))
 
 
 @lru_cache(maxsize=None)
-def _space_kernel(factors: tuple[GroupSpec, ...], m: int, wkey: int) -> _Kernel:
-    """The kernel over the factors at M = m of the words with _word_key
-    wkey; index sets of one size share it."""
-    word = key_word(wkey, any(f.category.color_sensitive for f in factors))
-    keys = _factor_keys(factors, word)
-    dlists = tuple(_enumerate(*key) for key in keys)
+def _space_kernel(factors: tuple[GroupSpec, ...], m: int, keys: tuple[int, ...]) -> _Kernel:
+    """The kernel over the factors at M = m of the words with _factor_keys
+    keys; index sets of one size share it."""
+    categories = tuple(f.category for f in factors)
+    dlists = tuple(map(_enumerate, categories, keys))
     shape = tuple(len(d) for d in dlists)
-    blocks = _join_blocks(keys)
+    blocks = _join_blocks(categories, keys)
     values: "list[int] | tuple[int, ...]" = ()
     den = 1
     if blocks:  # an empty partition set needs no inverse
         values, now = [m**b for b in blocks], shape
-        for axis, f in enumerate(factors):
-            if f.category is CategoryId.S:
-                steps, scale = _lattice_operator(len(word), f.dimension)
+        for axis, (f, key) in enumerate(zip(factors, keys)):
+            if f.category is CategoryId.S:  # an S key is the length
+                steps, scale = _lattice_operator(key, f.dimension)
             else:
-                wg = get_weingarten(f.category, word, f.dimension)
+                wg = _weingarten(f.category, key, f.dimension)
                 sparse = [[] for _ in wg.index]
                 for i, row in zip(wg.basis, wg.block):
                     sparse[i] = [(j, c) for j, c in zip(wg.basis, row) if c]
@@ -365,17 +348,19 @@ def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:
 
     One relation per colored word and per tuple of factor partitions; the
     right-hand side exponent is the block count of the superposition join.
-    Words with the same _word_key share their joins.
+    Words with the same _factor_keys share their partition tuples and joins.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
+    categories = tuple(f.category for f in space.factors)
     joined: dict = {}
     out = []
     for word in _all_words(max_k):
-        key = _word_key(space, word)
-        if key not in joined:
-            joined[key] = _joined_tuples(space, word)
-        out.extend(Relation(word, combo, blocks) for combo, blocks in joined[key])
+        keys = _factor_keys(space.factors, word)
+        if keys not in joined:
+            joined[keys] = list(zip(itertools.product(*map(_enumerate, categories, keys)),
+                                    _join_blocks(categories, keys)))
+        out.extend(Relation(word, combo, blocks) for combo, blocks in joined[keys])
     return out
 
 
@@ -462,7 +447,7 @@ class _Patterns:
 
     def __init__(self, space: SpaceSpec, d: int):
         self.space = space
-        everything = enumerate_partitions(CategoryId.S, "o" * d)
+        everything = _enumerate(CategoryId.S, d)
         self.options = [
             [p for p in everything if p.block_count <= f.dimension] for f in space.factors
         ]
@@ -484,17 +469,17 @@ class _Patterns:
             for comps in itertools.product(*self.tails)
         ]
 
-    def lhs_vectors(self, kern: _Kernel, e_word: ColoredWord, word: ColoredWord,
+    def lhs_vectors(self, kern: _Kernel, heads: tuple[int, ...], fulls: tuple[int, ...],
                     size: int) -> list:
         """For each pattern, the integrals (times the kernel's denominator) of
-        the left sides of e_word's relations times the test monomial; `word`
-        is the kernel's, e_word followed by the test word."""
+        the left sides of the relations of the words with factor keys heads
+        times the test monomial; fulls are the kernel's factor keys, those
+        of a relation word followed by the test word."""
         if not kern.values:  # no partition tuples: every integral is 0
             return [[0] * size] * len(self.combos)
         mats: dict = {}  # equal factors share their count matrices
-        for f, opts in zip(self.space.factors, self.options):
+        for f, opts, head, full in zip(self.space.factors, self.options, heads, fulls):
             if f not in mats:
-                head, full = word_key(f.category, e_word), word_key(f.category, word)
                 mats[f] = [_powers(_count_table(f.category, head, full, rho.rgs), f.dimension)
                            for rho in opts]
         return _contract_each(kern.values, kern.shape, [mats[f] for f in self.space.factors])
@@ -521,9 +506,10 @@ class _Checks:
     """The checks of one `verify_relations` call, as a lazy sequence.
 
     `table[e_key, f_key][i]` holds the outcome of each relation of a word
-    with key e_key against a test word with key f_key at pattern i: None
-    when every relation passes, else one (ok, lhs, rhs) per relation.  The
-    entry of a pair is None when every relation passes at every pattern.
+    with factor keys e_key against a test word with factor keys f_key at
+    pattern i: None when every relation passes, else one (ok, lhs, rhs) per
+    relation.  The entry of a pair is None when every relation passes at
+    every pattern.
     Iteration builds the checks in order: relation word, test word, test
     tuple in itertools.product order, relation.
     """
@@ -567,15 +553,6 @@ class _Checks:
                             yield RelationCheck(rel, f_word, j, *o)
 
 
-def _vanishes(heads: tuple, tails: tuple) -> bool:
-    """True when some factor has no partitions for a word followed by
-    another, given the _factor_keys of the two: then every integral
-    against the concatenated word is 0."""
-    return any(
-        not _enumerate(c, concat_key(c, h, t)) for (c, h), (_, t) in zip(heads, tails)
-    )
-
-
 def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> VerificationReport:
     """Check every relation in expectation against every test monomial.
 
@@ -587,45 +564,42 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
     relation word's key, the test word's key and the per-factor equality
     pattern of the test indices, so it is decided once per pattern, by
     integer cross-multiplication on the pattern's canonical tuple, and the
-    pattern's tuples are counted rather than enumerated.  A pair of
-    relation word and test word is decided wholesale, before any kernel of
-    their concatenation is built, when the test monomial's moment is 0 at
-    every pattern and some factor has no partitions for the concatenated
-    word: every integral is then 0, and 0 = M^b . 0 passes.  The report's
-    checks are built only when iterated.
+    pattern's tuples are counted rather than enumerated.  Words enter as
+    their _factor_keys, and the keys of a relation word followed by a test
+    word are concatenated per factor (partitions.concat_key).  A pair is
+    decided wholesale, before any kernel of it is built, when the test
+    monomial's moment is 0 at every pattern and some factor has no
+    partitions for the concatenated key: every integral is then 0, and
+    0 = M^b . 0 passes.  The report's checks are built only when iterated.
     """
     if test_degree < 0:
         raise ValueError("test_degree must be >= 0")
+    factors = space.factors
+    categories = tuple(f.category for f in factors)
     patterns = [_Patterns(space, d) for d in range(test_degree + 1)]
-    tests = [(f, _word_key(space, f)) for f in _all_words(test_degree)]
+    tests = [(f, _factor_keys(factors, f)) for f in _all_words(test_degree)]
     groups = [
-        (_word_key(space, e_word), list(rels))
+        (_factor_keys(factors, e_word), list(rels))
         for e_word, rels in itertools.groupby(relation_set(space, max_k), key=lambda r: r.word)
     ]
     moments: dict = {}  # f_key -> the test monomial's moment at each pattern
     for f_word, f_key in tests:
         if f_key not in moments:
-            moments[f_key] = patterns[len(f_word)].moments(_kernel(space, f_word))
-    silent = {  # f_key -> _factor_keys of a test word whose moments are all 0
-        f_key: _factor_keys(space.factors, f_word)
-        for f_word, f_key in tests if not any(moments[f_key])
-    }
+            moments[f_key] = patterns[len(f_word)].moments(_space_kernel(factors, space.m, f_key))
     table: dict = {}
     for e_key, rels in groups:
-        e_word = rels[0].word
-        e_keys = _factor_keys(space.factors, e_word)
         scales = [space.m**rel.join_blocks for rel in rels]
         for f_word, f_key in tests:
             if (e_key, f_key) in table:
                 continue
-            if f_key in silent and _vanishes(e_keys, silent[f_key]):
+            key = tuple(map(concat_key, categories, e_key, f_key))
+            if not any(moments[f_key]) and not all(map(_enumerate, categories, key)):
                 table[e_key, f_key] = None  # 0 = M^b . 0 for every check
                 continue
             pats = patterns[len(f_word)]
-            word = e_word + f_word
-            kern = _kernel(space, word)
+            kern = _space_kernel(factors, space.m, key)
             entries = []
-            for lvec, m_j in zip(pats.lhs_vectors(kern, e_word, word, len(rels)), moments[f_key]):
+            for lvec, m_j in zip(pats.lhs_vectors(kern, e_key, key, len(rels)), moments[f_key]):
                 right = m_j.numerator * kern.denominator
                 outs = tuple(
                     _PASSED if lhs * m_j.denominator == s * right

@@ -357,6 +357,10 @@ _REJECTED = [
     ["convergence", "--family", "free-complex-sphere", "--category", "U", "--word", "obob",
      "--sizes", "2"],
     ["oracle", "sn-moment", "--n", "-1", "--word", "", "--rows", "", "--cols", ""],
+    ["convergence", "--family", "foo", "--word", "oo", "--sizes", ""],
+    ["convergence", "--family", "classical-sphere", "--word", "oo", "--sizes", ""],
+    ["convergence", "--family", "group-as-space", "--category", "Q", "--word", "oo",
+     "--sizes", ""],
 ]
 
 # Preset spaces with missing, extra or non-integer parameters.

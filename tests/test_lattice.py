@@ -1,8 +1,8 @@
 """The partition-lattice route for S factors.
 
-`spaces._kernel` contracts every S factor's axis with X = mu^T D^+ mu on
-the lattice of set partitions instead of the Weingarten matrix; every
-other factor, and `group_moment`, keep the engine.  Both are generalized
+`spaces._space_kernel` contracts every S factor's axis with
+X = mu^T D^+ mu on the lattice of set partitions instead of the Weingarten
+matrix; every other factor, and `group_moment`, keep the engine.  Both are generalized
 inverses of the same Gram matrix, so every moment-level number must agree.
 These tests compare the two routes on such numbers, and the lattice route
 with closed forms and the exhaustive S_n oracle.
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import easywg.characters as characters
 import easywg.exact_linalg as xl
 import easywg.spaces as spaces
 from easywg.characters import CharacterQuery, char_moment_exact
@@ -33,7 +32,7 @@ from easywg.integrator import (
 )
 from easywg.oracles import sn_exhaustive_space_moment
 from easywg.partitions import (
-    as_word,
+    _enumerate,
     enumerate_partitions,
     mobius_intervals,
 )
@@ -114,29 +113,30 @@ def test_sn_moment_closed_form(query):
 # The lattice kernel against an engine-route kernel.
 
 @functools.lru_cache(maxsize=None)
-def _engine_kernel(space, word) -> spaces._Kernel:
-    """The space's kernel with every factor's axis contracted with its
-    Weingarten numerators, S factors included."""
-    word = as_word(word)
-    dlists = tuple(tuple(enumerate_partitions(f.category, word)) for f in space.factors)
+def _engine_kernel(factors, m, keys) -> spaces._Kernel:
+    """The kernel over the factors at M = m of the words with factor keys
+    keys, with every factor's axis contracted with its Weingarten
+    numerators, S factors included."""
+    categories = tuple(f.category for f in factors)
+    dlists = tuple(map(_enumerate, categories, keys))
     shape = tuple(map(len, dlists))
-    blocks = tuple(b for _, b in spaces._joined_tuples(space, word))
+    blocks = spaces._join_blocks(categories, keys)
     if not blocks:
         return spaces._Kernel(dlists, shape, (), blocks, 1)
-    wgs = [get_weingarten(f.category, word, f.dimension) for f in space.factors]
+    wgs = [xl._weingarten(f.category, key, f.dimension) for f, key in zip(factors, keys)]
     rows = [[[(j, c) for j, c in enumerate(r) if c] for r in wg.numerators] for wg in wgs]
-    values = _contract([space.m**b for b in blocks], shape, rows)
+    values = _contract([m**b for b in blocks], shape, rows)
     den = math.prod(wg.denominator for wg in wgs)
     return spaces._Kernel(dlists, shape, tuple(values), blocks, den)
 
 
 @pytest.fixture
 def engine(monkeypatch):
-    """Calls a function with every kernel taken from the engine route."""
+    """Calls a function with every kernel, verify's pair kernels included,
+    taken from the engine route."""
     def call(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(spaces, "_kernel", _engine_kernel)
-            m.setattr(characters, "_kernel", _engine_kernel)
+            m.setattr(spaces, "_space_kernel", _engine_kernel)
             return fn(*args)
     return call
 

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +99,29 @@ class TestHaarMc:
         a = haar_mc_moment("O", 4, q("oooo", (1,) * 4, (1,) * 4), 120_000, 5, threads=1)
         b = haar_mc_moment("O", 4, q("oooo", (1,) * 4, (1,) * 4), 120_000, 5, threads=4)
         assert a == b
+
+    def test_pool_is_capped_by_blocks_and_cores(self, monkeypatch):
+        asked = []
+
+        class Inline:  # records the pool size and runs the blocks in this thread
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
+        query = q("oo", (1, 1), (1, 1))
+        expected = haar_mc_moment("O", 3, query, 120_000, 11)  # 3 blocks
+        for cores in (2, 8, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert haar_mc_moment("O", 3, query, 120_000, 11, threads=64) == expected
+        assert asked == [2, 3, 1]
 
     def test_rejects_quantum_groups_and_small_samples(self):
         with pytest.raises(ValueError):

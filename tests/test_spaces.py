@@ -297,12 +297,18 @@ class TestVerifyRelations:
 
 def test_memo_keys_share_builds():
     # builds read from the memos' cache_info(): a kernel depends on the
-    # factors, M and the word key, not on the index set, and a Weingarten
-    # matrix on the category's word key
+    # factors, M and the word's key per factor, not on the index set, and a
+    # Weingarten matrix on the category's word key
     clear_caches()
     for text in ("O:3/I=1,2", "O:3/I=2,3"):
         space_moment(parse_space(text), "oooo", (1, 1, 2, 2))
     assert spaces._space_kernel.cache_info().misses == 1
+    for text, words, builds in [("U:2xS:3/J=1,2", ("ob", "bo"), 2),
+                                ("O:2xS:3/J=1,2", ("ob", "bo", "oo"), 1)]:
+        clear_caches()
+        for word in words:
+            space_moment(parse_space(text), word, ((1, 1), (2, 2)))
+        assert spaces._space_kernel.cache_info().misses == builds, text
     clear_caches()
     for word in ("ob", "bo", "oo"):
         get_weingarten("S", word, 3)

@@ -178,15 +178,16 @@ def test_zero_pairs_build_no_kernel(monkeypatch):
     # a U word has partitions only when balanced, so a pair's concatenation
     # has none exactly when the test word is unbalanced: such a pair is
     # passed wholesale, and only the test words and the other pairs get a
-    # kernel
+    # kernel; a U word's factor keys are its code
     space = parse_space("U:3/I=1,2")
     calls = collections.Counter()
-    real = spaces._kernel
-    monkeypatch.setattr(spaces, "_kernel", lambda sp, w: calls.update([w.text]) or real(sp, w))
+    real = spaces._space_kernel
+    monkeypatch.setattr(spaces, "_space_kernel",
+                        lambda fs, m, keys: calls.update([keys]) or real(fs, m, keys))
     report = verify_relations(space, 4, 3)
     assert report.all_passed and report.failures == []
     tests = list(spaces._all_words(3))
     heads = {r.word for r in relation_set(space, 4)}
     kept = [e + f for e in heads for f in tests if enumerate_partitions("U", e + f)]
     assert len(heads) == 9 and len(kept) == 27
-    assert calls == collections.Counter(w.text for w in tests + kept)
+    assert calls == collections.Counter((w.code,) for w in tests + kept)

@@ -116,7 +116,7 @@ def test_relation_set_builds_no_weingarten_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("relation_set asked for a Weingarten matrix")
 
-    monkeypatch.setattr(spaces, "get_weingarten", refuse)
+    monkeypatch.setattr(spaces, "_weingarten", refuse)
     assert len(relation_set(parse_space("O:2xO+:2/J=1,2"), 4)) == 101
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from easywg import spaces
 from easywg.integrator import _contract
 from easywg.partitions import SetPartition, enumerate_partitions
-from easywg.spaces import RelationCheck, _exponent_rows, _kernel, _powers, _word_key
+from easywg.spaces import RelationCheck, _exponent_rows, _factor_keys, _kernel, _powers
 
 
 def kernel_partition(values) -> SetPartition:
@@ -93,13 +93,13 @@ def reference_checks(space, max_k: int, test_degree: int) -> list[RelationCheck]
         ]
         for d in range(test_degree + 1)
     }
-    tests = [(f, _word_key(space, f)) for f in spaces._all_words(test_degree)]
+    tests = [(f, _factor_keys(space.factors, f)) for f in spaces._all_words(test_degree)]
     decided: dict = {}
     checks: list[RelationCheck] = []
     relations = spaces.relation_set(space, max_k)
     for e_word, group in itertools.groupby(relations, key=lambda r: r.word):
         rels = list(group)
-        e_key = _word_key(space, e_word)
+        e_key = _factor_keys(space.factors, e_word)
         for f_word, f_key in tests:
             for j, pattern in tuples[len(f_word)]:
                 key = (e_key, f_key, pattern)

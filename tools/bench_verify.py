@@ -14,19 +14,20 @@ each layer wrapped by a timer, for the self seconds per layer (a wrapped
 call's time minus that of the wrapped calls inside it):
 
     count tables          _count_table, _powers
-    joins                 _joined_tuples, _join_blocks
+    joins                 _join_blocks
     relations             relation_set, less its joins
-    kernels               _kernel, less its joins and the engine
-    engine                get_weingarten, as called by the spaces module
+    kernels               _space_kernel, less its joins and the engine
+    engine                _weingarten, as called by the spaces module
     contraction           _contract_each and _moment_from_kernel
-    zero pairs            _vanishes
-    cross-multiplication  verify_relations, less everything above
+    cross-multiplication  verify_relations, less everything above (the
+                          zero-pair test included)
 
 A name that a checkout lacks is not timed, and the record lists it under
 `missing_layers` for that side.  The layered run also counts the round's
 work: the (relation word key, test word key) pairs of the outcome tables,
 those computed (one `lhs_vectors` call each), those decided wholesale as
-zero pairs (the rest) and the kernels built.  The two sides
+zero pairs (the rest) and the kernels built (misses of the
+`_space_kernel` memo).  The two sides
 alternate which runs first from seed to seed.  The record, with each checkout's commit
 (marked when its tree has uncommitted changes), goes to --out as JSON.
 """
@@ -50,12 +51,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 LAYERS = {
     "_count_table": "count tables", "_powers": "count tables",
-    "_joined_tuples": "joins", "_join_blocks": "joins",
+    "_join_blocks": "joins",
     "relation_set": "relations",
-    "_kernel": "kernels",
-    "get_weingarten": "engine",
+    "_space_kernel": "kernels",
+    "_weingarten": "engine",
     "_contract_each": "contraction", "_moment_from_kernel": "contraction",
-    "_vanishes": "zero pairs",
     "verify_relations": "cross-multiplication",
 }
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -68,6 +68,7 @@ def child(src: str, seed: int, layered: bool) -> dict:
     import workloads
     from easywg import spaces
 
+    kernels = spaces._space_kernel  # the memo, before any timer wraps it
     inputs = workloads.verify(random.Random(seed))
     seconds: collections.Counter = collections.Counter()
     inside = [0.0]  # per open wrapped call: seconds spent in wrapped calls below it
@@ -112,10 +113,9 @@ def child(src: str, seed: int, layered: bool) -> dict:
            "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
     if layered:
         pairs = sum(len(report.checks._table) for report in reports)
-        builds = (spaces._space_kernel.cache_info().misses if hasattr(spaces, "_space_kernel")
-                  else len(spaces._KERNELS))
         out["work"] = {"pairs": pairs, "pairs_wholesale": pairs - computed[0],
-                       "pairs_computed": computed[0], "kernel_builds": builds}
+                       "pairs_computed": computed[0],
+                       "kernel_builds": kernels.cache_info().misses}
         out["missing_layers"] = missing
     return out
 
