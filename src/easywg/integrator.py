@@ -1,15 +1,17 @@
-"""Haar-state moments of easy quantum groups via the exact Weingarten kernel."""
+"""Haar-state moments of easy quantum groups: each factor's generalized
+inverse (_inverse_rows), shared by group moments and space kernels, and the
+tensor contraction that every Weingarten sum runs on."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import get_weingarten
-from .partitions import CategoryId, ColoredWord, as_category, as_word
+from .exact_linalg import _weingarten
+from .partitions import (CategoryId, ColoredWord, _enumerate, as_category, as_word,
+                         mobius_intervals, word_key)
 
 
 @dataclass(frozen=True)
@@ -141,29 +143,65 @@ def _contract_each(
     return [f for f, _ in layer]
 
 
-def _contract(
-    flat: "list[int] | tuple[int, ...]",
-    shape: Sequence[int],
-    row_sets: Sequence[Rows],
-) -> "list[int] | tuple[int, ...]":
-    """The tensor with each axis r replaced by row_sets[r]."""
-    return _contract_each(flat, shape, [[rows] for rows in row_sets])[0]
+def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
+    """The S category's inverse on k legs at dimension n, times L, as two
+    row sets applied in turn, and L = (n)_{min(k, n)}.
+
+    The Gram matrix factors over the partition lattice as G = Z D Z^T, with
+    Z[pi, tau] = [pi <= tau] and D = diag((n)_{|tau|}) (falling factorials),
+    so X = mu^T D^+ mu is a generalized inverse of G at every n, mu = Z^-1
+    being the lattice's Moebius function.  The first row set is mu scaled
+    by L D^+, over the tau with at most n blocks ((n)_{|tau|} = 0 for the
+    others), and the second is mu^T.  L / (n)_{|tau|} = (n - |tau|)! /
+    (n - min(k, n))! is an integer.
+    """
+    parts = _enumerate(CategoryId.S, k)
+    intervals = mobius_intervals(k)
+    scale = math.perm(n, min(k, n))
+    first: list = []
+    second: list = [[] for _ in parts]
+    for t, tau in enumerate(parts):
+        if tau.block_count > n:
+            continue
+        d = scale // math.perm(n, tau.block_count)
+        first.append([(r, d * mu) for r, mu in intervals[t]])
+        for r, mu in intervals[t]:
+            second[r].append((len(first) - 1, mu))
+    return [first, second], scale
+
+
+# Inverses read off a lattice, by word key (an S key is the length) and n.
+_LATTICES = {CategoryId.S: _lattice_operator}
+
+
+def _inverse_rows(category: CategoryId, key: int, n: int) -> tuple[list[Rows], int]:
+    """A generalized inverse X of the category's Gram matrix for word key
+    `key` at dimension n, times an integer L, as row sets to apply in turn,
+    and L: a lattice's inverse, or else the Weingarten block.  Consumers
+    pair X only with delta vectors, which lie in the Gram matrix's range,
+    so every generalized inverse gives the same numbers."""
+    if category in _LATTICES:
+        return _LATTICES[category](key, n)
+    wg = _weingarten(category, key, n)
+    rows: list = [[] for _ in wg.index]
+    for i, row in zip(wg.basis, wg.block):
+        rows[i] = [(j, c) for j, c in zip(wg.basis, row) if c]
+    return [rows], wg.denominator
 
 
 def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
     """Haar integral of the colored coordinate monomial over the group.
 
-    Weingarten sum over pairs of partitions in the category's set for the
-    word, weighting each pair by whether the row and column indices fit.
-    W vanishes outside its basis, so only the kept partitions take part:
-    the block, read as a two-axis tensor, is contracted with their row
-    deltas and then with their column deltas.  The degree-0 monomial
-    integrates to 1.
+    The Weingarten sum delta(rows)^T X delta(cols), with X from
+    _inverse_rows: S takes the partition lattice, builds no matrix and
+    loads no numpy.  The degree-0 monomial integrates to 1.
     """
     _check_bounds(query.rows, group.dimension, "row")
     _check_bounds(query.cols, group.dimension, "column")
-    wg = get_weingarten(group.category, query.word, group.dimension)
-    kept = [wg.index[b] for b in wg.basis]
-    fits = [[_delta_row(kept, query.rows)], [_delta_row(kept, query.cols)]]
-    flat = list(itertools.chain.from_iterable(wg.block))
-    return Fraction(_contract(flat, (len(kept), len(kept)), fits)[0], wg.denominator)
+    key = word_key(group.category, query.word)
+    parts = _enumerate(group.category, key)
+    steps, scale = _inverse_rows(group.category, key, group.dimension)
+    flat, shape = [int(p.delta(query.cols)) for p in parts], (len(parts),)
+    for rows in steps + [[_delta_row(parts, query.rows)]]:
+        flat, shape = _contract_axis(flat, shape, 0, rows)
+    return Fraction(flat[0], scale)

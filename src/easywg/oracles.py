@@ -149,6 +149,8 @@ def haar_mc_moment(
         raise ValueError("at least 10^4 samples are required")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     _check_bounds(query.rows, n, "row")
     _check_bounds(query.cols, n, "column")
     blocks = [(i, min(_MC_BLOCK, samples - start))

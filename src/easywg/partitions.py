@@ -67,12 +67,6 @@ class ColoredWord:
     def __iter__(self) -> Iterator[Color]:
         return iter(self.colors)
 
-    def __getitem__(self, i: int) -> Color:
-        return self.colors[i]
-
-    def __add__(self, other: "WordLike") -> "ColoredWord":
-        return ColoredWord(self.colors + as_word(other).colors)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ColoredWord) and self.code == other.code
 

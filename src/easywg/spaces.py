@@ -17,15 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .exact_linalg import _weingarten
 from .integrator import (
     GroupSpec,
     IndexSet,
-    Rows,
-    _contract,
     _contract_axis,
     _contract_each,
     _delta_row,
+    _inverse_rows,
 )
 from .partitions import (
     CategoryId,
@@ -37,7 +35,6 @@ from .partitions import (
     as_category,
     as_word,
     concat_key,
-    mobius_intervals,
     word_key,
 )
 
@@ -194,15 +191,16 @@ def parse_space(text: str) -> SpaceSpec:
 # verification contracts y with counting matrices.  X_r is any generalized
 # inverse of factor r's Gram matrix: each consumer contracts every axis
 # with sums of delta vectors of tuples in {1..N_r}^k, which lie in the
-# Gram matrix's range, so the moments do not depend on the choice.  S
-# factors use the partition lattice's inverse, every other factor the
-# Weingarten matrix.  A word enters as its factor keys, one
-# partitions.word_key per factor, and nothing below reads the word itself:
-# kernels are memoized by the factor list, M and the factor keys, and what
-# depends on neither N nor M, the partition tuples' join block counts and
-# verify's count tables, is memoized for the process under the factors'
-# categories and keys, so that every space, dimension and index set
-# shares it.
+# Gram matrix's range, so the moments do not depend on the choice.  Each
+# axis is contracted with the row sets of integrator._inverse_rows, which
+# group moments share: the partition lattice's inverse for S factors, the
+# Weingarten matrix for every other factor.  A word enters as its factor
+# keys, one partitions.word_key per factor, and nothing below reads the
+# word itself: kernels are memoized by the factor list, M and the factor
+# keys, and what depends on neither N nor M, the partition tuples' join
+# block counts and verify's count tables, is memoized for the process
+# under the factors' categories and keys, so that every space, dimension
+# and index set shares it.
 
 
 def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple[int, ...]:
@@ -234,33 +232,6 @@ class _Kernel:
     denominator: int
 
 
-def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
-    """The S category's inverse on k legs at dimension n, times L, as two
-    row sets applied in turn, and L = (n)_{min(k, n)}.
-
-    The Gram matrix factors over the partition lattice as G = Z D Z^T, with
-    Z[pi, tau] = [pi <= tau] and D = diag((n)_{|tau|}) (falling factorials),
-    so X = mu^T D^+ mu is a generalized inverse of G at every n, mu = Z^-1
-    being the lattice's Moebius function.  The first row set is mu scaled
-    by L D^+, over the tau with at most n blocks ((n)_{|tau|} = 0 for the
-    others), and the second is mu^T.  L / (n)_{|tau|} = (n - |tau|)! /
-    (n - min(k, n))! is an integer.
-    """
-    parts = _enumerate(CategoryId.S, k)
-    intervals = mobius_intervals(k)
-    scale = math.perm(n, min(k, n))
-    first: list = []
-    second: list = [[] for _ in parts]
-    for t, tau in enumerate(parts):
-        if tau.block_count > n:
-            continue
-        d = scale // math.perm(n, tau.block_count)
-        first.append([(r, d * mu) for r, mu in intervals[t]])
-        for r, mu in intervals[t]:
-            second[r].append((len(first) - 1, mu))
-    return [first, second], scale
-
-
 def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
     return _space_kernel(space.factors, space.m, _factor_keys(space.factors, word))
 
@@ -278,14 +249,7 @@ def _space_kernel(factors: tuple[GroupSpec, ...], m: int, keys: tuple[int, ...])
     if blocks:  # an empty partition set needs no inverse
         values, now = [m**b for b in blocks], shape
         for axis, (f, key) in enumerate(zip(factors, keys)):
-            if f.category is CategoryId.S:  # an S key is the length
-                steps, scale = _lattice_operator(key, f.dimension)
-            else:
-                wg = _weingarten(f.category, key, f.dimension)
-                sparse = [[] for _ in wg.index]
-                for i, row in zip(wg.basis, wg.block):
-                    sparse[i] = [(j, c) for j, c in zip(wg.basis, row) if c]
-                steps, scale = [sparse], wg.denominator
+            steps, scale = _inverse_rows(f.category, key, f.dimension)
             for rows in steps:
                 values, now = _contract_axis(values, now, axis, rows)
             den *= scale
@@ -302,8 +266,8 @@ def _moment_from_kernel(space: SpaceSpec, kern: _Kernel, indices: tuple) -> Frac
     if not kern.values:
         return Fraction(0)
     comps = _factor_components(space, indices)
-    rows = [[_delta_row(dlist, comp)] for dlist, comp in zip(kern.dlists, comps)]
-    return Fraction(_contract(kern.values, kern.shape, rows)[0], kern.denominator)
+    rows = [[[_delta_row(dlist, comp)]] for dlist, comp in zip(kern.dlists, comps)]
+    return Fraction(_contract_each(kern.values, kern.shape, rows)[0][0], kern.denominator)
 
 
 def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fraction:
@@ -441,8 +405,9 @@ class _Patterns:
 
     `combos` lists them in itertools.product order over the factors; each
     stands for prod_r (N_r)_{|rho_r|} tuples (falling factorials), and
-    `count` is their total, |coordinates|^d.  A pattern is decided on its
-    canonical tuple, the first in that order: component r is rho_r + 1.
+    `count` is their total, |coordinates|^d.  Every tuple of a pattern has
+    the same outcomes, so a pattern is decided once, from count tables that
+    read only the pattern.
     """
 
     def __init__(self, space: SpaceSpec, d: int):
@@ -451,7 +416,6 @@ class _Patterns:
         self.options = [
             [p for p in everything if p.block_count <= f.dimension] for f in space.factors
         ]
-        self.tails = [[tuple(x + 1 for x in p.rgs) for p in opts] for opts in self.options]
         self.combos = list(itertools.product(*self.options))
         self.count = math.prod(
             sum(math.perm(f.dimension, p.block_count) for p in opts)
@@ -461,13 +425,6 @@ class _Patterns:
     def _indices(self, comps: Sequence[tuple]) -> tuple:
         """The test tuple with the given per-factor components."""
         return tuple(zip(*comps)) if self.space.is_product else comps[0]
-
-    def moments(self, kern: _Kernel) -> list[Fraction]:
-        """The rescaled moment of the kernel's word at each canonical tuple."""
-        return [
-            _moment_from_kernel(self.space, kern, self._indices(comps))
-            for comps in itertools.product(*self.tails)
-        ]
 
     def lhs_vectors(self, kern: _Kernel, heads: tuple[int, ...], fulls: tuple[int, ...],
                     size: int) -> list:
@@ -563,8 +520,9 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
     reported with both exact values.  Each outcome depends only on the
     relation word's key, the test word's key and the per-factor equality
     pattern of the test indices, so it is decided once per pattern, by
-    integer cross-multiplication on the pattern's canonical tuple, and the
-    pattern's tuples are counted rather than enumerated.  Words enter as
+    integer cross-multiplication, and the pattern's tuples are counted
+    rather than enumerated.  integral(m) is the integral of the empty
+    relation word's left side, 1, times m.  Words enter as
     their _factor_keys, and the keys of a relation word followed by a test
     word are concatenated per factor (partitions.concat_key).  A pair is
     decided wholesale, before any kernel of it is built, when the test
@@ -582,10 +540,13 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
         (_factor_keys(factors, e_word), list(rels))
         for e_word, rels in itertools.groupby(relation_set(space, max_k), key=lambda r: r.word)
     ]
+    empty = _factor_keys(factors, ColoredWord())  # the relation word whose left side is 1
     moments: dict = {}  # f_key -> the test monomial's moment at each pattern
     for f_word, f_key in tests:
         if f_key not in moments:
-            moments[f_key] = patterns[len(f_word)].moments(_space_kernel(factors, space.m, f_key))
+            kern = _space_kernel(factors, space.m, f_key)
+            lvecs = patterns[len(f_word)].lhs_vectors(kern, empty, f_key, 1)
+            moments[f_key] = [Fraction(v, kern.denominator) for (v,) in lvecs]
     table: dict = {}
     for e_key, rels in groups:
         scales = [space.m**rel.join_blocks for rel in rels]

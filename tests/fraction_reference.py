@@ -211,7 +211,7 @@ def is_color_matching(partition: SetPartition, word: WordLike) -> bool:
         raise ValueError("word length does not match ground size")
     if not is_pairing(partition):
         return False
-    return all(word[a - 1] != word[b - 1] for a, b in partition.blocks)
+    return all(word.colors[a - 1] != word.colors[b - 1] for a, b in partition.blocks)
 
 
 def is_noncrossing(partition: SetPartition) -> bool:

@@ -388,6 +388,12 @@ def test_preset_errors_name_the_preset(capsys, text):
     assert err.startswith(f"error: {name} takes "), err
 
 
+def test_negative_seed_is_named(capsys):
+    code, out, err = run(capsys, "oracle", "haar-mc", "--group", "O:2", "--word", "oo",
+                         "--rows", "1,1", "--cols", "1,1", "--samples", "10000", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
+
+
 class TestVerifyFullStreaming:
     PAYLOADS = [
         {"command": "verify", "inputs": {"space": "O:2/I=1", "full": None},
@@ -483,6 +489,10 @@ _NUMPY_FREE = [
     ["convergence", "--family", "group-as-space", "--category", "S", "--word", "ooo",
      "--sizes", "2,3"],
     ["verify", "--space", "column-space:S:3:2", "--max-k", "2", "--test-degree", "1"],
+    # and so do S group moments, a product of S factors included
+    ["group-moment", "--group", "S:3", "--word", "ooo", "--rows", "1,2,1", "--cols", "3,1,3"],
+    ["group-moment", "--group", "S:3", "--group", "S:2", "--word", "oo", "--rows", "1,2",
+     "--cols", "2,1", "--rows", "1,1", "--cols", "2,2"],
 ]
 
 _HAAR = ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
@@ -498,6 +508,8 @@ _LOADS_NUMPY = [
     (_HAAR + ["--threads", "2"], ["numpy", "concurrent.futures"]),
     (["space-moment", "--space", "S:3xO:3/J=1", "--word", "oo", "--indices", "1.1,1.1"],
      ["numpy"]),  # the O factor keeps the engine
+    (["group-moment", "--group", "S:3", "--group", "O:2", "--word", "oo", "--rows", "1,1",
+      "--cols", "1,1", "--rows", "1,1", "--cols", "2,2"], ["numpy"]),
 ]
 
 
@@ -522,7 +534,8 @@ class TestDeferredImports:
 
     @pytest.mark.parametrize("argv, expected", _LOADS_NUMPY,
                              ids=["weingarten", "group-moment", "haar-mc 1 thread",
-                                  "haar-mc 2 threads", "space-moment SxO"])
+                                  "haar-mc 2 threads", "space-moment SxO",
+                                  "group-moment SxO"])
     def test_engine_command_loads_numpy(self, argv, expected, tmp_path):
         assert [m for m in _loaded(argv, tmp_path) if m != "tempfile"] == expected
 

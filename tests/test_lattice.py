@@ -1,11 +1,13 @@
 """The partition-lattice route for S factors.
 
-`spaces._space_kernel` contracts every S factor's axis with
-X = mu^T D^+ mu on the lattice of set partitions instead of the Weingarten
-matrix; every other factor, and `group_moment`, keep the engine.  Both are generalized
-inverses of the same Gram matrix, so every moment-level number must agree.
-These tests compare the two routes on such numbers, and the lattice route
-with closed forms and the exhaustive S_n oracle.
+`integrator._inverse_rows` gives S the inverse X = mu^T D^+ mu on the
+lattice of set partitions instead of the Weingarten matrix, and every
+other category the Weingarten matrix; space kernels and `group_moment`
+both take it from there.  Both are generalized inverses of the same Gram
+matrix, so every moment-level number must agree.  These tests compare the
+two routes on such numbers, the `engine` fixture sending S through the
+Weingarten branch, and the lattice route with closed forms and the
+exhaustive S_n oracle.
 """
 
 import functools
@@ -19,23 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import easywg.exact_linalg as xl
+import easywg.integrator as integrator
 import easywg.spaces as spaces
 from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten, gram_matrix
-from easywg.integrator import (
-    GroupSpec,
-    IndexSet,
-    MomentQuery,
-    _contract,
-    _contract_axis,
-    group_moment,
-)
+from easywg.integrator import GroupSpec, IndexSet, MomentQuery, _contract_axis, group_moment
 from easywg.oracles import sn_exhaustive_space_moment
-from easywg.partitions import (
-    _enumerate,
-    enumerate_partitions,
-    mobius_intervals,
-)
+from easywg.partitions import CategoryId, enumerate_partitions, mobius_intervals
 from easywg.spaces import parse_space, space_moment, verify_relations
 from fraction_reference import clear_caches
 from verify_reference import kernel_partition
@@ -69,7 +61,7 @@ def _matmul(a, b):
 def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
     # with G the Gram matrix and L X the operator: G X G = G and X G X = X;
     # the second fails if D^+ keeps a partition with more than n blocks
-    steps, scale = spaces._lattice_operator(k, n)
+    steps, scale = integrator._lattice_operator(k, n)
     size = len(enumerate_partitions("S", "o" * k))
     flat, shape = [int(i == j) for i in range(size) for j in range(size)], (size, size)
     for rows in steps:
@@ -81,7 +73,7 @@ def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
 
 
 # ---------------------------------------------------------------------------
-# Closed form of the S_N moments, against group_moment (the engine).
+# Closed form of the S_N moments, against group_moment (the lattice).
 
 @st.composite
 def _sn_query(draw):
@@ -109,36 +101,49 @@ def test_sn_moment_closed_form(query):
     assert got == expected
 
 
+def test_seven_legs_build_no_weingarten_matrix():
+    # 877 partitions, the engine's largest S key at N = 10: the lattice needs none
+    clear_caches()
+    rows, cols = (1, 2, 1, 3, 4, 2, 1), (5, 6, 5, 7, 8, 6, 5)
+    got = group_moment(GroupSpec("S", 10), MomentQuery("o" * 7, rows, cols))
+    assert got == Fraction(math.factorial(10 - 4), math.factorial(10))
+    assert group_moment(GroupSpec("S", 10), MomentQuery("o" * 7, rows, rows[::-1])) == 0
+    assert xl._weingarten.cache_info().misses == 0
+
+
 # ---------------------------------------------------------------------------
-# The lattice kernel against an engine-route kernel.
-
-@functools.lru_cache(maxsize=None)
-def _engine_kernel(factors, m, keys) -> spaces._Kernel:
-    """The kernel over the factors at M = m of the words with factor keys
-    keys, with every factor's axis contracted with its Weingarten
-    numerators, S factors included."""
-    categories = tuple(f.category for f in factors)
-    dlists = tuple(map(_enumerate, categories, keys))
-    shape = tuple(map(len, dlists))
-    blocks = spaces._join_blocks(categories, keys)
-    if not blocks:
-        return spaces._Kernel(dlists, shape, (), blocks, 1)
-    wgs = [xl._weingarten(f.category, key, f.dimension) for f, key in zip(factors, keys)]
-    rows = [[[(j, c) for j, c in enumerate(r) if c] for r in wg.numerators] for wg in wgs]
-    values = _contract([m**b for b in blocks], shape, rows)
-    den = math.prod(wg.denominator for wg in wgs)
-    return spaces._Kernel(dlists, shape, tuple(values), blocks, den)
-
+# The lattice route against the engine route.
 
 @pytest.fixture
 def engine(monkeypatch):
-    """Calls a function with every kernel, verify's pair kernels included,
-    taken from the engine route."""
+    """Calls a function with S factors taking the Weingarten branch of
+    `_inverse_rows`, and every space kernel, verify's pair kernels
+    included, taken from a memo of the test's own rather than the
+    process's, so that the two routes never share a kernel."""
+    kernels = functools.lru_cache(maxsize=None)(spaces._space_kernel.__wrapped__)
+
     def call(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(spaces, "_space_kernel", _engine_kernel)
+            m.delitem(integrator._LATTICES, CategoryId.S)
+            m.setattr(spaces, "_space_kernel", kernels)
             return fn(*args)
     return call
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
+def test_group_moments_match_the_engine(n, engine):
+    rng = random.Random(n)
+    group = GroupSpec("S", n)
+    for k in range(6):
+        for _ in range(20):
+            rows = [rng.randint(1, n) for _ in range(k)]
+            if rng.random() < 0.5:  # an equal kernel: relabel the rows
+                image = rng.sample(range(1, n + 1), n)
+                cols = [image[x - 1] for x in rows]
+            else:
+                cols = [rng.randint(1, n) for _ in range(k)]
+            query = MomentQuery("o" * k, rows, cols)
+            assert group_moment(group, query) == engine(group_moment, group, query)
 
 
 def _spaces(n: int) -> list[str]:

@@ -12,7 +12,7 @@ import functools
 import pytest
 
 import easywg.spaces as spaces
-from easywg.partitions import enumerate_partitions
+from easywg.partitions import ColoredWord, enumerate_partitions
 from easywg.spaces import parse_space, relation_set, verify_relations
 from fraction_reference import clear_caches
 from verify_reference import coordinates, reference_checks
@@ -188,6 +188,7 @@ def test_zero_pairs_build_no_kernel(monkeypatch):
     assert report.all_passed and report.failures == []
     tests = list(spaces._all_words(3))
     heads = {r.word for r in relation_set(space, 4)}
-    kept = [e + f for e in heads for f in tests if enumerate_partitions("U", e + f)]
+    pairs = [ColoredWord(e.colors + f.colors) for e in heads for f in tests]
+    kept = [w for w in pairs if enumerate_partitions("U", w)]
     assert len(heads) == 9 and len(kept) == 27
     assert calls == collections.Counter((w.code,) for w in tests + kept)

@@ -12,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import easywg.integrator as integrator
 import easywg.spaces as spaces
 from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten
-from easywg.partitions import as_word, enumerate_partitions
+from easywg.partitions import ColoredWord, as_word, enumerate_partitions
 from easywg.spaces import parse_space, relation_set, space_moment
 from verify_reference import _count_matrix, coordinates
 
@@ -116,7 +117,7 @@ def test_relation_set_builds_no_weingarten_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("relation_set asked for a Weingarten matrix")
 
-    monkeypatch.setattr(spaces, "_weingarten", refuse)
+    monkeypatch.setattr(integrator, "_weingarten", refuse)
     assert len(relation_set(parse_space("O:2xO+:2/J=1,2"), 4)) == 101
 
 
@@ -129,7 +130,7 @@ def _fitting_sum(space, relation, f_word, j) -> Fraction:
             tuple(x[r] for x in i) for r in range(len(space.factors))
         ]
         if all(p.delta(c) for p, c in zip(relation.partitions, comps)):
-            total += space_moment(space, relation.word + f_word, i + j)
+            total += space_moment(space, ColoredWord(relation.word.colors + f_word.colors), i + j)
     return total
 
 

@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 
 from easywg import spaces
-from easywg.integrator import _contract
-from easywg.partitions import SetPartition, enumerate_partitions
+from easywg.integrator import _contract_each
+from easywg.partitions import ColoredWord, SetPartition, enumerate_partitions
 from easywg.spaces import RelationCheck, _exponent_rows, _factor_keys, _kernel, _powers
 
 
@@ -46,6 +46,11 @@ def _count_matrix(heads, fulls, tail: tuple, n: int) -> list[list[tuple[int, int
     return _powers(_exponent_rows(heads, fulls, kernel_partition(tail).rgs), n)
 
 
+def _contract(flat, shape, row_sets):
+    """The tensor with each axis r replaced by row_sets[r]."""
+    return _contract_each(flat, shape, [[rows] for rows in row_sets])[0]
+
+
 def _components(space, indices: tuple) -> list[tuple]:
     if not space.is_product:
         return [indices]
@@ -63,7 +68,7 @@ def _moment(space, kern, indices: tuple) -> Fraction:
 def _outcomes(space, relations, f_word, j) -> list[tuple]:
     """(ok, lhs, rhs) for each relation of one word against f_word at j."""
     e_word = relations[0].word
-    kern_w = _kernel(space, e_word + f_word)
+    kern_w = _kernel(space, ColoredWord(e_word.colors + f_word.colors))
     m_j = _moment(space, _kernel(space, f_word), j)
     lvec = [0] * len(relations)
     if kern_w.values:

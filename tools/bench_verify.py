@@ -16,8 +16,10 @@ call's time minus that of the wrapped calls inside it):
     count tables          _count_table, _powers
     joins                 _join_blocks
     relations             relation_set, less its joins
-    kernels               _space_kernel, less its joins and the engine
-    engine                _weingarten, as called by the spaces module
+    kernels               _space_kernel, less its joins and inverses
+    inverses              _inverse_rows, as called by the spaces module:
+                          each factor's generalized inverse, the S lattice
+                          operator or the engine's Weingarten block
     contraction           _contract_each and _moment_from_kernel
     cross-multiplication  verify_relations, less everything above (the
                           zero-pair test included)
@@ -25,8 +27,10 @@ call's time minus that of the wrapped calls inside it):
 A name that a checkout lacks is not timed, and the record lists it under
 `missing_layers` for that side.  The layered run also counts the round's
 work: the (relation word key, test word key) pairs of the outcome tables,
-those computed (one `lhs_vectors` call each), those decided wholesale as
-zero pairs (the rest) and the kernels built (misses of the
+those computed (one `lhs_vectors` call each, less the one call per
+distinct test word key that takes its moments from the empty relation
+word, on a checkout without `_Patterns.moments`), those decided wholesale
+as zero pairs (the rest) and the kernels built (misses of the
 `_space_kernel` memo).  The two sides
 alternate which runs first from seed to seed.  The record, with each checkout's commit
 (marked when its tree has uncommitted changes), goes to --out as JSON.
@@ -54,7 +58,7 @@ LAYERS = {
     "_join_blocks": "joins",
     "relation_set": "relations",
     "_space_kernel": "kernels",
-    "_weingarten": "engine",
+    "_inverse_rows": "inverses",
     "_contract_each": "contraction", "_moment_from_kernel": "contraction",
     "verify_relations": "cross-multiplication",
 }
@@ -113,6 +117,8 @@ def child(src: str, seed: int, layered: bool) -> dict:
            "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
     if layered:
         pairs = sum(len(report.checks._table) for report in reports)
+        if not hasattr(spaces._Patterns, "moments"):  # test moments are lhs_vectors calls
+            computed[0] -= sum(len({key for _, key in r.checks._tests}) for r in reports)
         out["work"] = {"pairs": pairs, "pairs_wholesale": pairs - computed[0],
                        "pairs_computed": computed[0],
                        "kernel_builds": kernels.cache_info().misses}
