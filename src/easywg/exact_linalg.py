@@ -1,25 +1,37 @@
 """Exact rational matrices indexed by partition sets.
 
 Gram matrices of partition vectors and their exact (generalized) inverses
-in the Weingarten role.  Inverses are computed from numpy int64 residues
-modulo word-size primes by a blocked symmetric sweep, combined by CRT and
-rational reconstruction, and certified exactly before they are returned.
-Products of residue matrices run on float64 BLAS with every value an
-integer of at most 2**53, so they are exact; all results are ints or
-fractions.Fraction.
+in the Weingarten role, by one of two routes chosen by the number of
+partitions n; all results are ints or fractions.Fraction.
 
-A Gram matrix is stored as its join block counts, and the residues of
-N^count modulo a prime come from a table of powers indexed by the counts.
-A Weingarten matrix is stored as its block on basis x basis.  The full
-n x n views, ``GramMatrix.entries`` and ``WeingartenMatrix.numerators``,
-are built on first access.  get_weingarten memoizes matrices for the
-process in an lru_cache keyed by the category, the word's word_key and N,
-like every memo of the package.  A disk record holds what the engine
-holds, the basis, denominator and block, and is certified like a new
-build.
+Up to _SMALL partitions everything runs in Python ints and never imports
+numpy: the join block counts come from partitions._join_blocks, one table
+per category and word key shared by every N; the inverse comes from
+fraction-free elimination (Bareiss, 1968); and the certificate multiplies
+out in exact integers.  Importing numpy costs about a hundred
+milliseconds, far more than this route on such a matrix, and most words a
+user asks about have 1 to 6 legs.
+
+Above _SMALL, where Python ints fall behind BLAS, numpy computes the
+counts, and inverses are computed from int64 residues modulo word-size
+primes by a blocked symmetric sweep, combined by CRT and rational
+reconstruction, and certified modulo primes before they are returned.
+Products of residue matrices run on float64 BLAS with every value an
+integer of at most 2**53, so they are exact.
+
+A Gram matrix is stored as its join block counts, and its entries, or
+their residues modulo a prime, come from a table of powers of N indexed by
+the counts.  A Weingarten matrix is stored as its block on basis x basis.
+The full n x n views, ``GramMatrix.entries`` and
+``WeingartenMatrix.numerators``, are built on first access.
+get_weingarten memoizes matrices for the process in an lru_cache keyed by
+the category, the word's word_key and N, like every memo of the package.
+A disk record holds what either route holds, the basis, denominator and
+block, and is certified like a new build.
 
 numpy is imported inside the functions that compute with it, so importing
-this module, and every command that builds no matrix, never loads it.
+this module, and every command whose matrices have at most _SMALL
+partitions, never loads it.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from .partitions import (
     SetPartition,
     WordLike,
     _enumerate,
+    _join_blocks,
     as_category,
     as_word,
     key_length,
@@ -54,6 +67,13 @@ def format_scalar(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Gram matrices with at most this many partitions take the Python-int route.
+# With numpy already loaded, a cold build (the join table shared by four N)
+# costs about the same on both routes at 8 partitions; below that the
+# Python ints are faster even then, and from 10 partitions BLAS is.
+_SMALL = 8
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Inner products of partition vectors on `legs` points: entries
@@ -63,12 +83,13 @@ class GramMatrix:
     legs: int
     dimension: int
     index: tuple[SetPartition, ...]
-    counts: np.ndarray = field(compare=False, repr=False)
+    # n x n: tuples of rows up to _SMALL partitions, else a numpy array
+    counts: "tuple[tuple[int, ...], ...] | np.ndarray" = field(compare=False, repr=False)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         powers = [self.dimension**c for c in range(self.legs + 1)]
-        return tuple(tuple(map(powers.__getitem__, row)) for row in self.counts.tolist())
+        return tuple(tuple(map(powers.__getitem__, row)) for row in self.counts)
 
 
 def gram_matrix(category: CategoryLike, word: WordLike, dimension: int) -> GramMatrix:
@@ -86,7 +107,12 @@ def _gram(category: CategoryId, wkey: int, dimension: int) -> GramMatrix:
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     index, legs = _enumerate(category, wkey), key_length(category, wkey)
-    return GramMatrix(category, legs, dimension, index, _join_block_counts(index, legs))
+    n = len(index)
+    if n > _SMALL:
+        return GramMatrix(category, legs, dimension, index, _join_block_counts(index, legs))
+    flat = _join_blocks((category, category), (wkey, wkey))  # shared by every dimension
+    return GramMatrix(category, legs, dimension, index,
+                      tuple(flat[i * n:i * n + n] for i in range(n)))
 
 
 # Elements of the (k, rows, n) mask array built per slab of Gram rows.
@@ -106,8 +132,6 @@ def _join_block_counts(index: Sequence[SetPartition], k: int) -> np.ndarray:
     import numpy as np
 
     n = len(index)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.intp)
     dtype = np.min_scalar_type((1 << k) - 1)
     bits = np.array([1 << j for j in range(k)], dtype=dtype)
     rgs = np.array([p.rgs for p in index], dtype=np.intp)
@@ -192,7 +216,7 @@ def _residues(gram: GramMatrix, p: int) -> np.ndarray:
     import numpy as np
 
     powers = [pow(gram.dimension, c, p) for c in range(gram.legs + 1)]
-    return np.array(powers, dtype=np.int64)[gram.counts]
+    return np.array(powers, dtype=np.int64)[np.asarray(gram.counts)]
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -397,22 +421,68 @@ def weingarten_matrix(gram: GramMatrix) -> WeingartenMatrix:
     canonical order and a row is kept exactly when it is not in the span of
     the rows already kept.  The kept block is inverted exactly, so an
     invertible input yields its exact inverse with basis equal to the full
-    index.
+    index.  Up to _SMALL partitions the matrix is found by fraction-free
+    elimination in Python ints (_bareiss), above by the multi-modular
+    engine (_modular_weingarten); either result is returned only after the
+    exact certificate of _certify.
+    """
+    if len(gram.index) > _SMALL:
+        return _modular_weingarten(gram)
+    wg = _bareiss(gram)
+    if not _certify(wg):
+        raise ArithmeticError("fraction-free elimination failed its certificate")
+    return wg
 
-    Multi-modular: each prime's _sweep gives a profile and the inverse of
-    its kept block.  The upper triangles of the inverses are combined, by
-    CRT and rational reconstruction with one common denominator, across the
-    primes whose profile has the largest _profile_key seen so far; a larger
-    key starts the combination again.  The block is symmetric, so its lower
-    triangle is the mirror.  The result is returned only after the exact
-    certificate of _certify; a failed reconstruction or certificate adds
-    primes.
+
+def _bareiss(gram: GramMatrix) -> WeingartenMatrix:
+    """The canonical Weingarten matrix by fraction-free Gauss-Jordan
+    elimination of [G | I] in Python ints (Bareiss, 1968).
+
+    Diagonals are pivots in index order.  A step multiplies every other row
+    by the pivot, subtracts the pivot row's multiple and divides exactly by
+    the previous pivot, so after the pivots K the diagonal at c is the
+    minor det G[K+c, K+c].  G is positive semidefinite, so a zero there
+    means a zero Schur row: c depends on the rows before it and is skipped,
+    and the pivots are the greedy rank profile B (as in _sweep).  After the
+    last pivot, d = det G[B, B], the rows B of the right half hold
+    d G[B, B]^-1 on the columns B.
+    """
+    n = len(gram.index)
+    powers = [gram.dimension**c for c in range(gram.legs + 1)]
+    a = [[powers[c] for c in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(gram.counts)]
+    basis: list[int] = []
+    last = 1
+    for c in range(n):
+        pivot = a[c]
+        d = pivot[c]
+        if d == 0:
+            continue
+        for i in range(n):
+            if i != c:
+                f = a[i][c]
+                a[i] = [(d * x - f * y) // last for x, y in zip(a[i], pivot)]
+        basis.append(c)
+        last = d
+    block = [[a[i][n + j] for j in basis] for i in basis]
+    g = gcd(last, *(x for row in block for x in row))
+    return WeingartenMatrix(gram, tuple(basis), last // g,
+                            tuple(tuple(x // g for x in row) for row in block))
+
+
+def _modular_weingarten(gram: GramMatrix) -> WeingartenMatrix:
+    """weingarten_matrix by the multi-modular engine, for a nonempty index.
+
+    Each prime's _sweep gives a profile and the inverse of its kept block.
+    The upper triangles of the inverses are combined, by CRT and rational
+    reconstruction with one common denominator, across the primes whose
+    profile has the largest _profile_key seen so far; a larger key starts
+    the combination again.  The block is symmetric, so its lower triangle
+    is the mirror.  A failed reconstruction or certificate adds primes.
     """
     import numpy as np
 
     n = len(gram.index)
-    if n == 0:
-        return WeingartenMatrix(gram, (), 1, ())
     key: list[int] = []
     i = 0
     while True:
@@ -467,12 +537,11 @@ def _certify(wg: WeingartenMatrix) -> bool:
     independent set of rows spanning the row space; (3) says every other
     row depends only on the kept rows before it, so B is the greedy rank
     profile over Q and W the unique such inverse.  Given (1), (2) holds on
-    the rows of B, so only the rows outside B are multiplied out.  All
-    identities are checked modulo primes whose product exceeds twice an
-    a-priori bound on both sides, which makes every check exact.
+    the rows of B, so only the rows outside B are multiplied out.  Up to
+    _SMALL partitions the identities are checked in Python ints; above,
+    modulo primes whose product exceeds twice an a-priori bound on both
+    sides, which makes every check exact.
     """
-    import numpy as np
-
     gram = wg.source
     n = len(gram.index)
     den = wg.denominator
@@ -485,10 +554,10 @@ def _certify(wg: WeingartenMatrix) -> bool:
         return False
     if any(tuple(row) != col for row, col in zip(block, zip(*block))):
         return False
-    if n == 0:
-        return True
     kept = set(basis)
     out = [i for i in range(n) if i not in kept]
+    if n <= _SMALL:
+        return _exact_identities_hold(gram, basis, out, den, block)
     max_g = gram.dimension ** int(gram.counts.max())
     max_w = max((max(max(row), -min(row)) for row in block), default=0)
     limbs = _limbs(block, max_w.bit_length())
@@ -499,6 +568,25 @@ def _certify(wg: WeingartenMatrix) -> bool:
         i += 1
         modulus *= p
         if not _identities_hold(gram, basis, out, den, limbs, p):
+            return False
+    return True
+
+
+def _exact_identities_hold(gram: GramMatrix, basis: list[int], out: list[int], den: int,
+                           block: Sequence[Sequence[int]]) -> bool:
+    """The certificate's identities (1)-(3) in Python ints."""
+    powers = [gram.dimension**c for c in range(gram.legs + 1)]
+    g = [[powers[c] for c in row] for row in gram.counts]
+    cols = list(zip(*block))
+    y = [[sum(row[b] * x for b, x in zip(basis, col)) for col in cols] for row in g]  # G[:,B].num
+    r = len(basis)
+    if [y[i] for i in basis] != [[den * (a == b) for b in range(r)] for a in range(r)]:
+        return False
+    for c in out:
+        if any(x for x, b in zip(y[c], basis) if b > c):
+            return False
+        if [sum(x * g[b][j] for x, b in zip(y[c], basis)) for j in range(len(g))] != [
+                den * x for x in g[c]]:
             return False
     return True
 

@@ -200,6 +200,8 @@ def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
     _check_bounds(query.cols, group.dimension, "column")
     key = word_key(group.category, query.word)
     parts = _enumerate(group.category, key)
+    if not parts:  # an empty Weingarten sum needs no inverse
+        return Fraction(0)
     steps, scale = _inverse_rows(group.category, key, group.dimension)
     flat, shape = [int(p.delta(query.cols)) for p in parts], (len(parts),)
     for rows in steps + [[_delta_row(parts, query.rows)]]:

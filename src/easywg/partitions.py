@@ -11,6 +11,7 @@ one; the orthogonal/symmetric-type categories ignore colors.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Sequence, Union
@@ -326,6 +327,20 @@ def key_length(category: CategoryId, key: int) -> int:
 def _enumerate(category: CategoryId, key: int) -> tuple[SetPartition, ...]:
     """The partition set for a word_key, memoized for the process."""
     return tuple(_generate(category, key))
+
+
+@lru_cache(maxsize=None)
+def _join_blocks(categories: tuple, keys: tuple) -> tuple[int, ...]:
+    """The block count of the join of every tuple of factor partitions, in
+    itertools.product order, for the factors' categories and keys; empty
+    when a factor has no partitions."""
+    out = []
+    for combo in itertools.product(*map(_enumerate, categories, keys)):
+        j = combo[0]
+        for p in combo[1:]:
+            j = j.join(p)
+        out.append(j.block_count)
+    return tuple(out)
 
 
 def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPartition]:

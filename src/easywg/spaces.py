@@ -32,6 +32,7 @@ from .partitions import (
     SetPartition,
     WordLike,
     _enumerate,
+    _join_blocks,
     as_category,
     as_word,
     concat_key,
@@ -209,20 +210,6 @@ def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple[int, 
     return tuple(word_key(f.category, word) for f in factors)
 
 
-@lru_cache(maxsize=None)
-def _join_blocks(categories: tuple, keys: tuple) -> tuple[int, ...]:
-    """The block count of the join of every tuple of factor partitions, in
-    itertools.product order, for the factors' categories and keys; empty
-    when a factor has no partitions."""
-    out = []
-    for combo in itertools.product(*map(_enumerate, categories, keys)):
-        j = combo[0]
-        for p in combo[1:]:
-            j = j.join(p)
-        out.append(j.block_count)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class _Kernel:
     dlists: tuple[tuple[SetPartition, ...], ...]
@@ -301,10 +288,11 @@ class Relation:
         return len(self.word)
 
 
-def _all_words(max_k: int) -> Iterator[ColoredWord]:
-    for k in range(max_k + 1):
-        for colors in itertools.product((Color.WHITE, Color.BLACK), repeat=k):
-            yield ColoredWord(colors)
+@lru_cache(maxsize=None)
+def _all_words(max_k: int) -> tuple[ColoredWord, ...]:
+    """Every colored word of length at most max_k, shortest first."""
+    return tuple(ColoredWord(colors) for k in range(max_k + 1)
+                 for colors in itertools.product((Color.WHITE, Color.BLACK), repeat=k))
 
 
 def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:

@@ -493,6 +493,18 @@ _NUMPY_FREE = [
     ["group-moment", "--group", "S:3", "--word", "ooo", "--rows", "1,2,1", "--cols", "3,1,3"],
     ["group-moment", "--group", "S:3", "--group", "S:2", "--word", "oo", "--rows", "1,2",
      "--cols", "2,1", "--rows", "1,1", "--cols", "2,2"],
+    # matrices of at most exact_linalg._SMALL partitions are built, inverted
+    # and certified in Python ints, and a word without partitions needs none
+    ["group-moment", "--group", "O:3", "--word", "ooo", "--rows", "1,1,1", "--cols", "1,1,1"],
+    ["gram", "--category", "U", "--word", "oobbob", "--n", "2"],
+    ["weingarten", "--category", "O", "--word", "oooo", "--n", "3"],
+    ["group-moment", "--group", "O+:3", "--word", "oo", "--rows", "1,1", "--cols", "1,1"],
+    ["group-moment", "--group", "S:3", "--group", "O:2", "--word", "oo", "--rows", "1,1",
+     "--cols", "1,1", "--rows", "1,1", "--cols", "2,2"],
+    pytest.param(["space-moment", "--space", "S:3xO:3/J=1", "--word", "oo",
+                  "--indices", "1.1,1.1"], id="space-moment SxO"),
+    pytest.param(["verify", "--space", "O:2/I=1", "--max-k", "2", "--test-degree", "2"],
+                 id="verify O"),
 ]
 
 _HAAR = ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
@@ -500,16 +512,19 @@ _HAAR = ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
 
 # argv and the deferred modules it loads, tempfile left aside: a cache write
 # loads it, and interpreter start may have loaded it already.
+# The engine keys have more than exact_linalg._SMALL partitions: 15 for O
+# on six legs, 14 for O+ on eight.
 _LOADS_NUMPY = [
-    (["weingarten", "--category", "O", "--word", "oooo", "--n", "3"], ["numpy"]),
-    (["group-moment", "--group", "O+:3", "--word", "oo", "--rows", "1,1",
-      "--cols", "1,1"], ["numpy"]),
+    (["weingarten", "--category", "O", "--word", "oooooo", "--n", "3"], ["numpy"]),
+    (["group-moment", "--group", "O+:3", "--word", "oooooooo", "--rows", "1,1,1,1,1,1,1,1",
+      "--cols", "1,1,1,1,1,1,1,1"], ["numpy"]),
     (_HAAR + ["--threads", "1"], ["numpy"]),
     (_HAAR + ["--threads", "2"], ["numpy", "concurrent.futures"]),
-    (["space-moment", "--space", "S:3xO:3/J=1", "--word", "oo", "--indices", "1.1,1.1"],
-     ["numpy"]),  # the O factor keeps the engine
-    (["group-moment", "--group", "S:3", "--group", "O:2", "--word", "oo", "--rows", "1,1",
-      "--cols", "1,1", "--rows", "1,1", "--cols", "2,2"], ["numpy"]),
+    (["space-moment", "--space", "S:3xO:3/J=1", "--word", "oooooo",
+      "--indices", "1.1,1.1,1.1,1.1,1.1,1.1"], ["numpy"]),  # the O factor keeps the engine
+    (["group-moment", "--group", "S:3", "--group", "O:2", "--word", "oooooo",
+      "--rows", "1,1,1,1,1,1", "--cols", "1,1,1,1,1,1", "--rows", "1,1,1,1,1,1",
+      "--cols", "2,2,2,2,2,2"], ["numpy"]),
 ]
 
 
@@ -528,8 +543,11 @@ def _loaded(argv: list[str], cache_dir) -> list[str]:
 
 
 class TestDeferredImports:
-    @pytest.mark.parametrize("argv", _NUMPY_FREE, ids=map(_command, _NUMPY_FREE))
+    @pytest.mark.parametrize("argv", _NUMPY_FREE, ids=_command)
     def test_command_loads_none(self, argv, tmp_path):
+        # a cold cache directory, where writing a record loads tempfile,
+        # then the same directory holding the records
+        assert [m for m in _loaded(argv, tmp_path) if m != "tempfile"] == []
         assert _loaded(argv, tmp_path) == []
 
     @pytest.mark.parametrize("argv, expected", _LOADS_NUMPY,

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -15,7 +16,8 @@ from easywg.exact_linalg import (
     gram_matrix,
     weingarten_matrix,
 )
-from easywg.partitions import SetPartition, as_category, as_word, word_key
+from easywg.partitions import (SetPartition, _enumerate, as_category, as_word,
+                               enumerate_partitions, word_key)
 import fraction_reference as fr
 from fraction_reference import (
     SingularMatrixError,
@@ -447,13 +449,45 @@ class TestEngineAgainstFractionReference:
         assert len({xl._prime(i) for i in range(12)}) == 12
 
 
+def test_exact_route_equals_the_modular_route():
+    # every nonempty partition set of at most _SMALL partitions on at most
+    # ten legs, where weingarten_matrix takes the Python-int route: the
+    # multi-modular engine, called directly, gives the same matrix
+    checked = collections.Counter()
+    for cat in ALL_CATEGORIES:
+        for k in range(11):
+            sizes = {word: len(enumerate_partitions(cat, word)) for word in _words(cat, k)}
+            if cat in ("S", "S+", "O", "O+") and sizes["o" * k] > xl._SMALL:
+                break  # colour-blind counts grow with k
+            for word, size in sizes.items():
+                if not 0 < size <= xl._SMALL:
+                    continue
+                checked[cat] += 1
+                for n in (1, 2, 3, 4, 10):
+                    g = gram_matrix(cat, word, n)
+                    exact, modular = xl._bareiss(g), xl._modular_weingarten(g)
+                    assert (exact.basis, exact.denominator, exact.block) == (
+                        modular.basis, modular.denominator, modular.block), (cat, word, n)
+    assert checked == {"S": 4, "S+": 4, "O": 3, "O+": 4, "U": 29, "U+": 307}
+
+
+# Two singular keys, one per route of the certificate: S on four legs at
+# N = 3 (15 partitions), whose identities are checked modulo primes, and S
+# on three legs at N = 2 (5 partitions, at most _SMALL), whose identities
+# are checked in Python ints.
+_BOTH_ROUTES = [("S", "oooo", 3), ("S", "ooo", 2)]
+
+
 class TestCertificate:
     """Each variant is rejected by the check it targets: the structural
-    checks (basis order, block shape, symmetry) before any modular
-    arithmetic, the identities only on well-formed r x r blocks."""
+    checks (basis order, block shape, symmetry) before any identity is
+    multiplied out, the identities only on well-formed r x r blocks.  Each
+    test runs on both keys of _BOTH_ROUTES."""
 
-    def _canonical(self):
-        return weingarten_matrix(gram_matrix("S", "oooo", 3))
+    def _canonicals(self):
+        grams = [gram_matrix(*key) for key in _BOTH_ROUTES]
+        assert [len(g.index) > xl._SMALL for g in grams] == [True, False]
+        return [weingarten_matrix(g) for g in grams]
 
     def _variant(self, w, basis=None, den=None, block=None):
         return WeingartenMatrix(
@@ -465,9 +499,10 @@ class TestCertificate:
 
     def _rejected_unmultiplied(self, monkeypatch, v):
         def unreachable(*args):
-            raise AssertionError("a structural defect reached the modular checks")
+            raise AssertionError("a structural defect reached the identities")
 
         monkeypatch.setattr(xl, "_residues", unreachable)
+        monkeypatch.setattr(xl, "_exact_identities_hold", unreachable)
         return not xl._certify(v)
 
     def _rejected_well_formed(self, v):
@@ -478,65 +513,66 @@ class TestCertificate:
         return not xl._certify(v)
 
     def test_accepts_canonical(self):
-        w = self._canonical()
-        assert len(w.block) == len(w.basis) < len(w.index)
-        assert xl._certify(w)
+        for w in self._canonicals():
+            assert len(w.block) == len(w.basis) < len(w.index)
+            assert xl._certify(w)
 
     def test_rejects_foreign_basis_inverse(self):
-        w = self._canonical()
-        foreign, den, block = _foreign_inverse(w)
-        assert foreign != w.basis
-        v = self._variant(w, foreign, den, block)
-        # (1) and (2) hold exactly, so only the greedy-profile check (3) is left
-        g = [list(r) for r in w.source.entries]
-        kept = [[g[i][j] for j in foreign] for i in foreign]
-        assert matmul(kept, [list(r) for r in block]) == [
-            [den * (a == b) for b in range(len(foreign))] for a in range(len(foreign))
-        ]
-        assert matmul(matmul(g, v.entries), g) == g
-        assert self._rejected_well_formed(v)
+        for w in self._canonicals():
+            foreign, den, block = _foreign_inverse(w)
+            assert foreign != w.basis
+            v = self._variant(w, foreign, den, block)
+            # (1) and (2) hold exactly, so only the greedy-profile check (3) is left
+            g = [list(r) for r in w.source.entries]
+            kept = [[g[i][j] for j in foreign] for i in foreign]
+            assert matmul(kept, [list(r) for r in block]) == [
+                [den * (a == b) for b in range(len(foreign))] for a in range(len(foreign))
+            ]
+            assert matmul(matmul(g, v.entries), g) == g
+            assert self._rejected_well_formed(v)
 
     def test_rejects_perturbations(self):
         # a symmetric change of one entry, and a wrong denominator
-        w = self._canonical()
-        block = [list(r) for r in w.block]
-        block[0][1] += 1
-        block[1][0] += 1
-        assert self._rejected_well_formed(self._variant(w, block=tuple(map(tuple, block))))
-        assert self._rejected_well_formed(self._variant(w, den=w.denominator + 1))
+        for w in self._canonicals():
+            block = [list(r) for r in w.block]
+            block[0][1] += 1
+            block[1][0] += 1
+            assert self._rejected_well_formed(self._variant(w, block=tuple(map(tuple, block))))
+            assert self._rejected_well_formed(self._variant(w, den=w.denominator + 1))
 
     def test_numerators_beyond_int64(self):
         # the same W over a denominator scaled by 2**70 has numerators of
         # up to 70 + a few bits, negative ones included, so they reach the
-        # products as two 62-bit limbs: accepted, and rejected once moved
-        w = self._canonical()
-        scale = 2**70
-        block = [[x * scale for x in row] for row in w.block]
-        assert max(abs(x) for row in block for x in row) >= 2**70
-        assert any(x < 0 for row in block for x in row)
-        assert xl._certify(self._variant(w, den=w.denominator * scale,
-                                         block=tuple(map(tuple, block))))
-        block[0][0] += 1
-        assert self._rejected_well_formed(self._variant(w, den=w.denominator * scale,
-                                                        block=tuple(map(tuple, block))))
+        # modular products as two 62-bit limbs: accepted, and rejected once
+        # moved
+        for w in self._canonicals():
+            scale = 2**70
+            block = [[x * scale for x in row] for row in w.block]
+            assert max(abs(x) for row in block for x in row) >= 2**70
+            assert any(x < 0 for row in block for x in row)
+            assert xl._certify(self._variant(w, den=w.denominator * scale,
+                                             block=tuple(map(tuple, block))))
+            block[0][0] += 1
+            assert self._rejected_well_formed(self._variant(w, den=w.denominator * scale,
+                                                            block=tuple(map(tuple, block))))
 
     def test_rejects_reversed_basis(self, monkeypatch):
-        w = self._canonical()
-        assert self._rejected_unmultiplied(monkeypatch, self._variant(w, basis=w.basis[::-1]))
+        for w in self._canonicals():
+            assert self._rejected_unmultiplied(monkeypatch, self._variant(w, basis=w.basis[::-1]))
 
     def test_rejects_asymmetric_block(self, monkeypatch):
-        w = self._canonical()
-        block = [list(r) for r in w.block]
-        block[0][1] += 1
-        asym = self._variant(w, block=tuple(map(tuple, block)))
-        assert self._rejected_unmultiplied(monkeypatch, asym)
+        for w in self._canonicals():
+            block = [list(r) for r in w.block]
+            block[0][1] += 1
+            asym = self._variant(w, block=tuple(map(tuple, block)))
+            assert self._rejected_unmultiplied(monkeypatch, asym)
 
     def test_rejects_misshapen_blocks(self, monkeypatch):
         # the full n x n numerators in the block slot, a missing row, a short row
-        w = self._canonical()
-        short = (w.block[0][:-1],) + w.block[1:]
-        for block in (w.numerators, w.block[:-1], short):
-            assert self._rejected_unmultiplied(monkeypatch, self._variant(w, block=block))
+        for w in self._canonicals():
+            short = (w.block[0][:-1],) + w.block[1:]
+            for block in (w.numerators, w.block[:-1], short):
+                assert self._rejected_unmultiplied(monkeypatch, self._variant(w, block=block))
 
 
 def _foreign_inverse(w):
@@ -572,11 +608,15 @@ def _first_one(record, value):
     row[row.index(1)] = value
 
 
-# The partitions of S on four legs, Bell(4): one past the last index.
-_N = 15
+def _past_the_end(record) -> int:
+    """The number of partitions of the record's key: one past the last index."""
+    category, wkey, _ = record["key"]
+    return len(_enumerate(as_category(category), wkey))
 
 
 class TestDiskRecordCertificate:
+    """Each test runs on the records of both keys of _BOTH_ROUTES."""
+
     def setup_method(self):
         clear_caches()
         xl.set_disk_cache(None)
@@ -585,37 +625,42 @@ class TestDiskRecordCertificate:
         clear_caches()
         xl.set_disk_cache(None)
 
-    def _record(self, tmp_path):
-        xl.set_disk_cache(str(tmp_path))
-        good = get_weingarten("S", "oooo", 3)
-        (path,) = tmp_path.glob("wg_*.json")
-        clear_caches()
-        return good, path, json.loads(path.read_text())
+    def _records(self, tmp_path):
+        """Per key: the key, its matrix, and its record's path and contents,
+        in a directory of the key's own that stays configured."""
+        for key in _BOTH_ROUTES:
+            clear_caches()
+            xl.set_disk_cache(str(tmp_path / key[1]))
+            good = get_weingarten(*key)
+            (path,) = (tmp_path / key[1]).glob("wg_*.json")
+            clear_caches()
+            yield key, good, path, json.loads(path.read_text())
 
     def test_foreign_g_inverse_rejected_and_rebuilt(self, tmp_path):
-        good, path, record = self._record(tmp_path)
-        foreign, den, block = _foreign_inverse(good)
-        # a genuine g-inverse: G.W.G = G holds for it
-        ge = [list(r) for r in good.source.entries]
-        wf = WeingartenMatrix(good.source, foreign, den, block).entries
-        assert matmul(matmul(ge, wf), ge) == ge
-        record.update(basis=list(foreign), denominator=den, block=[list(row) for row in block])
-        path.write_text(json.dumps(record))
-        again = get_weingarten("S", "oooo", 3)
-        assert again.basis == good.basis
-        assert again.numerators == good.numerators
-        assert json.loads(path.read_text())["basis"] == list(good.basis)
+        for key, good, path, record in self._records(tmp_path):
+            foreign, den, block = _foreign_inverse(good)
+            # a genuine g-inverse: G.W.G = G holds for it
+            ge = [list(r) for r in good.source.entries]
+            wf = WeingartenMatrix(good.source, foreign, den, block).entries
+            assert matmul(matmul(ge, wf), ge) == ge
+            record.update(basis=list(foreign), denominator=den,
+                          block=[list(row) for row in block])
+            path.write_text(json.dumps(record))
+            again = get_weingarten(*key)
+            assert again.basis == good.basis
+            assert again.numerators == good.numerators
+            assert json.loads(path.read_text())["basis"] == list(good.basis)
 
     @pytest.mark.parametrize("field,value", [
         ("category", "S+"), ("word", 5), ("dimension", 4),
     ])
     def test_header_must_name_the_key(self, tmp_path, field, value):
-        good, path, record = self._record(tmp_path)
-        at = ["category", "word", "dimension"].index(field)
-        record["key"][at] = value
-        path.write_text(json.dumps(record))
-        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
-        assert json.loads(path.read_text())["key"][at] != value
+        for key, good, path, record in self._records(tmp_path):
+            at = ["category", "word", "dimension"].index(field)
+            record["key"][at] = value
+            path.write_text(json.dumps(record))
+            assert get_weingarten(*key).numerators == good.numerators
+            assert json.loads(path.read_text())["key"][at] != value
 
     @pytest.mark.parametrize("mutate", [
         lambda r: r.update(block="x"),
@@ -623,7 +668,7 @@ class TestDiskRecordCertificate:
         lambda r: r["block"][0].__setitem__(0, "1/0"),
         lambda r: r.pop("basis"),
         lambda r: r["block"].pop(),
-        lambda r: r["basis"].__setitem__(-1, _N),
+        lambda r: r["basis"].__setitem__(-1, _past_the_end(r)),
         _outside_basis,
         lambda r: _outside_basis(r, 0),
         lambda r: _first_one(r, True),
@@ -640,24 +685,24 @@ class TestDiskRecordCertificate:
         lambda r: r.pop("key"),
     ])
     def test_malformed_records_rebuilt(self, tmp_path, mutate):
-        good, path, record = self._record(tmp_path)
-        original = path.read_text()
-        mutate(record)
-        path.write_text(json.dumps(record))
-        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
-        assert path.read_text() == original  # as text: true == 1 in Python
+        for key, good, path, record in self._records(tmp_path):
+            original = path.read_text()
+            mutate(record)
+            path.write_text(json.dumps(record))
+            assert get_weingarten(*key).numerators == good.numerators
+            assert path.read_text() == original  # as text: true == 1 in Python
 
     def test_unreadable_record_rebuilt(self, tmp_path):
-        good, path, _ = self._record(tmp_path)
-        path.write_text("[1, 2")
-        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
-        path.write_text("[1, 2]")
-        clear_caches()
-        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
-        path.write_text("[" * 100000)  # json.load raises RecursionError
-        clear_caches()
-        assert get_weingarten("S", "oooo", 3).numerators == good.numerators
-        assert json.loads(path.read_text())["basis"] == list(good.basis)
+        for key, good, path, _ in self._records(tmp_path):
+            path.write_text("[1, 2")
+            assert get_weingarten(*key).numerators == good.numerators
+            path.write_text("[1, 2]")
+            clear_caches()
+            assert get_weingarten(*key).numerators == good.numerators
+            path.write_text("[" * 100000)  # json.load raises RecursionError
+            clear_caches()
+            assert get_weingarten(*key).numerators == good.numerators
+            assert json.loads(path.read_text())["basis"] == list(good.basis)
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         xl.set_disk_cache(str(tmp_path))

@@ -289,13 +289,14 @@ def test_reconstruct_never_returns_an_unbounded_matrix(case, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([("S", "oooo", 3), ("O+", "oooooooo", 10), ("U+", "obobob", 2),
-                        ("S", "ooooo", 10)]),
+                        ("S", "ooooo", 10), ("U", "oobbob", 2)]),
        st.integers(0, 10**6), st.fractions(min_value=-4, max_value=4, max_denominator=10**4),
        st.integers(1, 4))
 def test_a_wrong_matrix_is_none_or_rejected(key, at, delta, primes):
     # the residues of W with one upper-triangle entry moved by delta, under
     # a few of the engine's primes: the reconstruction is None, or a matrix
-    # the certificate rejects
+    # the certificate rejects (in Python ints for the keys of at most
+    # _SMALL partitions, U+ obobob and U oobbob)
     assume(delta != 0)
     good = xl.weingarten_matrix(gram_matrix(*key))
     r = len(good.basis)

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from easywg.exact_linalg import get_weingarten
+from easywg.exact_linalg import _weingarten, get_weingarten
 from easywg.integrator import GroupSpec, IndexSet, MomentQuery, group_moment
 from easywg.oracles import haar_mc_moment, sn_exhaustive_moment
 from easywg.partitions import as_word
+from fraction_reference import clear_caches
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 
@@ -69,8 +70,12 @@ class TestGroupMoment:
             assert group_moment(GroupSpec(cat, 3), q("", (), ())) == 1
 
     def test_vanishing_moment(self):
-        # no pairings of an odd word
+        # no pairings of an odd word or an unbalanced one: no inverse is asked for
+        clear_caches()
         assert group_moment(GroupSpec("O", 4), q("o", (1,), (1,))) == 0
+        assert group_moment(GroupSpec("O", 3), q("ooo", (1,) * 3, (1,) * 3)) == 0
+        assert group_moment(GroupSpec("U+", 3), q("oob", (1,) * 3, (1,) * 3)) == 0
+        assert _weingarten.cache_info().misses == 0
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):

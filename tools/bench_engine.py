@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Cold Weingarten builds of the large keys, layer by layer, for two checkouts.
+"""Cold Weingarten builds, layer by layer, for two checkouts: three large
+keys, and two of at most exact_linalg._SMALL partitions, which take the
+Python-int route, so the record shows both sides of the size choice.
 
     python3 tools/bench_engine.py --parent DIR [--out BENCH_engine.json]
 
@@ -30,10 +32,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KEYS = [("O", "o" * 10, 10), ("S", "o" * 7, 10), ("S+", "o" * 8, 10)]
+KEYS = [("O", "o" * 10, 10), ("S", "o" * 7, 10), ("S+", "o" * 8, 10),
+        ("O+", "o" * 6, 10), ("U", "ooobbb", 10)]
 LAYERS = {"_sweep": "sweep", "_matmul_mod": "products", "add": "crt",
           "_reconstruct": "reconstruction", "_certify": "certificate",
-          "_join_block_counts": "gram"}
+          "_join_block_counts": "gram", "_join_blocks": "gram", "_bareiss": "elimination"}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
@@ -65,9 +68,9 @@ def child(src: str, cat: str, word: str, n: int, layered: bool) -> dict:
     t0 = time.perf_counter()
     w = xl.get_weingarten(cat, word, n)
     wall = time.perf_counter() - t0
-    return {"n": len(w.index), "basis": len(w.basis), "wall_s": round(wall, 2),
+    return {"n": len(w.index), "basis": len(w.basis), "wall_s": round(wall, 5),
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
-            "layers_s": {k: round(v, 3) for k, v in sorted(seconds.items())},
+            "layers_s": {k: round(v, 5) for k, v in sorted(seconds.items())},
             "missing_layers": missing}
 
 
