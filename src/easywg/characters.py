@@ -8,7 +8,6 @@ classical/free moment correspondence becomes visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,11 +21,12 @@ from .partitions import (
     as_category,
     as_word,
     enumerate_partitions,
+    record,
 )
 from .spaces import SpaceSpec, _kernel
 
 
-@dataclass(frozen=True)
+@record
 class CharacterQuery:
     """Moment query for the rescaled truncated character of a space.
 
@@ -90,7 +90,7 @@ _LAW_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class LimitLaw:
     """A moment-level limit law: counting kind plus a positive parameter t."""
 
@@ -134,7 +134,7 @@ def limit_law_moments(law: LimitLaw, max_k: int) -> list[Fraction]:
     ]
 
 
-@dataclass(frozen=True)
+@record
 class BpRow:
     k: int
     classical: Fraction
@@ -165,7 +165,7 @@ def bp_compare(
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class ProfileRow:
     ambient_dimension: int
     truncation: int

@@ -9,7 +9,6 @@ codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -368,6 +367,8 @@ def build_parser() -> _Parser:
 
 
 def _emit_csv(table) -> str:
+    import csv  # only --format csv needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in table:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
@@ -54,6 +53,7 @@ from .partitions import (
     as_category,
     as_word,
     key_length,
+    record,
     word_key,
 )
 
@@ -74,7 +74,7 @@ def format_scalar(x) -> str:
 _SMALL = 8
 
 
-@dataclass(frozen=True)
+@record(hidden=("counts",))
 class GramMatrix:
     """Inner products of partition vectors on `legs` points: entries
     N^{|pi v sigma|}, kept as the join block counts |pi v sigma|."""
@@ -83,8 +83,9 @@ class GramMatrix:
     legs: int
     dimension: int
     index: tuple[SetPartition, ...]
-    # n x n: tuples of rows up to _SMALL partitions, else a numpy array
-    counts: "tuple[tuple[int, ...], ...] | np.ndarray" = field(compare=False, repr=False)
+    # n x n: tuples of rows up to _SMALL partitions, else a numpy array;
+    # left out of equality, hash and repr
+    counts: "tuple[tuple[int, ...], ...] | np.ndarray"
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -147,7 +148,7 @@ def _join_block_counts(index: Sequence[SetPartition], k: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
+@record
 class WeingartenMatrix:
     """Generalized inverse of a Gram matrix, supported on a basis subset.
 

@@ -5,16 +5,15 @@ tensor contraction that every Weingarten sum runs on."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact_linalg import _weingarten
 from .partitions import (CategoryId, ColoredWord, _enumerate, as_category, as_word,
-                         mobius_intervals, word_key)
+                         mobius_intervals, record, word_key)
 
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     """An easy compact quantum group: category plus matrix size."""
 
@@ -40,7 +39,7 @@ class GroupSpec:
         return f"{self.category.value}:{self.dimension}"
 
 
-@dataclass(frozen=True)
+@record
 class IndexSet:
     """A nonempty sorted set of coordinate indices within {1, ..., N}."""
 
@@ -71,7 +70,7 @@ class IndexSet:
         return ",".join(str(x) for x in self.members)
 
 
-@dataclass(frozen=True)
+@record
 class MomentQuery:
     """A colored monomial in the matrix coordinates: word, row and column indices."""
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .integrator import IndexSet, MomentQuery, _check_bounds
-from .partitions import CategoryId, WordLike, as_category, as_word
+from .partitions import CategoryId, WordLike, as_category, as_word, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,7 +91,7 @@ def sn_exhaustive_space_moment(
     return Fraction(count, math.factorial(n))
 
 
-@dataclass(frozen=True)
+@record
 class SampleReport:
     """A Monte Carlo estimate with its standard error and provenance."""
 

@@ -14,7 +14,79 @@ import enum
 import itertools
 import math
 from functools import lru_cache, total_ordering
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
+
+
+def record(cls=None, /, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
+    """Class decorator for a plain record: dataclasses' frozen records
+    without importing dataclasses (and inspect) or compiling methods.
+
+    The fields are the class's annotations, in order, and a class attribute
+    named like a field is its default.  __init__ takes the fields as
+    positional or keyword arguments, then runs the class's __post_init__;
+    equality and repr read every field but the `hidden` ones.  A frozen
+    record hashes by the same fields, and assigning or deleting any
+    attribute raises AttributeError (__post_init__ normalizes through
+    object.__setattr__; functools.cached_property still caches); any other
+    record is unhashable.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen, hidden=hidden)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    shown = tuple(n for n in names if n not in hidden)
+    key = attrgetter(*shown)
+    post = getattr(cls, "__post_init__", None)
+    put = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, names, defaults, args, kwargs)
+        for name, value in zip(names, args):
+            put(self, name, value)
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = __hash__ if frozen else None
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    """A record's field values from a call with keywords or defaults."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, {len(args)} given")
+    given = dict(zip(names, args))
+    for name in kwargs:
+        if name not in names:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        if name in given:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+    given.update(kwargs)
+    missing = [n for n in names if n not in given and n not in defaults]
+    if missing:
+        raise TypeError(f"{cls.__name__}() missing arguments {', '.join(map(repr, missing))}")
+    return [given[n] if n in given else defaults[n] for n in names]
 
 
 class Color(enum.Enum):
@@ -147,32 +219,10 @@ class SetPartition:
         """The finest partition coarser than both (superposition of blocks)."""
         if len(self.rgs) != len(other.rgs):
             raise ValueError("ground-size mismatch in join")
-        k = len(self.rgs)
-        parent = list(range(k))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for rgs in (self.rgs, other.rgs):
-            first_pos: dict[int, int] = {}
-            for pos, label in enumerate(rgs):
-                if label in first_pos:
-                    a, b = find(first_pos[label]), find(pos)
-                    if a != b:
-                        parent[b] = a
-                else:
-                    first_pos[label] = pos
-        relabel: dict[int, int] = {}
-        out = []
-        for pos in range(k):
-            root = find(pos)
-            if root not in relabel:
-                relabel[root] = len(relabel)
-            out.append(relabel[root])
-        return SetPartition(out)
+        parent, _ = _join_forest(len(self.rgs), (_links(self.rgs), _links(other.rgs)))
+        labels: dict[int, int] = {}  # root -> block label, in order of first appearance
+        return SetPartition([labels.setdefault(_root(parent, pos), len(labels))
+                             for pos in range(len(parent))])
 
     def to_text(self) -> str:
         """Blocks joined by '|': digit runs for ground size <= 9, else commas."""
@@ -191,6 +241,47 @@ class SetPartition:
 
     def __repr__(self) -> str:
         return f"SetPartition({self.to_text()!r})"
+
+
+def _links(rgs: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(point, first point of its block) for every point of a growth string
+    that does not open its block, points counted from 0."""
+    first: list[int] = []
+    out = []
+    for pos, label in enumerate(rgs):
+        if label == len(first):
+            first.append(pos)
+        else:
+            out.append((pos, first[label]))
+    return tuple(out)
+
+
+def _root(parent: list[int], x: int) -> int:
+    """The root of point x's tree in a _join_forest."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _join_forest(k: int, links: Iterable[Sequence[tuple[int, int]]]) -> tuple[list[int], int]:
+    """The join of partitions of k points, given by their _links, as a
+    union-find forest (parent pointers, each tree rooted at its smallest
+    point) and its block count: k minus the links that merged two trees."""
+    parent = list(range(k))
+    count = k
+    for pairs in links:
+        for a, b in pairs:  # _root inlined: this loop is the join tables' cost
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+                count -= 1
+    return parent, count
 
 
 class CategoryId(enum.Enum):
@@ -334,13 +425,9 @@ def _join_blocks(categories: tuple, keys: tuple) -> tuple[int, ...]:
     """The block count of the join of every tuple of factor partitions, in
     itertools.product order, for the factors' categories and keys; empty
     when a factor has no partitions."""
-    out = []
-    for combo in itertools.product(*map(_enumerate, categories, keys)):
-        j = combo[0]
-        for p in combo[1:]:
-            j = j.join(p)
-        out.append(j.block_count)
-    return tuple(out)
+    k = key_length(categories[0], keys[0])
+    factors = [[_links(p.rgs) for p in _enumerate(c, key)] for c, key in zip(categories, keys)]
+    return tuple(_join_forest(k, combo)[1] for combo in itertools.product(*factors))
 
 
 def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPartition]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -33,14 +32,18 @@ from .partitions import (
     WordLike,
     _enumerate,
     _join_blocks,
+    _join_forest,
+    _links,
+    _root,
     as_category,
     as_word,
     concat_key,
+    record,
     word_key,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SpaceSpec:
     """Factors plus index set.
 
@@ -210,7 +213,7 @@ def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple[int, 
     return tuple(word_key(f.category, word) for f in factors)
 
 
-@dataclass(frozen=True)
+@record
 class _Kernel:
     dlists: tuple[tuple[SetPartition, ...], ...]
     shape: tuple[int, ...]
@@ -273,7 +276,7 @@ def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fractio
 # Relations.
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     """One defining relation: sum over delta-fitting indices of the word
     monomial equals M ** join_blocks in rescaled coordinates (that is,
@@ -316,7 +319,7 @@ def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class RelationCheck:
     relation: Relation
     monomial_word: ColoredWord
@@ -326,7 +329,7 @@ class RelationCheck:
     rhs: "Fraction | None" = None
 
 
-@dataclass
+@record(frozen=False)
 class VerificationReport:
     """The checks of a verification, as the lazy `_Checks` that
     `verify_relations` returns: its `len` is a count, and failures are found
@@ -360,15 +363,17 @@ def _exponent_rows(
     are equal exactly when they have the same number of blocks.
     """
     tail = max(pattern) + 1 if pattern else 0
+    full_links = [_links(w.rgs) for w in fulls]
     out = []
     for h in heads:
         k = h.ground_size
-        both = SetPartition(h.rgs + tuple(h.block_count + x for x in pattern))
+        legs = k + len(pattern)
+        both = _links(h.rgs + tuple(h.block_count + x for x in pattern))
         row = []
-        for c, w in enumerate(fulls):
-            j = both.join(w)
-            if len(set(j.rgs[k:])) == tail:
-                row.append((c, j.block_count - tail))
+        for c, links in enumerate(full_links):
+            parent, blocks = _join_forest(legs, (both, links))
+            if len({_root(parent, x) for x in range(k, legs)}) == tail:
+                row.append((c, blocks - tail))
         out.append(tuple(row))
     return tuple(out)
 

@@ -453,8 +453,10 @@ class TestRoundTrip:
 
 
 # Modules that only the matrix engine, the Monte Carlo oracle, its thread
-# pool and the disk-record writer use; each is imported where it is used.
-_DEFERRED = ("numpy", "concurrent.futures", "tempfile")
+# pool, the disk-record writer and --format csv use; each is imported where
+# it is used.  No command needs dataclasses or inspect, but numpy loads
+# inspect.
+_DEFERRED = ("numpy", "concurrent.futures", "tempfile", "dataclasses", "inspect", "csv")
 
 # Prints the exit code and the deferred modules that easywg loaded.  Modules
 # present before easywg is imported are left out: site hooks of some
@@ -515,16 +517,17 @@ _HAAR = ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",
 # The engine keys have more than exact_linalg._SMALL partitions: 15 for O
 # on six legs, 14 for O+ on eight.
 _LOADS_NUMPY = [
-    (["weingarten", "--category", "O", "--word", "oooooo", "--n", "3"], ["numpy"]),
+    (["weingarten", "--category", "O", "--word", "oooooo", "--n", "3"], ["numpy", "inspect"]),
     (["group-moment", "--group", "O+:3", "--word", "oooooooo", "--rows", "1,1,1,1,1,1,1,1",
-      "--cols", "1,1,1,1,1,1,1,1"], ["numpy"]),
-    (_HAAR + ["--threads", "1"], ["numpy"]),
-    (_HAAR + ["--threads", "2"], ["numpy", "concurrent.futures"]),
+      "--cols", "1,1,1,1,1,1,1,1"], ["numpy", "inspect"]),
+    (_HAAR + ["--threads", "1"], ["numpy", "inspect"]),
+    (_HAAR + ["--threads", "2"], ["numpy", "concurrent.futures", "inspect"]),
     (["space-moment", "--space", "S:3xO:3/J=1", "--word", "oooooo",
-      "--indices", "1.1,1.1,1.1,1.1,1.1,1.1"], ["numpy"]),  # the O factor keeps the engine
+      "--indices", "1.1,1.1,1.1,1.1,1.1,1.1"],
+     ["numpy", "inspect"]),  # the O factor keeps the engine
     (["group-moment", "--group", "S:3", "--group", "O:2", "--word", "oooooo",
       "--rows", "1,1,1,1,1,1", "--cols", "1,1,1,1,1,1", "--rows", "1,1,1,1,1,1",
-      "--cols", "2,2,2,2,2,2"], ["numpy"]),
+      "--cols", "2,2,2,2,2,2"], ["numpy", "inspect"]),
 ]
 
 
@@ -556,6 +559,10 @@ class TestDeferredImports:
                                   "group-moment SxO"])
     def test_engine_command_loads_numpy(self, argv, expected, tmp_path):
         assert [m for m in _loaded(argv, tmp_path) if m != "tempfile"] == expected
+
+    def test_csv_output_loads_csv(self, tmp_path):
+        argv = ["bp-compare", "--category", "S", "--t", "1", "--max-k", "4", "--format", "csv"]
+        assert _loaded(argv, tmp_path) == ["csv"]
 
 
 # ---------------------------------------------------------------------------

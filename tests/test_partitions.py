@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -10,6 +11,8 @@ from easywg.partitions import (
     Color,
     ColoredWord,
     SetPartition,
+    _enumerate,
+    _join_blocks,
     as_category,
     as_word,
     concat_key,
@@ -270,6 +273,44 @@ class TestJoinProperties:
             return
         if a.delta(idx) == 1 and b.delta(idx) == 1:
             assert a.join(b).delta(idx) == 1
+
+
+def _merged_blocks(parts):
+    """The join's blocks, by merging every block that meets a new one."""
+    blocks = [set(b) for b in parts[0].blocks]
+    for p in parts[1:]:
+        for b in map(set, p.blocks):
+            blocks = [x for x in blocks if not x & b] + [b.union(*(x for x in blocks if x & b))]
+    return sorted(map(sorted, blocks))
+
+
+# every category in every position of a three-factor tuple
+_TRIPLES = [tuple(ALL_CATEGORIES[(i + j) % 6] for j in range(3)) for i in range(6)]
+
+
+class TestJoinBlocks:
+    def test_join_equals_merged_blocks(self):
+        parts = enumerate_partitions("S", "oooo")
+        for a, b in itertools.product(parts, repeat=2):
+            assert [list(x) for x in a.join(b).blocks] == _merged_blocks((a, b))
+
+    @pytest.mark.parametrize("categories", [*itertools.product(ALL_CATEGORIES, repeat=2),
+                                            *_TRIPLES], ids="-".join)
+    def test_counts_equal_chained_joins(self, categories):
+        # on every word of at most five legs
+        cats = tuple(map(as_category, categories))
+        seen = set()
+        for k in range(6):
+            for colors in itertools.product("ob", repeat=k):
+                keys = tuple(word_key(c, as_word("".join(colors))) for c in cats)
+                if keys in seen:
+                    continue
+                seen.add(keys)
+                combos = list(itertools.product(*map(_enumerate, cats, keys)))
+                expected = tuple(functools.reduce(SetPartition.join, combo).block_count
+                                 for combo in combos)
+                assert _join_blocks(cats, keys) == expected
+                assert expected == tuple(len(_merged_blocks(combo)) for combo in combos)
 
 
 class TestCategoryId:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import easywg.exact_linalg as xl
+import easywg.partitions as partitions
 import easywg.spaces as spaces
 from easywg.exact_linalg import get_weingarten
 from easywg.integrator import GroupSpec, IndexSet, MomentQuery
@@ -231,9 +232,10 @@ class TestRelationSet:
         sp = preset("group-as-space", "S", 3)
         fresh = functools.lru_cache(maxsize=None)(spaces._join_blocks.__wrapped__)
         monkeypatch.setattr(spaces, "_join_blocks", fresh)
-        real = SetPartition.join
+        real = partitions._join_forest  # one union-find per tuple of partitions
         joins = []
-        monkeypatch.setattr(SetPartition, "join", lambda p, q: joins.append(1) or real(p, q))
+        monkeypatch.setattr(partitions, "_join_forest",
+                            lambda k, links: joins.append(1) or real(k, links))
         relation_set(sp, 5)
         assert len(joins) == 2_960
 
