@@ -215,15 +215,6 @@ class SetPartition:
                 return 0
         return 1
 
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """The finest partition coarser than both (superposition of blocks)."""
-        if len(self.rgs) != len(other.rgs):
-            raise ValueError("ground-size mismatch in join")
-        parent, _ = _join_forest(len(self.rgs), (_links(self.rgs), _links(other.rgs)))
-        labels: dict[int, int] = {}  # root -> block label, in order of first appearance
-        return SetPartition([labels.setdefault(_root(parent, pos), len(labels))
-                             for pos in range(len(parent))])
-
     def to_text(self) -> str:
         """Blocks joined by '|': digit runs for ground size <= 9, else commas."""
         if self.ground_size <= 9:
@@ -302,14 +293,10 @@ class CategoryId(enum.Enum):
             names = ", ".join(c.value for c in cls)
             raise ValueError(f"unknown category {text!r}; expected one of {names}") from None
 
-    @property
-    def is_free(self) -> bool:
-        return self in (CategoryId.S_PLUS, CategoryId.O_PLUS, CategoryId.U_PLUS)
-
-    @property
-    def color_sensitive(self) -> bool:
-        """Only the unitary-type categories read leg colors."""
-        return self in (CategoryId.U, CategoryId.U_PLUS)
+    def __init__(self, value: str) -> None:
+        # plain attributes: word_key and concat_key read them on every call
+        self.is_free = value.endswith("+")
+        self.color_sensitive = value.startswith("U")  # only U and U+ read leg colors
 
     @property
     def free_version(self) -> "CategoryId":

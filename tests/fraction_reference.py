@@ -4,9 +4,10 @@ These are the library's former code paths, kept here as oracles: a
 fraction-free Bareiss inverse, the incremental Fraction bordering that
 built Weingarten matrices before the multi-modular engine, and the
 enumeration that scans every restricted-growth string and filters by
-membership, with the membership predicates of the six categories and a
-block and text form of partitions.  `clear_caches` empties every process
-memo of the library.  Nothing in src imports this module.
+membership, with the membership predicates of the six categories, a
+block and text form of partitions and their join.  `clear_caches`
+empties every process memo of the library.  Nothing in src imports this
+module.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from easywg.partitions import (
     CategoryLike,
     SetPartition,
     WordLike,
+    _join_forest,
+    _links,
+    _root,
     as_category,
     as_word,
 )
@@ -195,6 +199,16 @@ def from_text(text: str, ground_size: int | None = None) -> SetPartition:
     else:
         blocks = [[int(ch) for ch in part] for part in text.split("|")]
     return from_blocks(blocks, ground_size)
+
+
+def join(a: SetPartition, b: SetPartition) -> SetPartition:
+    """The finest partition coarser than both (superposition of blocks)."""
+    if len(a.rgs) != len(b.rgs):
+        raise ValueError("ground-size mismatch in join")
+    parent, _ = _join_forest(len(a.rgs), (_links(a.rgs), _links(b.rgs)))
+    labels: dict[int, int] = {}  # root -> block label, in order of first appearance
+    return SetPartition([labels.setdefault(_root(parent, pos), len(labels))
+                         for pos in range(len(parent))])
 
 
 def is_pairing(partition: SetPartition) -> bool:

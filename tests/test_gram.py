@@ -2,7 +2,7 @@
 modular products, each against a plain route to the same numbers.
 
 `gram_matrix` computes every join block count at once by a bitmask
-closure; here each entry is compared with `SetPartition.join` pair by pair.
+closure; here each entry is compared with the reference `join` pair by pair.
 `_sweep` pivots through panels of `_PANEL` diagonals and updates the
 matrix once per panel; with `_PANEL` patched small the panel updates run
 many times, and the residues must equal those of an unblocked sweep on
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import easywg.exact_linalg as xl
 from easywg.exact_linalg import WeingartenMatrix, gram_matrix
 from easywg.partitions import enumerate_partitions
-from fraction_reference import bordering_weingarten
+from fraction_reference import bordering_weingarten, join
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 DIMENSIONS = (1, 2, 3, 10)
@@ -38,11 +38,11 @@ def _words(cat: str, max_k: int) -> list[str]:
 
 
 def _reference_counts(index) -> list[list[int]]:
-    """|p v q| by one SetPartition.join per unordered pair."""
+    """|p v q| by one reference join per unordered pair."""
     counts = [[0] * len(index) for _ in index]
     for i, p in enumerate(index):
         for j in range(i, len(index)):
-            counts[i][j] = counts[j][i] = p.join(index[j]).block_count
+            counts[i][j] = counts[j][i] = join(p, index[j]).block_count
     return counts
 
 

@@ -29,7 +29,7 @@ from easywg.integrator import GroupSpec, IndexSet, MomentQuery, _contract_axis, 
 from easywg.oracles import sn_exhaustive_space_moment
 from easywg.partitions import CategoryId, enumerate_partitions, mobius_intervals
 from easywg.spaces import parse_space, space_moment, verify_relations
-from fraction_reference import clear_caches
+from fraction_reference import clear_caches, join
 from verify_reference import kernel_partition
 
 
@@ -45,7 +45,7 @@ def test_interval_counts():
 @pytest.mark.parametrize("k", range(6))
 def test_mobius_inverts_the_zeta_matrix(k):
     parts = enumerate_partitions("S", "o" * k)
-    zeta = [[int(p.join(q) == q) for q in parts] for p in parts]
+    zeta = [[int(join(p, q) == q) for q in parts] for p in parts]
     for t, row in enumerate(mobius_intervals(k)):
         assert all(zeta[t][r] for r, _ in row)  # only coarsenings are listed
         product = [sum(mu * zeta[r][s] for r, mu in row) for s in range(len(parts))]

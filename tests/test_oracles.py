@@ -1,14 +1,19 @@
 import concurrent.futures
 import math
 import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from easywg import oracles
 from easywg.integrator import GroupSpec, IndexSet, MomentQuery, group_moment
 from easywg.oracles import (
     SampleReport,
+    _haar_columns,
     bell_number,
     catalan_number,
     counting_oracle,
@@ -151,6 +156,87 @@ class TestHaarMc:
         exact = group_moment(GroupSpec("U", 4), q("obob", (1,) * 4, (1,) * 4))
         rep = haar_mc_moment("U", 4, q("obob", (1,) * 4, (1,) * 4), 100_000, 2)
         assert abs(rep.estimate - float(exact)) <= 5 * rep.standard_error
+
+
+def _columns(kind, n, width, size=5_000, seed=9):
+    """The sampler's columns 1..width of block 0, as one (width, n, size) array."""
+    chunks = [q for _, q in _haar_columns(kind, n, seed, 0, size, width)]
+    return np.concatenate(chunks, axis=2)
+
+
+class TestGramSchmidtSampler:
+    @pytest.mark.parametrize("kind", ["O", "U"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_columns_match_sign_corrected_qr(self, kind, n):
+        # The same draws, factored by LAPACK and given a positive R diagonal;
+        # 5,000 matrices span two chunks.
+        size, seed = 5_000, 9
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        a = rng.standard_normal((size, n, n))
+        if kind == "U":
+            a = a + 1j * rng.standard_normal((size, n, n))
+        ref, r = np.linalg.qr(a)
+        d = np.einsum("...ii->...i", r)
+        ref = ref * (d / np.abs(d))[:, None, :]
+        for width in range(1, n + 1):
+            got = _columns(kind, n, width, size, seed)
+            assert got.shape == (width, n, size)
+            assert np.abs(got - ref[:, :, :width].transpose(2, 1, 0)).max() <= 1e-12
+            gram = np.einsum("jis,kis->sjk", got.conj(), got)
+            assert np.abs(gram - np.eye(width)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["O", "U"])
+    def test_zero_column_gives_no_nan(self, kind, monkeypatch):
+        real_rng = np.random.default_rng
+
+        class ZeroColumns:  # real draws, but each call zeroes matrix 1 and matrix 0's column 2
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, shape):
+                a = self.rng.standard_normal(shape)
+                a[0, :, 1] = 0.0
+                a[1] = 0.0
+                return a
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroColumns)
+        got = _columns(kind, 3, 3)
+        assert np.isfinite(got).all()
+        assert not got[1, :, 0].any() and not got[:, :, 1].any()
+        assert np.abs(np.einsum("jc,kc->jk", got[[0, 2], :, 0].conj(), got[[0, 2], :, 0])
+                      - np.eye(2)).max() <= 1e-12
+        word = "oooo" if kind == "O" else "obob"
+        rep = haar_mc_moment(kind, 3, q(word, (1, 2, 3, 1), (2, 2, 3, 3)), 10_000, 9)
+        assert math.isfinite(rep.estimate) and math.isfinite(rep.standard_error)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    @pytest.mark.parametrize("group, word, width, bound_mib", [
+        ("O:4", "oooo", 4, 20), ("U:4", "obob", 4, 32), ("U:10", "ob", 1, 32)])
+    def test_sampler_runs_in_bounded_memory(self, group, word, width, bound_mib):
+        # The child reads its own VmHWM around one 10^5-sample call that reads
+        # columns 1..width.  Factoring whole blocks by QR grew it by about 32
+        # MiB (O:4), 59 MiB (U:4) and 324 MiB (U:10).
+        child = (
+            "import sys\n"
+            "import numpy\n"
+            "from easywg.integrator import MomentQuery\n"
+            "from easywg.oracles import haar_mc_moment\n"
+            "from easywg.partitions import as_word\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return int(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+            "kind, n, word, width = sys.argv[1:]\n"
+            "query = MomentQuery(as_word(word), range(1, len(word) + 1), (int(width),) * len(word))\n"
+            "before = hwm()\n"
+            "haar_mc_moment(kind, int(n), query, 100_000, 3)\n"
+            "print(hwm() - before)\n"
+        )
+        src = str(pathlib.Path(oracles.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", child, *group.split(":"), word, str(width)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert int(done.stdout) < bound_mib * 1024
 
 
 class TestCountingOracles:

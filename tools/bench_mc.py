@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""The Monte Carlo oracle on its own, for two checkouts.
+
+    python3 tools/bench_mc.py --parent DIR [--out BENCH_mc.json]
+
+DIR is a checkout of the commit to compare against, for example a `git
+clone` of this repository at that commit.  Each measurement is one
+`haar_mc_moment` call at N = 4 with 10^5 samples, one BLAS thread and
+one sampling thread, in a fresh process that has imported numpy before
+the clock starts.  It records the call's wall time, the growth of the
+process's VmHWM (peak resident set) across the call, the peak itself and
+the report.  The cases are `O:4` on `oooo` and `U:4` on `obob`, rows
+1,2,3,4, with every column index 1 (width 1) or 4 (width 4): the width
+is how many columns of each matrix the query reads.  For each seed of
+SEEDS the two sides alternate which runs first.  The record, with each
+checkout's commit (marked when its tree has uncommitted changes), the
+medians per side and case, and the largest relative difference between
+the two sides' estimates and standard errors, goes to --out as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3, 4, 5)
+SAMPLES = 100_000
+CASES = {"O:4 width 1": ("O", "oooo", 1), "O:4 width 4": ("O", "oooo", 4),
+         "U:4 width 1": ("U", "obob", 1), "U:4 width 4": ("U", "obob", 4)}
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+ENV.pop("PYTHONPATH", None)
+
+
+def hwm_kib() -> int:
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+
+
+def child(src: str, case: str, seed: int) -> dict:
+    sys.path.insert(0, str(Path(src) / "src"))
+    import numpy  # noqa: F401  (loaded before the clock starts)
+    from easywg.integrator import MomentQuery
+    from easywg.oracles import haar_mc_moment
+    from easywg.partitions import as_word
+
+    kind, word, width = CASES[case]
+    query = MomentQuery(as_word(word), (1, 2, 3, 4), (width,) * 4)
+    before = hwm_kib()
+    t0 = time.perf_counter()
+    rep = haar_mc_moment(kind, 4, query, SAMPLES, seed)
+    wall = time.perf_counter() - t0
+    after = hwm_kib()
+    return {"wall_s": round(wall, 4), "hwm_growth_mib": round((after - before) / 1024, 2),
+            "peak_mib": round(after / 1024, 2),
+            "estimate": rep.estimate, "standard_error": rep.standard_error}
+
+
+def run(src: Path, case: str, seed: int) -> dict:
+    argv = [sys.executable, __file__, "--child", str(src), case, str(seed)]
+    out = subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def commit(src: Path) -> str:
+    try:
+        head, dirty = (subprocess.run(["git", "-C", str(src), *argv], capture_output=True,
+                                      text=True, check=True).stdout.strip()
+                       for argv in (["rev-parse", "HEAD"], ["status", "--porcelain"]))
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown (not a git checkout)"
+    return head + (" with uncommitted changes" if dirty else "")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--parent")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_mc.json"))
+    ap.add_argument("--child", nargs=3, metavar=("SRC", "CASE", "SEED"))
+    args = ap.parse_args()
+    if args.child:
+        src, case, seed = args.child
+        print(json.dumps(child(src, case, int(seed))))
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    record = {
+        "what": f"one haar_mc_moment call at N = 4, {SAMPLES} samples, one process per "
+                "side, case and seed",
+        "command": "python3 tools/bench_mc.py --parent DIR",
+        "commits": {side: commit(src) for side, src in sides.items()},
+        "python": platform.python_version(),
+        "env": {"OPENBLAS_NUM_THREADS": "1"},
+        "cpus": os.cpu_count(),
+        "seeds": {},
+    }
+    for i, seed in enumerate(SEEDS):
+        row: dict = {case: {} for case in CASES}
+        order = list(sides.items()) if i % 2 == 0 else list(sides.items())[::-1]
+        for side, src in order:
+            for case in CASES:
+                row[case][side] = run(src, case, seed)
+                print(seed, case, side, json.dumps(row[case][side]), file=sys.stderr)
+        record["seeds"][str(seed)] = {case: {side: row[case][side] for side in sides}
+                                      for case in CASES}
+    runs = record["seeds"].values()
+    record["median"] = {
+        case: {side: {field: statistics.median(r[case][side][field] for r in runs)
+                      for field in ("wall_s", "hwm_growth_mib", "peak_mib")}
+               for side in sides}
+        for case in CASES
+    }
+    record["max_relative_difference"] = {
+        field: max(abs(r[case]["change"][field] - r[case]["parent"][field])
+                   / abs(r[case]["parent"][field])
+                   for r in runs for case in CASES if r[case]["parent"][field])
+        for field in ("estimate", "standard_error")
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
