@@ -13,9 +13,11 @@ milliseconds, far more than this route on such a matrix, and most words a
 user asks about have 1 to 6 legs.
 
 Above _SMALL, where Python ints fall behind BLAS, numpy computes the
-counts, and inverses are computed from int64 residues modulo word-size
-primes by a blocked symmetric sweep, combined by CRT and rational
-reconstruction, and certified modulo primes before they are returned.
+counts, again once per category and word key for every N (_join_counts,
+a read-only array), and inverses are computed from int64 residues modulo
+word-size primes by a blocked symmetric sweep, combined by CRT and
+rational reconstruction, and certified modulo primes before they are
+returned.
 Products of residue matrices run on float64 BLAS with every value an
 integer of at most 2**53, so they are exact.
 
@@ -110,7 +112,7 @@ def _gram(category: CategoryId, wkey: int, dimension: int) -> GramMatrix:
     index, legs = _enumerate(category, wkey), key_length(category, wkey)
     n = len(index)
     if n > _SMALL:
-        return GramMatrix(category, legs, dimension, index, _join_block_counts(index, legs))
+        return GramMatrix(category, legs, dimension, index, _join_counts(category, wkey))
     flat = _join_blocks((category, category), (wkey, wkey))  # shared by every dimension
     return GramMatrix(category, legs, dimension, index,
                       tuple(flat[i * n:i * n + n] for i in range(n)))
@@ -118,6 +120,15 @@ def _gram(category: CategoryId, wkey: int, dimension: int) -> GramMatrix:
 
 # Elements of the (k, rows, n) mask array built per slab of Gram rows.
 _SLAB = 1 << 22
+
+
+@lru_cache(maxsize=None)
+def _join_counts(category: CategoryId, wkey: int) -> np.ndarray:
+    """_join_block_counts for the words with word_key wkey, read-only and
+    memoized for the process: every dimension shares them."""
+    counts = _join_block_counts(_enumerate(category, wkey), key_length(category, wkey))
+    counts.flags.writeable = False
+    return counts
 
 
 def _join_block_counts(index: Sequence[SetPartition], k: int) -> np.ndarray:

@@ -144,6 +144,8 @@ def haar_mc_moment(
     Gram-Schmidt applied twice.  The monomial conjugates entries at black legs
     and the real part is averaged.  Per-block sub-seeds make the result
     deterministic for a given (seed, samples), independent of thread count.
+    A word without legs is 1 on every draw, so it returns 1 with standard
+    error 0, as the draws would, without drawing them.
     """
     kind = as_category(group)
     if kind is CategoryId.O:
@@ -160,6 +162,8 @@ def haar_mc_moment(
         raise ValueError("seed must be >= 0")
     _check_bounds(query.rows, n, "row")
     _check_bounds(query.cols, n, "column")
+    if not query.word:  # the empty monomial is 1 on every draw
+        return SampleReport(1.0, 0.0, samples, seed)
     blocks = [(i, min(_MC_BLOCK, samples - start))
               for i, start in enumerate(range(0, samples, _MC_BLOCK))]
 

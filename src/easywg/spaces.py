@@ -204,7 +204,9 @@ def parse_space(text: str) -> SpaceSpec:
 # keys, and what depends on neither N nor M, the partition tuples' join
 # block counts and verify's count tables, is memoized for the process
 # under the factors' categories and keys, so that every space, dimension
-# and index set shares it.
+# and index set shares it.  verify's count rows at a dimension are
+# memoized by N as well, and its outcome tables by the factors, M, max_k
+# and the test degree.
 
 
 def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple[int, ...]:
@@ -331,8 +333,9 @@ class RelationCheck:
 
 @record(frozen=False)
 class VerificationReport:
-    """The checks of a verification, as the lazy `_Checks` that
-    `verify_relations` returns: its `len` is a count, and failures are found
+    """The checks of a verification, as the lazy `_Checks` of
+    `_outcome_table`, which every report over the same factors, M, max_k
+    and test degree shares: its `len` is a count, and failures are found
     from its outcome table without building the passing checks."""
 
     space: SpaceSpec
@@ -387,9 +390,20 @@ def _count_table(
     return _exponent_rows(_enumerate(category, head), _enumerate(category, full), pattern)
 
 
-def _powers(rows: Sequence[Sequence[tuple[int, int]]], n: int) -> list[list[tuple[int, int]]]:
+def _powers(
+    rows: Sequence[Sequence[tuple[int, int]]], n: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Exponent rows as count rows at dimension n."""
-    return [[(c, n**e) for c, e in row] for row in rows]
+    return tuple(tuple((c, n**e) for c, e in row) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _count_rows(
+    category: CategoryId, head: int, full: int, pattern: tuple[int, ...], n: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """_count_table's rows as count rows at dimension n, memoized for the
+    process: spaces of one dimension share them whatever their M."""
+    return _powers(_count_table(category, head, full, pattern), n)
 
 
 class _Patterns:
@@ -403,21 +417,21 @@ class _Patterns:
     read only the pattern.
     """
 
-    def __init__(self, space: SpaceSpec, d: int):
-        self.space = space
+    def __init__(self, factors: tuple[GroupSpec, ...], d: int):
+        self.factors = factors
         everything = _enumerate(CategoryId.S, d)
         self.options = [
-            [p for p in everything if p.block_count <= f.dimension] for f in space.factors
+            [p for p in everything if p.block_count <= f.dimension] for f in factors
         ]
         self.combos = list(itertools.product(*self.options))
         self.count = math.prod(
             sum(math.perm(f.dimension, p.block_count) for p in opts)
-            for f, opts in zip(space.factors, self.options)
+            for f, opts in zip(factors, self.options)
         )
 
     def _indices(self, comps: Sequence[tuple]) -> tuple:
         """The test tuple with the given per-factor components."""
-        return tuple(zip(*comps)) if self.space.is_product else comps[0]
+        return tuple(zip(*comps)) if len(self.factors) > 1 else comps[0]
 
     def lhs_vectors(self, kern: _Kernel, heads: tuple[int, ...], fulls: tuple[int, ...],
                     size: int) -> list:
@@ -428,11 +442,11 @@ class _Patterns:
         if not kern.values:  # no partition tuples: every integral is 0
             return [[0] * size] * len(self.combos)
         mats: dict = {}  # equal factors share their count matrices
-        for f, opts, head, full in zip(self.space.factors, self.options, heads, fulls):
+        for f, opts, head, full in zip(self.factors, self.options, heads, fulls):
             if f not in mats:
-                mats[f] = [_powers(_count_table(f.category, head, full, rho.rgs), f.dimension)
+                mats[f] = [_count_rows(f.category, head, full, rho.rgs, f.dimension)
                            for rho in opts]
-        return _contract_each(kern.values, kern.shape, [mats[f] for f in self.space.factors])
+        return _contract_each(kern.values, kern.shape, [mats[f] for f in self.factors])
 
     def tuples(self, chosen: Sequence[int]) -> list[tuple]:
         """(test tuple, pattern position) for every tuple of the chosen
@@ -442,7 +456,7 @@ class _Patterns:
             comps = [
                 [tuple(v[x] for x in rho.rgs)
                  for v in itertools.permutations(range(1, f.dimension + 1), rho.block_count)]
-                for f, rho in zip(self.space.factors, self.combos[i])
+                for f, rho in zip(self.factors, self.combos[i])
             ]
             out.extend((self._indices(combo), i) for combo in itertools.product(*comps))
         out.sort()
@@ -453,7 +467,9 @@ _PASSED = (True, None, None)
 
 
 class _Checks:
-    """The checks of one `verify_relations` call, as a lazy sequence.
+    """The checks of the `verify_relations` calls over one (factors, M,
+    max_k, test_degree), as a lazy sequence; nothing in it reads the index
+    set.
 
     `table[e_key, f_key][i]` holds the outcome of each relation of a word
     with factor keys e_key against a test word with factor keys f_key at
@@ -510,48 +526,67 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
     monomials) and right side a power of M, and for each monomial m of
     degree <= test_degree, the exact identity  integral(L . m) =
     RHS . integral(m)  is evaluated in rescaled coordinates; failures are
-    reported with both exact values.  Each outcome depends only on the
-    relation word's key, the test word's key and the per-factor equality
-    pattern of the test indices, so it is decided once per pattern, by
-    integer cross-multiplication, and the pattern's tuples are counted
-    rather than enumerated.  integral(m) is the integral of the empty
-    relation word's left side, 1, times m.  Words enter as
-    their _factor_keys, and the keys of a relation word followed by a test
-    word are concatenated per factor (partitions.concat_key).  A pair is
-    decided wholesale, before any kernel of it is built, when the test
-    monomial's moment is 0 at every pattern and some factor has no
-    partitions for the concatenated key: every integral is then 0, and
-    0 = M^b . 0 passes.  The report's checks are built only when iterated.
+    reported with both exact values.  The outcomes depend on the index set
+    only through M, so they come from _outcome_table, which index sets of
+    one size share.  The report's checks are built only when iterated.
     """
     if test_degree < 0:
         raise ValueError("test_degree must be >= 0")
-    factors = space.factors
+    if max_k < 0:
+        raise ValueError("max_k must be >= 0")
+    checks = _outcome_table(space.factors, space.m, max_k, test_degree)
+    return VerificationReport(space, max_k, test_degree, checks)
+
+
+@lru_cache(maxsize=None)
+def _outcome_table(
+    factors: tuple[GroupSpec, ...], m: int, max_k: int, test_degree: int
+) -> _Checks:
+    """The checks of verify_relations over the factors at M = m, memoized
+    for the process.
+
+    Each outcome depends only on the relation word's key, the test word's
+    key and the per-factor equality pattern of the test indices, so it is
+    decided once per pattern, by integer cross-multiplication, and the
+    pattern's tuples are counted rather than enumerated.  integral(m) is
+    the integral of the empty relation word's left side, 1, times m.
+    Words enter as their _factor_keys, and the keys of a relation word
+    followed by a test word are concatenated per factor
+    (partitions.concat_key).  A pair is decided wholesale, before any
+    kernel of it is built, when the test monomial's moment is 0 at every
+    pattern and some factor has no partitions for the concatenated key:
+    every integral is then 0, and 0 = M^b . 0 passes.  The relations are
+    those of relation_set on the index set {1..m}: they read only the
+    factors.
+    """
     categories = tuple(f.category for f in factors)
-    patterns = [_Patterns(space, d) for d in range(test_degree + 1)]
+    patterns = [_Patterns(factors, d) for d in range(test_degree + 1)]
     tests = [(f, _factor_keys(factors, f)) for f in _all_words(test_degree)]
+    relations = relation_set(SpaceSpec(factors, IndexSet(tuple(range(1, m + 1)))), max_k)
     groups = [
         (_factor_keys(factors, e_word), list(rels))
-        for e_word, rels in itertools.groupby(relation_set(space, max_k), key=lambda r: r.word)
+        for e_word, rels in itertools.groupby(relations, key=lambda r: r.word)
     ]
     empty = _factor_keys(factors, ColoredWord())  # the relation word whose left side is 1
     moments: dict = {}  # f_key -> the test monomial's moment at each pattern
     for f_word, f_key in tests:
         if f_key not in moments:
-            kern = _space_kernel(factors, space.m, f_key)
+            kern = _space_kernel(factors, m, f_key)
             lvecs = patterns[len(f_word)].lhs_vectors(kern, empty, f_key, 1)
             moments[f_key] = [Fraction(v, kern.denominator) for (v,) in lvecs]
+    vanishing = {f_key for f_key, ms in moments.items() if not any(ms)}
     table: dict = {}
     for e_key, rels in groups:
-        scales = [space.m**rel.join_blocks for rel in rels]
+        scales = [m**rel.join_blocks for rel in rels]
         for f_word, f_key in tests:
             if (e_key, f_key) in table:
                 continue
             key = tuple(map(concat_key, categories, e_key, f_key))
-            if not any(moments[f_key]) and not all(map(_enumerate, categories, key)):
+            if f_key in vanishing and not all(map(_enumerate, categories, key)):
                 table[e_key, f_key] = None  # 0 = M^b . 0 for every check
                 continue
             pats = patterns[len(f_word)]
-            kern = _space_kernel(factors, space.m, key)
+            kern = _space_kernel(factors, m, key)
             entries = []
             for lvec, m_j in zip(pats.lhs_vectors(kern, e_key, key, len(rels)), moments[f_key]):
                 right = m_j.numerator * kern.denominator
@@ -562,4 +597,4 @@ def verify_relations(space: SpaceSpec, max_k: int, test_degree: int) -> Verifica
                 )
                 entries.append(None if all(o is _PASSED for o in outs) else outs)
             table[e_key, f_key] = entries if any(entries) else None
-    return VerificationReport(space, max_k, test_degree, _Checks(groups, tests, patterns, table))
+    return _Checks(groups, tests, patterns, table)

@@ -18,6 +18,7 @@ from easywg.integrator import GroupSpec, IndexSet
 from easywg.partitions import as_category, as_word
 from easywg.spaces import parse_space
 from fraction_reference import clear_caches
+from verify_reference import force_false
 
 
 @pytest.fixture(autouse=True)
@@ -238,13 +239,7 @@ class TestVerifyCommand:
     def test_verify_failure_exits_two(self, capsys, monkeypatch):
         # No valid space produces a failing verification, so one block too
         # many on every right side makes the relations false (M = 2 > 1).
-        import easywg.spaces as spaces
-
-        true_set = spaces.relation_set
-        monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
-            spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
-            for r in true_set(space, max_k)
-        ])
+        force_false(monkeypatch)
         code, out, _ = run(
             capsys, "verify", "--space", "O+:4/I=1,2", "--max-k", "2",
             "--test-degree", "0",
@@ -507,6 +502,10 @@ _NUMPY_FREE = [
                   "--indices", "1.1,1.1"], id="space-moment SxO"),
     pytest.param(["verify", "--space", "O:2/I=1", "--max-k", "2", "--test-degree", "2"],
                  id="verify O"),
+    # the empty monomial is 1 on every draw, so no matrix is drawn
+    pytest.param(["oracle", "haar-mc", "--group", "U:4", "--word", "", "--rows", "",
+                  "--cols", "", "--samples", "100000", "--seed", "1"],
+                 id="haar-mc empty word"),
 ]
 
 _HAAR = ["oracle", "haar-mc", "--group", "O:2", "--word", "oo", "--rows", "1,1",

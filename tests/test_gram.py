@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import easywg.exact_linalg as xl
 from easywg.exact_linalg import WeingartenMatrix, gram_matrix
 from easywg.partitions import enumerate_partitions
-from fraction_reference import bordering_weingarten, join
+from fraction_reference import bordering_weingarten, clear_caches, join
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
 DIMENSIONS = (1, 2, 3, 10)
@@ -90,6 +90,19 @@ def test_masks_wider_than_a_byte():
         index = tuple(enumerate_partitions(cat, word))
         counts = np.array(_reference_counts(index))
         assert np.array_equal(xl._join_block_counts(index, len(word)), counts), (cat, word)
+
+
+def test_join_counts_are_shared_by_every_dimension():
+    # above _SMALL the counts are computed once per category and word key,
+    # as one read-only array that the Gram matrices of every N hold
+    clear_caches()
+    for cat, word in (("S", "ooooo"), ("U", "oooobbbb"), ("U", "obobobob"), ("O+", "o" * 8)):
+        grams = [gram_matrix(cat, word, n) for n in DIMENSIONS]
+        assert len(grams[0].index) > xl._SMALL
+        assert all(g.counts is grams[0].counts for g in grams)
+        assert not grams[0].counts.flags.writeable
+        assert np.array_equal(grams[0].counts, _reference_counts(grams[0].index)), (cat, word)
+    assert xl._join_counts.cache_info()[:2] == (4 * len(DIMENSIONS) - 4, 4)
 
 
 def test_slabs_split_the_rows(monkeypatch):

@@ -30,7 +30,7 @@ from easywg.oracles import sn_exhaustive_space_moment
 from easywg.partitions import CategoryId, enumerate_partitions, mobius_intervals
 from easywg.spaces import parse_space, space_moment, verify_relations
 from fraction_reference import clear_caches, join
-from verify_reference import kernel_partition
+from verify_reference import force_false, kernel_partition
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +118,17 @@ def test_seven_legs_build_no_weingarten_matrix():
 def engine(monkeypatch):
     """Calls a function with S factors taking the Weingarten branch of
     `_inverse_rows`, and every space kernel, verify's pair kernels
-    included, taken from a memo of the test's own rather than the
-    process's, so that the two routes never share a kernel."""
+    included, and verify's outcome tables taken from memos of the test's
+    own rather than the process's, so that the two routes never share a
+    kernel or a table."""
     kernels = functools.lru_cache(maxsize=None)(spaces._space_kernel.__wrapped__)
+    outcomes = functools.lru_cache(maxsize=None)(spaces._outcome_table.__wrapped__)
 
     def call(fn, *args):
         with monkeypatch.context() as m:
             m.delitem(integrator._LATTICES, CategoryId.S)
             m.setattr(spaces, "_space_kernel", kernels)
+            m.setattr(spaces, "_outcome_table", outcomes)
             return fn(*args)
     return call
 
@@ -214,14 +217,13 @@ def _outcomes(report) -> tuple:
 def test_verify_outcomes_match_the_engine(text, forced, engine, monkeypatch):
     space = parse_space(text)
     if forced:  # one block too many on every right side, so failures carry values
-        true_set = spaces.relation_set
-        monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
-            spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
-            for r in true_set(space, max_k)
-        ])
+        force_false(monkeypatch)
     max_k, degree = (2, 2) if space.is_product else (3, 2)
-    got = _outcomes(verify_relations(space, max_k, degree))
-    assert got == _outcomes(engine(verify_relations, space, max_k, degree))
+    report = verify_relations(space, max_k, degree)
+    other = engine(verify_relations, space, max_k, degree)
+    assert report.checks is not other.checks  # two builds, not one table read twice
+    got = _outcomes(report)
+    assert got == _outcomes(other)
     assert got[1] == (not forced or space.m == 1)
 
 

@@ -137,6 +137,23 @@ class TestHaarMc:
             with pytest.raises(ValueError, match="threads must be >= 1"):
                 haar_mc_moment("O", 2, q("oo", (1, 1), (1, 1)), 10_000, 1, threads=threads)
 
+    def test_empty_word_draws_nothing(self, monkeypatch):
+        # the empty monomial is 1 on every draw: the mean is 1 with standard
+        # error 0, returned without a draw, and only after the argument checks
+        def refuse(*args):
+            raise AssertionError("drew matrices for the empty word")
+
+        monkeypatch.setattr(oracles, "_haar_columns", refuse)
+        for kind in ("O", "U"):
+            for threads in (1, 4):
+                got = haar_mc_moment(kind, 4, q("", (), ()), 123_457, 9, threads=threads)
+                assert got == SampleReport(1.0, 0.0, 123_457, 9)
+        for bad in (("O+", 10_000, 1, 1), ("O", 100, 1, 1), ("U", 10_000, -1, 1),
+                    ("U", 10_000, 1, 0)):
+            group, samples, seed, threads = bad
+            with pytest.raises(ValueError):
+                haar_mc_moment(group, 4, q("", (), ()), samples, seed, threads=threads)
+
     def test_sign_correction_is_mandatory(self):
         # The raw QR factor is not Haar: without the diagonal sign
         # correction the first moment of q11 is strongly negative, while

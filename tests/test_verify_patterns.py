@@ -8,6 +8,7 @@ field and in order, with true relations and with relations forced false.
 
 import collections
 import functools
+import itertools
 
 import pytest
 
@@ -15,7 +16,7 @@ import easywg.spaces as spaces
 from easywg.partitions import ColoredWord, enumerate_partitions
 from easywg.spaces import parse_space, relation_set, verify_relations
 from fraction_reference import clear_caches
-from verify_reference import coordinates, reference_checks
+from verify_reference import coordinates, force_false, reference_checks
 
 DIFF_CASES = [
     ("O:2/I=1", 2, 3),  # N < d: patterns with more than N blocks are cut off
@@ -27,15 +28,6 @@ DIFF_CASES = [
 
 def _fields(c):
     return (c.relation, c.monomial_word, c.monomial_indices, c.ok, c.lhs, c.rhs)
-
-
-def _force_false(monkeypatch):
-    # one block too many on every right side: the relations are false for M > 1
-    true_set = spaces.relation_set
-    monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
-        spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
-        for r in true_set(space, max_k)
-    ])
 
 
 def _compare(text, max_k, degree):
@@ -57,7 +49,7 @@ def test_lazy_checks_equal_eager_loop(text, max_k, degree):
 
 @pytest.mark.parametrize("text,max_k,degree", DIFF_CASES)
 def test_lazy_failures_equal_eager_loop(text, max_k, degree, monkeypatch):
-    _force_false(monkeypatch)
+    force_false(monkeypatch)
     # with M = 1 the extra block changes nothing and every check still passes
     assert bool(_compare(text, max_k, degree)) == (parse_space(text).m > 1)
 
@@ -74,7 +66,9 @@ def test_passing_checks_are_built_only_when_iterated(monkeypatch):
 
 def test_work_does_not_grow_with_the_dimension(monkeypatch):
     # with N >= d every pattern occurs, so N = 3 and N = 5 have the same
-    # patterns: 81 against 625 test tuples at d = 2, the same count tables
+    # patterns: 81 against 625 test tuples at d = 2, the same count tables;
+    # from empty memos, so that both dimensions build their outcome tables
+    clear_caches()
     calls = []
     real = spaces._count_table
     monkeypatch.setattr(spaces, "_count_table", lambda *key: calls.append(key) or real(*key))
@@ -138,7 +132,7 @@ def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypat
     each reuses the memos the others left; every space's checks must equal
     the eager loop run from empty caches."""
     if forced_false:
-        _force_false(monkeypatch)
+        force_false(monkeypatch)
     clear_caches()
     warm = [
         (text, degree, [_fields(c) for c in verify_relations(parse_space(text), 4, degree).checks])
@@ -156,9 +150,13 @@ def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypat
 def test_count_tables_are_built_once_per_key(monkeypatch):
     # the nine O slots of the verify benchmark: N = 2 and 3, index sets of
     # every size; O:3 meets every pattern that O:2 does, so one O:3 slot
-    # alone builds every table the nine need
+    # alone builds every table the nine need; the outcome tables and count
+    # rows above the tables are left unmemoized, so every slot asks for its
+    # tables, index sets of one size included
     slots = ["O:2/I=1", "O:2/I=2", "O:2/I=1,2", "O:3/I=1", "O:3/I=3", "O:3/I=1,3",
              "O:3/I=2,3", "O:3/I=1,2,3", "O:3/I=1,2,3"]
+    monkeypatch.setattr(spaces, "_outcome_table", spaces._outcome_table.__wrapped__)
+    monkeypatch.setattr(spaces, "_count_rows", spaces._count_rows.__wrapped__)
     build = spaces._count_table.__wrapped__
 
     def run(texts):
@@ -178,7 +176,9 @@ def test_zero_pairs_build_no_kernel(monkeypatch):
     # a U word has partitions only when balanced, so a pair's concatenation
     # has none exactly when the test word is unbalanced: such a pair is
     # passed wholesale, and only the test words and the other pairs get a
-    # kernel; a U word's factor keys are its code
+    # kernel; a U word's factor keys are its code; from empty memos, so that
+    # the outcome table is built here
+    clear_caches()
     space = parse_space("U:3/I=1,2")
     calls = collections.Counter()
     real = spaces._space_kernel
@@ -192,3 +192,65 @@ def test_zero_pairs_build_no_kernel(monkeypatch):
     kept = [w for w in pairs if enumerate_partitions("U", w)]
     assert len(heads) == 9 and len(kept) == 27
     assert calls == collections.Counter((w.code,) for w in tests + kept)
+
+
+# ---------------------------------------------------------------------------
+# One outcome table per (factors, M, max_k, test degree).
+
+SHARED_BODIES = [f"{cat}:{n}" for cat in ("O", "O+", "U", "U+", "S") for n in (2, 3)]
+
+
+def _index_set_spaces(body: str) -> list:
+    """The space over the factors of `body` at every index set."""
+    tag = "J" if "x" in body else "I"
+    n = min(int(f.split(":")[1]) for f in body.split("x"))
+    return [parse_space(f"{body}/{tag}=" + ",".join(map(str, members)))
+            for size in range(1, n + 1)
+            for members in itertools.combinations(range(1, n + 1), size)]
+
+
+def _outcome(report) -> tuple:
+    return (len(report.checks), report.all_passed, [_fields(c) for c in report.failures],
+            [_fields(c) for c in report.checks])
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["true", "forced-false"])
+@pytest.mark.parametrize("body", SHARED_BODIES + ["O:2xO+:2"])
+def test_index_sets_of_one_size_share_one_outcome_table(body, forced, monkeypatch):
+    """Every index set of one size reads the outcome table that the first
+    one built, and each report equals a cold run's and holds the caller's
+    space."""
+    if forced:
+        force_false(monkeypatch)
+    table = spaces._outcome_table.__wrapped__
+    max_k, degree = 3, 2
+    cold = {}
+    for space in _index_set_spaces(body):
+        clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_outcome_table", table)  # no memo: built for this call
+            cold[space] = _outcome(verify_relations(space, max_k, degree))
+        assert cold[space][1] == (not forced or space.m == 1)
+    memo = functools.lru_cache(maxsize=None)(table)
+    monkeypatch.setattr(spaces, "_outcome_table", memo)
+    for space in _index_set_spaces(body):
+        report = verify_relations(space, max_k, degree)
+        assert report.space is space
+        assert _outcome(report) == cold[space], space.text
+    sizes = {space.m for space in cold}
+    assert memo.cache_info().misses == len(sizes)
+    assert memo.cache_info().hits == len(cold) - len(sizes)
+
+
+@pytest.mark.parametrize("max_k,degree,message", [
+    (-1, 1, "max_k must be >= 0"),
+    (1, -1, "test_degree must be >= 0"),
+    (-1, -1, "test_degree must be >= 0"),
+])
+def test_negative_arguments_raise_before_the_memo(max_k, degree, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("consulted the outcome-table memo")
+
+    monkeypatch.setattr(spaces, "_outcome_table", refuse)
+    with pytest.raises(ValueError, match=message):
+        verify_relations(parse_space("O:2/I=1"), max_k, degree)

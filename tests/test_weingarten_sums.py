@@ -18,7 +18,7 @@ from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten
 from easywg.partitions import ColoredWord, as_word, enumerate_partitions
 from easywg.spaces import parse_space, relation_set, space_moment
-from verify_reference import _count_matrix, coordinates
+from verify_reference import _count_matrix, coordinates, force_false
 
 
 def _fits(parts, tuples: np.ndarray) -> np.ndarray:
@@ -164,11 +164,7 @@ def test_verify_outcomes_against_brute_force(text, max_k):
 @pytest.mark.parametrize("text,max_k", VERIFY_CASES[1:])
 def test_verify_failures_carry_brute_force_values(text, max_k, monkeypatch):
     # one block too many on every right side: the relations are false for M > 1
-    true_set = spaces.relation_set
-    monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
-        spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
-        for r in true_set(space, max_k)
-    ])
+    force_false(monkeypatch)
     failed = 0
     for c, lhs, rhs in _brute_force_checks(parse_space(text), max_k):
         assert c.ok == (lhs == rhs), c

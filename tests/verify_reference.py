@@ -6,12 +6,14 @@ pattern, decides each (relation word, test word, pattern) once, and
 builds one `RelationCheck` per check, in the order relation word, test
 word, test tuple, relation.  The library now decides each pattern once and
 counts its tuples; `tests/test_verify_patterns.py` compares the two check
-by check.  `kernel_partition` gives a tuple's equality pattern.  Nothing in
-src imports this module.
+by check.  `kernel_partition` gives a tuple's equality pattern, and
+`force_false` makes every relation false for the tests of failing checks.
+Nothing in src imports this module.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -32,6 +34,20 @@ def kernel_partition(values) -> SetPartition:
     return SetPartition(rgs)
 
 
+def force_false(monkeypatch) -> None:
+    """One block too many on every right side, so that the relations are
+    false for M > 1, and an outcome-table memo of the test's own: tables
+    of the true relations must not answer, nor the false ones outlive the
+    test."""
+    true_set = spaces.relation_set
+    monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
+        spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
+        for r in true_set(space, max_k)
+    ])
+    monkeypatch.setattr(spaces, "_outcome_table",
+                        functools.lru_cache(maxsize=None)(spaces._outcome_table.__wrapped__))
+
+
 def coordinates(space) -> list:
     """All coordinate labels of the space: ints for one factor, tuples for
     products, in itertools.product order."""
@@ -43,7 +59,8 @@ def coordinates(space) -> list:
 def _count_matrix(heads, fulls, tail: tuple, n: int) -> list[list[tuple[int, int]]]:
     """Sparse rows, entry [h][w]: the number of head tuples in {1..n}^k
     fitting h whose concatenation with `tail` fits w on k+d legs."""
-    return _powers(_exponent_rows(heads, fulls, kernel_partition(tail).rgs), n)
+    rows = _powers(_exponent_rows(heads, fulls, kernel_partition(tail).rgs), n)
+    return [list(row) for row in rows]
 
 
 def _contract(flat, shape, row_sets):

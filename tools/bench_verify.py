@@ -13,7 +13,7 @@ plain, for the wall time and the peak RSS, and once with the functions of
 each layer wrapped by a timer, for the self seconds per layer (a wrapped
 call's time minus that of the wrapped calls inside it):
 
-    count tables          _count_table, _powers
+    count tables          _count_table, _count_rows, _powers
     joins                 _join_blocks
     relations             relation_set, less its joins
     kernels               _space_kernel, less its joins and inverses
@@ -21,18 +21,20 @@ call's time minus that of the wrapped calls inside it):
                           each factor's generalized inverse, the S lattice
                           operator or the engine's Weingarten block
     contraction           _contract_each and _moment_from_kernel
-    cross-multiplication  verify_relations, less everything above (the
-                          zero-pair test included)
+    cross-multiplication  verify_relations and _outcome_table, less
+                          everything above (the zero-pair test included)
 
 A name that a checkout lacks is not timed, and the record lists it under
 `missing_layers` for that side.  The layered run also counts the round's
-work: the (relation word key, test word key) pairs of the outcome tables,
+work: the outcome tables built and those read again (misses and hits of
+the `_outcome_table` memo; on a checkout without it, every call builds
+one), the (relation word key, test word key) pairs of the tables built,
 those computed (one `lhs_vectors` call each, less the one call per
 distinct test word key that takes its moments from the empty relation
 word, on a checkout without `_Patterns.moments`), those decided wholesale
 as zero pairs (the rest) and the kernels built (misses of the
-`_space_kernel` memo).  The two sides
-alternate which runs first from seed to seed.  The record, with each checkout's commit
+`_space_kernel` memo).  The two sides alternate which runs first from
+seed to seed.  The record, with each checkout's commit
 (marked when its tree has uncommitted changes), goes to --out as JSON.
 """
 
@@ -54,13 +56,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 LAYERS = {
-    "_count_table": "count tables", "_powers": "count tables",
+    "_count_table": "count tables", "_count_rows": "count tables",
+    "_powers": "count tables",
     "_join_blocks": "joins",
     "relation_set": "relations",
     "_space_kernel": "kernels",
     "_inverse_rows": "inverses",
     "_contract_each": "contraction", "_moment_from_kernel": "contraction",
     "verify_relations": "cross-multiplication",
+    "_outcome_table": "cross-multiplication",
 }
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 ENV.pop("PYTHONPATH", None)
@@ -72,7 +76,8 @@ def child(src: str, seed: int, layered: bool) -> dict:
     import workloads
     from easywg import spaces
 
-    kernels = spaces._space_kernel  # the memo, before any timer wraps it
+    kernels = spaces._space_kernel  # the memos, before any timer wraps them
+    outcomes = getattr(spaces, "_outcome_table", None)
     inputs = workloads.verify(random.Random(seed))
     seconds: collections.Counter = collections.Counter()
     inside = [0.0]  # per open wrapped call: seconds spent in wrapped calls below it
@@ -116,10 +121,14 @@ def child(src: str, seed: int, layered: bool) -> dict:
            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
            "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
     if layered:
-        pairs = sum(len(report.checks._table) for report in reports)
+        tables = list({id(r.checks): r.checks for r in reports}.values())  # those built
+        pairs = sum(len(t._table) for t in tables)
         if not hasattr(spaces._Patterns, "moments"):  # test moments are lhs_vectors calls
-            computed[0] -= sum(len({key for _, key in r.checks._tests}) for r in reports)
-        out["work"] = {"pairs": pairs, "pairs_wholesale": pairs - computed[0],
+            computed[0] -= sum(len({key for _, key in t._tests}) for t in tables)
+        info = outcomes.cache_info() if outcomes else None
+        out["work"] = {"outcome_builds": info.misses if info else len(reports),
+                       "outcome_hits": info.hits if info else 0,
+                       "pairs": pairs, "pairs_wholesale": pairs - computed[0],
                        "pairs_computed": computed[0],
                        "kernel_builds": kernels.cache_info().misses}
         out["missing_layers"] = missing
