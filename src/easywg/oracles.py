@@ -109,13 +109,19 @@ def _haar_columns(kind: str, n: int, seed: int, block_index: int, size: int, wid
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     starts = range(0, size, _CHUNK)
-    # The draws of one (size, n, n) block, chunk by chunk in the same order (U: the
-    # real block, then the imaginary one); only columns 1..width are kept.
-    parts = [[rng.standard_normal((min(_CHUNK, size - start), n, n))[:, :, :width]
-              .transpose(2, 1, 0).copy() for start in starts]
-             for _ in range(2 if kind == "U" else 1)]
-    for start, re, im in zip(starts, parts[0], parts[-1]):
-        q = re + 1j * im if kind == "U" else re
+
+    def draw(start):
+        """The next chunk of the block's (size, n, n) draws, columns 1..width."""
+        return (rng.standard_normal((min(_CHUNK, size - start), n, n))[:, :, :width]
+                .transpose(2, 1, 0).copy())
+
+    # The draws come chunk by chunk, each when it is used; U's stream holds the
+    # whole real block first, so that block is drawn ahead of the imaginary one.
+    reals = [draw(start) for start in starts] if kind == "U" else None
+    for i, start in enumerate(starts):
+        q = draw(start)
+        if reals is not None:
+            q, reals[i] = reals[i] + 1j * q, None
         # Gram-Schmidt gives the Q factor with a positive R diagonal, which makes the
         # law exactly Haar; raw QR output, with arbitrary diagonal signs, is not.
         for j in range(width):

@@ -298,6 +298,10 @@ class CategoryId(enum.Enum):
         self.is_free = value.endswith("+")
         self.color_sensitive = value.startswith("U")  # only U and U+ read leg colors
 
+    # members are singletons: hash by identity, in C, where Enum's __hash__
+    # is a Python call that every memo key holding a category pays
+    __hash__ = object.__hash__
+
     @property
     def free_version(self) -> "CategoryId":
         return _FREE_OF[self]

@@ -204,15 +204,17 @@ def parse_space(text: str) -> SpaceSpec:
 # keys, and what depends on neither N nor M, the partition tuples' join
 # block counts and verify's count tables, is memoized for the process
 # under the factors' categories and keys, so that every space, dimension
-# and index set shares it.  verify's count rows at a dimension are
-# memoized by N as well, and its outcome tables by the factors, M, max_k
-# and the test degree.
+# and index set shares it.  So is the part of verify's outcome tables
+# that reads only the categories (_verify_plan: the relations, the test
+# words and the pairs' concatenated keys).  verify's count rows at a
+# dimension are memoized by N as well, and its outcome tables by the
+# factors, M, max_k and the test degree.
 
 
-def _factor_keys(factors: Sequence[GroupSpec], word: ColoredWord) -> tuple[int, ...]:
-    """The word's word_key per factor: all that its partition tuples,
-    their joins and its kernels depend on."""
-    return tuple(word_key(f.category, word) for f in factors)
+def _factor_keys(categories: Sequence[CategoryId], word: ColoredWord) -> tuple[int, ...]:
+    """The word's word_key per factor category: all that its partition
+    tuples, their joins and its kernels depend on."""
+    return tuple(word_key(c, word) for c in categories)
 
 
 @record
@@ -225,7 +227,8 @@ class _Kernel:
 
 
 def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
-    return _space_kernel(space.factors, space.m, _factor_keys(space.factors, word))
+    keys = _factor_keys([f.category for f in space.factors], word)
+    return _space_kernel(space.factors, space.m, keys)
 
 
 @lru_cache(maxsize=None)
@@ -300,25 +303,59 @@ def _all_words(max_k: int) -> tuple[ColoredWord, ...]:
                  for colors in itertools.product((Color.WHITE, Color.BLACK), repeat=k))
 
 
+@record
+class _Plan:
+    """What the outcome tables over one tuple of factor categories read of
+    the categories alone, at one max_k and test degree."""
+
+    groups: tuple  # (factor keys, relations) per relation word that has any
+    tests: tuple  # (test word, factor keys) per test word
+    pairs: tuple  # (e_key, f_key, test degree, concatenated keys, bare) per distinct pair
+
+
+@lru_cache(maxsize=None)
+def _verify_plan(categories: tuple[CategoryId, ...], max_k: int, test_degree: int) -> _Plan:
+    """The relations of relation_set for words of length <= max_k, the
+    test words of degree <= test_degree and the (relation word key, test
+    word key) pairs, memoized for the process: none of it reads N or M.
+
+    Words with the same _factor_keys share their partition tuples and
+    joins.  A pair holds the keys of a relation word followed by a test
+    word, concatenated per factor (partitions.concat_key), and is bare
+    when some factor has no partitions for them.
+    """
+    joined: dict = {}
+    groups = []
+    for word in _all_words(max_k):
+        keys = _factor_keys(categories, word)
+        if keys not in joined:
+            joined[keys] = tuple(zip(itertools.product(*map(_enumerate, categories, keys)),
+                                     _join_blocks(categories, keys)))
+        if joined[keys]:
+            groups.append((keys, tuple(Relation(word, combo, blocks)
+                                       for combo, blocks in joined[keys])))
+    tests = tuple((f, _factor_keys(categories, f)) for f in _all_words(test_degree))
+    pairs: dict = {}
+    for e_key, _ in groups:
+        for f_word, f_key in tests:
+            if (e_key, f_key) not in pairs:
+                key = tuple(map(concat_key, categories, e_key, f_key))
+                pairs[e_key, f_key] = (len(f_word), key, not all(map(_enumerate, categories, key)))
+    return _Plan(tuple(groups), tests, tuple((*keys, *v) for keys, v in pairs.items()))
+
+
 def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:
     """All defining relations for words of length <= max_k.
 
     One relation per colored word and per tuple of factor partitions; the
     right-hand side exponent is the block count of the superposition join.
-    Words with the same _factor_keys share their partition tuples and joins.
+    The relations read only the factors' categories: they are those of
+    _verify_plan, in a new list on every call.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    categories = tuple(f.category for f in space.factors)
-    joined: dict = {}
-    out = []
-    for word in _all_words(max_k):
-        keys = _factor_keys(space.factors, word)
-        if keys not in joined:
-            joined[keys] = list(zip(itertools.product(*map(_enumerate, categories, keys)),
-                                    _join_blocks(categories, keys)))
-        out.extend(Relation(word, combo, blocks) for combo, blocks in joined[keys])
-    return out
+    plan = _verify_plan(tuple(f.category for f in space.factors), max_k, 0)
+    return [rel for _, rels in plan.groups for rel in rels]
 
 
 @record
@@ -550,51 +587,40 @@ def _outcome_table(
     decided once per pattern, by integer cross-multiplication, and the
     pattern's tuples are counted rather than enumerated.  integral(m) is
     the integral of the empty relation word's left side, 1, times m.
-    Words enter as their _factor_keys, and the keys of a relation word
-    followed by a test word are concatenated per factor
-    (partitions.concat_key).  A pair is decided wholesale, before any
-    kernel of it is built, when the test monomial's moment is 0 at every
-    pattern and some factor has no partitions for the concatenated key:
-    every integral is then 0, and 0 = M^b . 0 passes.  The relations are
-    those of relation_set on the index set {1..m}: they read only the
-    factors.
+    The relations, the test words and the pairs with their concatenated
+    keys come from _verify_plan, which reads only the categories and which
+    every N and M share.  A pair is decided wholesale, before any kernel
+    of it is built, when the test monomial's moment is 0 at every pattern
+    and the pair is bare: every integral is then 0, and 0 = M^b . 0
+    passes.
     """
     categories = tuple(f.category for f in factors)
+    plan = _verify_plan(categories, max_k, test_degree)
     patterns = [_Patterns(factors, d) for d in range(test_degree + 1)]
-    tests = [(f, _factor_keys(factors, f)) for f in _all_words(test_degree)]
-    relations = relation_set(SpaceSpec(factors, IndexSet(tuple(range(1, m + 1)))), max_k)
-    groups = [
-        (_factor_keys(factors, e_word), list(rels))
-        for e_word, rels in itertools.groupby(relations, key=lambda r: r.word)
-    ]
-    empty = _factor_keys(factors, ColoredWord())  # the relation word whose left side is 1
+    empty = _factor_keys(categories, ColoredWord())  # the relation word whose left side is 1
     moments: dict = {}  # f_key -> the test monomial's moment at each pattern
-    for f_word, f_key in tests:
+    for f_word, f_key in plan.tests:
         if f_key not in moments:
             kern = _space_kernel(factors, m, f_key)
             lvecs = patterns[len(f_word)].lhs_vectors(kern, empty, f_key, 1)
             moments[f_key] = [Fraction(v, kern.denominator) for (v,) in lvecs]
     vanishing = {f_key for f_key, ms in moments.items() if not any(ms)}
+    scales = {e_key: [m**rel.join_blocks for rel in rels] for e_key, rels in plan.groups}
     table: dict = {}
-    for e_key, rels in groups:
-        scales = [m**rel.join_blocks for rel in rels]
-        for f_word, f_key in tests:
-            if (e_key, f_key) in table:
-                continue
-            key = tuple(map(concat_key, categories, e_key, f_key))
-            if f_key in vanishing and not all(map(_enumerate, categories, key)):
-                table[e_key, f_key] = None  # 0 = M^b . 0 for every check
-                continue
-            pats = patterns[len(f_word)]
-            kern = _space_kernel(factors, m, key)
-            entries = []
-            for lvec, m_j in zip(pats.lhs_vectors(kern, e_key, key, len(rels)), moments[f_key]):
-                right = m_j.numerator * kern.denominator
-                outs = tuple(
-                    _PASSED if lhs * m_j.denominator == s * right
-                    else (False, Fraction(lhs, kern.denominator), s * m_j)
-                    for lhs, s in zip(lvec, scales)
-                )
-                entries.append(None if all(o is _PASSED for o in outs) else outs)
-            table[e_key, f_key] = entries if any(entries) else None
-    return _Checks(groups, tests, patterns, table)
+    for e_key, f_key, d, key, bare in plan.pairs:
+        if bare and f_key in vanishing:
+            table[e_key, f_key] = None  # 0 = M^b . 0 for every check
+            continue
+        kern = _space_kernel(factors, m, key)
+        entries = []
+        lvecs = patterns[d].lhs_vectors(kern, e_key, key, len(scales[e_key]))
+        for lvec, m_j in zip(lvecs, moments[f_key]):
+            right = m_j.numerator * kern.denominator
+            outs = tuple(
+                _PASSED if lhs * m_j.denominator == s * right
+                else (False, Fraction(lhs, kern.denominator), s * m_j)
+                for lhs, s in zip(lvec, scales[e_key])
+            )
+            entries.append(None if all(o is _PASSED for o in outs) else outs)
+        table[e_key, f_key] = entries if any(entries) else None
+    return _Checks(plan.groups, plan.tests, patterns, table)

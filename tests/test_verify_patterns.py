@@ -120,6 +120,8 @@ REUSE_SEQUENCE = [  # (space, test degree) at max_k 4
     ("group-as-space:S:3", 1),
     ("U:2/I=1", 3),
     ("U+:3/I=1,2", 3),
+    ("U+:2/I=2", 3),  # U+ at two N and two M share one plan
+    ("U+:3/I=3", 3),
     ("U:2xU+:2/J=1,2", 2),
     ("group-as-space:U:2", 2),
 ]
@@ -254,3 +256,50 @@ def test_negative_arguments_raise_before_the_memo(max_k, degree, message, monkey
     monkeypatch.setattr(spaces, "_outcome_table", refuse)
     with pytest.raises(ValueError, match=message):
         verify_relations(parse_space("O:2/I=1"), max_k, degree)
+
+
+# ---------------------------------------------------------------------------
+# One relation plan per (categories, max_k, test degree).
+
+SEED_1_ROUND = """
+    group-as-space:U:3 column-space:O+:4:2 O:2xO+:2/J=1 U:2xU+:2/J=1,2
+    O:2/I=2 O:2/I=2 O:2/I=1,2 O:3/I=1 O:3/I=2 O:3/I=1,2 O:3/I=1,2 O:3/I=1,2,3 O:3/I=1,2,3
+    O+:2/I=2 O+:2/I=1 O+:2/I=1,2 O+:3/I=3 O+:3/I=3 O+:3/I=1,2 O+:3/I=1,3 O+:3/I=1,2,3
+    O+:3/I=1,2,3 U:2/I=2 U:2/I=1 U:2/I=1,2 U:3/I=2 U:3/I=1 U:3/I=1,2 U:3/I=1,2
+    U:3/I=1,2,3 U:3/I=1,2,3 U+:2/I=2 U+:2/I=2 U+:2/I=1,2 U+:3/I=2 U+:3/I=1 U+:3/I=2,3
+    U+:3/I=1,2 U+:3/I=1,2,3 U+:3/I=1,2,3
+""".split()  # the verify benchmark's round at seed 1, at max_k 4, test degree 3
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["true", "forced-false"])
+def test_a_verify_round_builds_one_plan_per_category_tuple(forced, monkeypatch):
+    """The round's 40 spaces build 24 outcome tables over 8 category tuples,
+    and each tuple's relations, test words and pairs once; every table
+    equals one built from empty memos."""
+    if forced:
+        force_false(monkeypatch)
+    clear_caches()
+    warm = {}
+    for space in map(parse_space, SEED_1_ROUND):
+        report = verify_relations(space, 4, 3)
+        assert report.all_passed == (not forced or space.m == 1)
+        warm[space.factors, space.m] = report.checks
+    plans, tables = spaces._verify_plan.cache_info(), spaces._outcome_table.cache_info()
+    tuples = {tuple(f.category for f in factors) for factors, _ in warm}
+    assert len(tuples) == 8 and tables.misses == len(warm) == 24
+    assert plans.misses == len(tuples)
+    assert plans.hits == tables.misses - plans.misses  # one plan read per table built
+    for (factors, m), checks in warm.items():
+        clear_caches()
+        cold = spaces._outcome_table(factors, m, 4, 3)
+        assert (cold._groups, cold._table) == (checks._groups, checks._table)
+
+
+def test_relation_set_returns_a_new_list():
+    space = parse_space("O:2xU+:2/J=1")
+    first = relation_set(space, 3)
+    expected = list(first)
+    assert relation_set(space, 3) is not first
+    first.reverse()
+    first.append(first[0])
+    assert relation_set(space, 3) == expected

@@ -36,14 +36,20 @@ def kernel_partition(values) -> SetPartition:
 
 def force_false(monkeypatch) -> None:
     """One block too many on every right side, so that the relations are
-    false for M > 1, and an outcome-table memo of the test's own: tables
-    of the true relations must not answer, nor the false ones outlive the
-    test."""
-    true_set = spaces.relation_set
-    monkeypatch.setattr(spaces, "relation_set", lambda space, max_k: [
-        spaces.Relation(r.word, r.partitions, r.join_blocks + 1)
-        for r in true_set(space, max_k)
-    ])
+    false for M > 1, through a `_verify_plan` memo of the test's own, which
+    every outcome table and `relation_set` read; and an outcome-table memo
+    of the test's own: plans and tables of the true relations must not
+    answer, nor the false ones outlive the test."""
+    build = spaces._verify_plan.__wrapped__
+
+    def false_plan(categories, max_k, test_degree):
+        plan = build(categories, max_k, test_degree)
+        groups = tuple(
+            (keys, tuple(spaces.Relation(r.word, r.partitions, r.join_blocks + 1) for r in rels))
+            for keys, rels in plan.groups
+        )
+        return spaces._Plan(groups, plan.tests, plan.pairs)
+    monkeypatch.setattr(spaces, "_verify_plan", functools.lru_cache(maxsize=None)(false_plan))
     monkeypatch.setattr(spaces, "_outcome_table",
                         functools.lru_cache(maxsize=None)(spaces._outcome_table.__wrapped__))
 
@@ -115,13 +121,14 @@ def reference_checks(space, max_k: int, test_degree: int) -> list[RelationCheck]
         ]
         for d in range(test_degree + 1)
     }
-    tests = [(f, _factor_keys(space.factors, f)) for f in spaces._all_words(test_degree)]
+    categories = [f.category for f in space.factors]
+    tests = [(f, _factor_keys(categories, f)) for f in spaces._all_words(test_degree)]
     decided: dict = {}
     checks: list[RelationCheck] = []
     relations = spaces.relation_set(space, max_k)
     for e_word, group in itertools.groupby(relations, key=lambda r: r.word):
         rels = list(group)
-        e_key = _factor_keys(space.factors, e_word)
+        e_key = _factor_keys(categories, e_word)
         for f_word, f_key in tests:
             for j, pattern in tuples[len(f_word)]:
                 key = (e_key, f_key, pattern)

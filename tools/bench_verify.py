@@ -15,7 +15,7 @@ call's time minus that of the wrapped calls inside it):
 
     count tables          _count_table, _count_rows, _powers
     joins                 _join_blocks
-    relations             relation_set, less its joins
+    relations             relation_set and _verify_plan, less their joins
     kernels               _space_kernel, less its joins and inverses
     inverses              _inverse_rows, as called by the spaces module:
                           each factor's generalized inverse, the S lattice
@@ -28,7 +28,9 @@ A name that a checkout lacks is not timed, and the record lists it under
 `missing_layers` for that side.  The layered run also counts the round's
 work: the outcome tables built and those read again (misses and hits of
 the `_outcome_table` memo; on a checkout without it, every call builds
-one), the (relation word key, test word key) pairs of the tables built,
+one), the relation sets built (misses of the `_verify_plan` memo; on a
+checkout without it, one per outcome table built) and the `Relation`
+records made, the (relation word key, test word key) pairs of the tables built,
 those computed (one `lhs_vectors` call each, less the one call per
 distinct test word key that takes its moments from the empty relation
 word, on a checkout without `_Patterns.moments`), those decided wholesale
@@ -59,7 +61,7 @@ LAYERS = {
     "_count_table": "count tables", "_count_rows": "count tables",
     "_powers": "count tables",
     "_join_blocks": "joins",
-    "relation_set": "relations",
+    "relation_set": "relations", "_verify_plan": "relations",
     "_space_kernel": "kernels",
     "_inverse_rows": "inverses",
     "_contract_each": "contraction", "_moment_from_kernel": "contraction",
@@ -78,6 +80,7 @@ def child(src: str, seed: int, layered: bool) -> dict:
 
     kernels = spaces._space_kernel  # the memos, before any timer wraps them
     outcomes = getattr(spaces, "_outcome_table", None)
+    plans = getattr(spaces, "_verify_plan", None)
     inputs = workloads.verify(random.Random(seed))
     seconds: collections.Counter = collections.Counter()
     inside = [0.0]  # per open wrapped call: seconds spent in wrapped calls below it
@@ -96,7 +99,7 @@ def child(src: str, seed: int, layered: bool) -> dict:
                 inside[-1] += spent
         setattr(spaces, name, wrapper)
 
-    computed = [0]
+    computed, relations = [0], [0]
     missing = [name for name in LAYERS if not hasattr(spaces, name)]
     if layered:
         for name in LAYERS:
@@ -108,6 +111,12 @@ def child(src: str, seed: int, layered: bool) -> dict:
             computed[0] += 1
             return lhs_vectors(*args)
         spaces._Patterns.lhs_vectors = counted
+        relation = spaces.Relation
+
+        def made(*args):
+            relations[0] += 1
+            return relation(*args)
+        spaces.Relation = made
     reports = []
     t0 = time.perf_counter()
     for item in inputs["spaces"]:
@@ -126,8 +135,11 @@ def child(src: str, seed: int, layered: bool) -> dict:
         if not hasattr(spaces._Patterns, "moments"):  # test moments are lhs_vectors calls
             computed[0] -= sum(len({key for _, key in t._tests}) for t in tables)
         info = outcomes.cache_info() if outcomes else None
-        out["work"] = {"outcome_builds": info.misses if info else len(reports),
+        outcome_builds = info.misses if info else len(reports)
+        out["work"] = {"outcome_builds": outcome_builds,
                        "outcome_hits": info.hits if info else 0,
+                       "relation_builds": plans.cache_info().misses if plans else outcome_builds,
+                       "relations_made": relations[0],
                        "pairs": pairs, "pairs_wholesale": pairs - computed[0],
                        "pairs_computed": computed[0],
                        "kernel_builds": kernels.cache_info().misses}
