@@ -25,7 +25,8 @@ A Gram matrix is stored as its join block counts, and its entries, or
 their residues modulo a prime, come from a table of powers of N indexed by
 the counts.  A Weingarten matrix is stored as its block on basis x basis.
 The full n x n views, ``GramMatrix.entries`` and
-``WeingartenMatrix.numerators``, are built on first access.
+``WeingartenMatrix.numerators``, are built on first access; the
+Python-int route reads the entries of its small Gram matrices.
 get_weingarten memoizes matrices for the process in an lru_cache keyed by
 the category, the word's word_key and N, like every memo of the package.
 A disk record holds what either route holds, the basis, denominator and
@@ -460,9 +461,7 @@ def _bareiss(gram: GramMatrix) -> WeingartenMatrix:
     d G[B, B]^-1 on the columns B.
     """
     n = len(gram.index)
-    powers = [gram.dimension**c for c in range(gram.legs + 1)]
-    a = [[powers[c] for c in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(gram.counts)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram.entries)]
     basis: list[int] = []
     last = 1
     for c in range(n):
@@ -587,8 +586,7 @@ def _certify(wg: WeingartenMatrix) -> bool:
 def _exact_identities_hold(gram: GramMatrix, basis: list[int], out: list[int], den: int,
                            block: Sequence[Sequence[int]]) -> bool:
     """The certificate's identities (1)-(3) in Python ints."""
-    powers = [gram.dimension**c for c in range(gram.legs + 1)]
-    g = [[powers[c] for c in row] for row in gram.counts]
+    g = gram.entries
     cols = list(zip(*block))
     y = [[sum(row[b] * x for b, x in zip(basis, col)) for col in cols] for row in g]  # G[:,B].num
     r = len(basis)

@@ -1,16 +1,19 @@
 """Haar-state moments of easy quantum groups: each factor's generalized
-inverse (_inverse_rows), shared by group moments and space kernels, and the
-tensor contraction that every Weingarten sum runs on."""
+inverse (_inverse_rows), shared by group moments and space kernels, with
+the S category's built from the partition lattice's Moebius function for
+the partitions that N keeps (_lattice_operator, memoized by k and N), and
+the tensor contraction that every Weingarten sum runs on."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exact_linalg import _weingarten
 from .partitions import (CategoryId, ColoredWord, _enumerate, as_category, as_word,
-                         mobius_intervals, record, word_key)
+                         record, word_key)
 
 
 @record
@@ -142,38 +145,52 @@ def _contract_each(
     return [f for f, _ in layer]
 
 
-def _lattice_operator(k: int, n: int) -> tuple[list[Rows], int]:
+@lru_cache(maxsize=None)
+def _lattice_operator(k: int, n: int) -> tuple[tuple[Rows, ...], int]:
     """The S category's inverse on k legs at dimension n, times L, as two
-    row sets applied in turn, and L = (n)_{min(k, n)}.
+    row sets applied in turn, and L = (n)_{min(k, n)}; memoized, so the
+    rows are tuples.
 
-    The Gram matrix factors over the partition lattice as G = Z D Z^T, with
-    Z[pi, tau] = [pi <= tau] and D = diag((n)_{|tau|}) (falling factorials),
-    so X = mu^T D^+ mu is a generalized inverse of G at every n, mu = Z^-1
-    being the lattice's Moebius function.  The first row set is mu scaled
-    by L D^+, over the tau with at most n blocks ((n)_{|tau|} = 0 for the
-    others), and the second is mu^T.  L / (n)_{|tau|} = (n - |tau|)! /
-    (n - min(k, n))! is an integer.
+    G = Z D Z^T over the partition lattice, with Z[pi, tau] = [pi <= tau]
+    and D = diag((n)_{|tau|}) (falling factorials), so X = mu^T D^+ mu is
+    a generalized inverse of G at every n, mu = Z^-1 being the lattice's
+    Moebius function.  The first row set is mu scaled by L D^+, over the
+    tau with at most n blocks ((n)_{|tau|} = 0 for the others), and the
+    second is mu^T; L / (n)_{|tau|} = (n - |tau|)! / (n - min(k, n))! is an
+    integer.  The coarsenings of tau are lambda o tau, lambda a set
+    partition of its blocks (tau labels them in order of first appearance,
+    so the composed growth string is canonical), and mu(tau, lambda o tau)
+    is the product over lambda's blocks of (-1)^(c-1) (c-1)!, c the size.
     """
     parts = _enumerate(CategoryId.S, k)
-    intervals = mobius_intervals(k)
+    position = {p.rgs: i for i, p in enumerate(parts)}
     scale = math.perm(n, min(k, n))
+    merges = []  # per block count b <= min(k, n): (lambda's rgs, mu, mu L / (n)_b)
+    for b in range(min(k, n) + 1):
+        d = scale // math.perm(n, b)
+        merges.append([])
+        for lam in _enumerate(CategoryId.S, b):
+            mu = math.prod((-1) ** (len(c) - 1) * math.factorial(len(c) - 1) for c in lam.blocks)
+            merges[b].append((lam.rgs, mu, d * mu))
     first: list = []
     second: list = [[] for _ in parts]
-    for t, tau in enumerate(parts):
+    for tau in parts:
         if tau.block_count > n:
             continue
-        d = scale // math.perm(n, tau.block_count)
-        first.append([(r, d * mu) for r, mu in intervals[t]])
-        for r, mu in intervals[t]:
-            second[r].append((len(first) - 1, mu))
-    return [first, second], scale
+        t, row = len(first), []
+        for lam, mu, scaled in merges[tau.block_count]:
+            r = position[tuple(lam[x] for x in tau.rgs)]
+            row.append((r, scaled))
+            second[r].append((t, mu))
+        first.append(tuple(row))
+    return (tuple(first), tuple(map(tuple, second))), scale
 
 
 # Inverses read off a lattice, by word key (an S key is the length) and n.
 _LATTICES = {CategoryId.S: _lattice_operator}
 
 
-def _inverse_rows(category: CategoryId, key: int, n: int) -> tuple[list[Rows], int]:
+def _inverse_rows(category: CategoryId, key: int, n: int) -> tuple[Sequence[Rows], int]:
     """A generalized inverse X of the category's Gram matrix for word key
     `key` at dimension n, times an integer L, as row sets to apply in turn,
     and L: a lattice's inverse, or else the Weingarten block.  Consumers
@@ -203,6 +220,6 @@ def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
         return Fraction(0)
     steps, scale = _inverse_rows(group.category, key, group.dimension)
     flat, shape = [int(p.delta(query.cols)) for p in parts], (len(parts),)
-    for rows in steps + [[_delta_row(parts, query.rows)]]:
+    for rows in [*steps, [_delta_row(parts, query.rows)]]:
         flat, shape = _contract_axis(flat, shape, 0, rows)
     return Fraction(flat[0], scale)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from functools import lru_cache, total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
@@ -429,35 +428,3 @@ def enumerate_partitions(category: CategoryLike, word: WordLike) -> list[SetPart
     """
     category = as_category(category)
     return list(_enumerate(category, word_key(category, as_word(word))))
-
-
-@lru_cache(maxsize=None)
-def mobius_intervals(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The intervals of the lattice of set partitions of k points, with its
-    Moebius function: entry t lists (r, mu(tau, rho)) for every coarsening
-    rho of tau, where tau and rho sit at positions t and r of
-    enumerate_partitions(S, k).
-
-    The coarsenings of tau are the set partitions lambda of its blocks, and
-    mu(tau, rho) is the product, over the blocks of lambda, of
-    (-1)^(c-1) (c-1)!, c being the block's size.  tau labels its blocks in
-    order of first appearance, so lambda's growth string composed with
-    tau's is already the canonical one of rho.
-    """
-    parts = _enumerate(CategoryId.S, k)
-    position = {p.rgs: i for i, p in enumerate(parts)}
-    merges: dict[int, list] = {}  # block count of tau -> [(lambda's rgs, mu)]
-    out = []
-    for tau in parts:
-        b = tau.block_count
-        if b not in merges:
-            merges[b] = []
-            for lam in _enumerate(CategoryId.S, b):
-                mu = 1
-                for block in lam.blocks:
-                    mu *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
-                merges[b].append((lam.rgs, mu))
-        out.append(tuple(
-            (position[tuple(lam[x] for x in tau.rgs)], mu) for lam, mu in merges[b]
-        ))
-    return tuple(out)

@@ -135,8 +135,8 @@ CASES: list[list[str]] = [
     ["verify", "--space", "S:3/I=1,2", "--max-k", "3", "--test-degree", "2"],
     ["verify", "--space", "S:2xO:2/J=1,2", "--max-k", "2", "--test-degree", "2",
      "--full"],
-    # S factors with N < k on longer words, recorded before the lattice
-    # operator built its rows only for the partitions with at most N blocks
+    # S factors with N < k on six to eight legs: the lattice operator keeps
+    # only the partitions with at most N blocks
     ["space-moment", "--space", "S:3/I=1,2", "--word", "oooooooo",
      "--indices", "1,2,1,2,1,2,1,2"],
     ["char-exact", "--space", "group-as-space:S:2", "--truncation", "2",

@@ -725,7 +725,9 @@ class TestDiskRecordCertificate:
 
 def test_consumers_never_build_the_full_views(monkeypatch):
     """The engine and every consumer work from the join counts and the kept
-    block; the n x n views are built only when something asks for them."""
+    block; the n x n views are built only when something asks for them,
+    except the entries of a Gram matrix of at most _SMALL partitions, which
+    the Python-int route reads."""
     from easywg import spaces
     from easywg.characters import CharacterQuery, char_moment_exact
     from easywg.integrator import GroupSpec, MomentQuery, group_moment
@@ -733,12 +735,20 @@ def test_consumers_never_build_the_full_views(monkeypatch):
     def refuse(self):
         raise AssertionError("built a full n x n view")
 
+    def small_entries(self):
+        if len(self.index) > xl._SMALL:
+            refuse(self)
+        return entries(self)
+
+    entries = xl.GramMatrix.entries.func
     monkeypatch.setattr(WeingartenMatrix, "numerators", property(refuse), raising=False)
-    monkeypatch.setattr(xl.GramMatrix, "entries", property(refuse), raising=False)
+    monkeypatch.setattr(xl.GramMatrix, "entries", property(small_entries), raising=False)
     monkeypatch.setattr(xl, "_DISK_DIR", None)
     clear_caches()
     w = get_weingarten("O+", "oooo", 4)
     assert len(w.basis) == len(w.index)
+    w = get_weingarten("O", "oooooo", 4)  # 15 partitions: the modular engine
+    assert len(w.index) > xl._SMALL and len(w.basis) == len(w.index)
     q = MomentQuery("oooo", (1, 1, 2, 2), (1, 2, 1, 2))
     assert group_moment(GroupSpec("O", 3), q) == Fraction(-1, 30)
     for text, value in (("O+:3/I=1,2", Fraction(2, 3)), ("U:2xO:2/J=1,2", Fraction(1, 3))):

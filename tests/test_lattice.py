@@ -16,6 +16,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,37 +28,66 @@ from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten, gram_matrix
 from easywg.integrator import GroupSpec, IndexSet, MomentQuery, _contract_axis, group_moment
 from easywg.oracles import sn_exhaustive_space_moment
-from easywg.partitions import CategoryId, enumerate_partitions, mobius_intervals
+from easywg.partitions import CategoryId, enumerate_partitions
 from easywg.spaces import parse_space, space_moment, verify_relations
 from fraction_reference import clear_caches, join
 from verify_reference import force_false, kernel_partition
 
 
 # ---------------------------------------------------------------------------
-# The Moebius function.
+# The Moebius function, read off the operator's row sets: the first is
+# mu scaled by L D^+ over the partitions with at most n blocks, and the
+# second is mu^T.
 
 def test_interval_counts():
-    # OEIS A000258: the number of intervals of the lattice of set partitions
-    counts = [sum(map(len, mobius_intervals(k))) for k in range(9)]
+    # OEIS A000258: the number of intervals of the lattice of set partitions;
+    # at n >= k every partition keeps its row, one entry per coarsening
+    counts = [sum(map(len, integrator._lattice_operator(k, 10)[0][0])) for k in range(9)]
     assert counts == [1, 1, 3, 12, 60, 358, 2471, 19302, 167894]
-
-
-@pytest.mark.parametrize("k", range(6))
-def test_mobius_inverts_the_zeta_matrix(k):
-    parts = enumerate_partitions("S", "o" * k)
-    zeta = [[int(join(p, q) == q) for q in parts] for p in parts]
-    for t, row in enumerate(mobius_intervals(k)):
-        assert all(zeta[t][r] for r, _ in row)  # only coarsenings are listed
-        product = [sum(mu * zeta[r][s] for r, mu in row) for s in range(len(parts))]
-        assert product == [int(s == t) for s in range(len(parts))]
 
 
 def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10])
 @pytest.mark.parametrize("k", range(6))
+def test_mobius_inverts_the_zeta_matrix(k):
+    parts = enumerate_partitions("S", "o" * k)
+    zeta = [[int(join(p, q) == q) for q in parts] for p in parts]
+    mu = [[0] * len(parts) for _ in parts]
+    for r, column in enumerate(integrator._lattice_operator(k, k + 1)[0][1]):
+        for t, value in column:
+            assert zeta[t][r]  # only coarsenings are listed
+            mu[t][r] = value
+    assert _matmul(mu, zeta) == [[int(s == t) for s in range(len(parts))]
+                                 for t in range(len(parts))]
+
+
+def _stirling2(k: int, b: int) -> int:
+    """The number of set partitions of k points into b blocks."""
+    if k == 0 or b == 0:
+        return int(k == b)
+    return b * _stirling2(k - 1, b) + _stirling2(k - 1, b - 1)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_rows_only_for_partitions_that_n_keeps(k):
+    # (n)_{|tau|} = 0 beyond n blocks, so D^+ drops those tau and no row is built
+    for n in range(1, k):
+        first, second = integrator._lattice_operator(k, n)[0]
+        assert len(first) == sum(_stirling2(k, b) for b in range(n + 1))
+        assert len(second) == len(enumerate_partitions("S", "o" * k))
+
+
+def _exact_matmul(a, b):
+    """a @ b in float64 for integer matrices, exact while every partial sum
+    stays below 2**53."""
+    assert np.abs(a).max() * np.abs(b).max() * a.shape[1] < 2**53
+    return a @ b
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in range(6) for n in (1, 2, 3, 10)]
+                         + [(7, 2), (7, 3)])
 def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
     # with G the Gram matrix and L X the operator: G X G = G and X G X = X;
     # the second fails if D^+ keeps a partition with more than n blocks
@@ -66,10 +96,10 @@ def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
     flat, shape = [int(i == j) for i in range(size) for j in range(size)], (size, size)
     for rows in steps:
         flat, shape = _contract_axis(flat, shape, 0, rows)
-    x = [flat[i * size:(i + 1) * size] for i in range(size)]
-    g = [list(row) for row in gram_matrix("S", "o" * k, n).entries]
-    assert _matmul(_matmul(g, x), g) == [[scale * e for e in row] for row in g]
-    assert _matmul(_matmul(x, g), x) == [[scale * e for e in row] for row in x]
+    x = np.array(flat, dtype=float).reshape(size, size)
+    g = np.array(gram_matrix("S", "o" * k, n).entries, dtype=float)
+    assert np.array_equal(_exact_matmul(_exact_matmul(g, x), g), scale * g)
+    assert np.array_equal(_exact_matmul(_exact_matmul(x, g), x), scale * x)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,27 @@ def test_zero_pairs_build_no_kernel(monkeypatch):
     assert calls == collections.Counter((w.code,) for w in tests + kept)
 
 
+def test_vanishing_moments_alone_decide_no_pair(monkeypatch):
+    # a pair is passed wholesale only when it is bare as well: with the
+    # kernel of O's two-leg words emptied, the test words on two legs have
+    # vanishing moments, but their pairs with a two-leg relation word keep
+    # the real four-leg kernel, whose left sides are not 0 = M^b . 0
+    build = spaces._space_kernel.__wrapped__
+
+    def kernel(factors, m, keys):
+        kern = build(factors, m, keys)
+        if keys == (2,):
+            return spaces._Kernel(kern.dlists, kern.shape, (), kern.blocks, kern.denominator)
+        return kern
+    monkeypatch.setattr(spaces, "_space_kernel", functools.lru_cache(maxsize=None)(kernel))
+    monkeypatch.setattr(spaces, "_outcome_table",
+                        functools.lru_cache(maxsize=None)(spaces._outcome_table.__wrapped__))
+    report = verify_relations(parse_space("O:2/I=1,2"), 2, 2)
+    paired = [c for c in report.failures
+              if len(c.relation.word) == 2 and len(c.monomial_word) == 2]
+    assert paired and all(c.rhs == 0 and c.lhs != 0 for c in paired)
+
+
 # ---------------------------------------------------------------------------
 # One outcome table per (factors, M, max_k, test degree).
 

@@ -7,11 +7,13 @@ DIR is a checkout of the commit to compare against, for example a `git
 clone` of this repository at that commit.  For each seed of SEEDS, the
 inputs are those of the benchmark's `verify` workload
 (`perfbench/workloads.py` of this checkout, read only, so both sides get
-the same inputs): 40 `verify_relations` calls at max_k 4, test degree 3.  Each round runs cold
-in a fresh process with one BLAS thread, twice per checkout and seed: once
-plain, for the wall time and the peak RSS, and once with the functions of
-each layer wrapped by a timer, for the self seconds per layer (a wrapped
-call's time minus that of the wrapped calls inside it):
+the same inputs): 40 `verify_relations` calls at max_k 4, test degree 3.  A
+fresh process with one BLAS thread runs ROUNDS rounds, each cold (every
+memo of the package is emptied before it), twice per checkout and seed:
+once plain, for the median wall time of a round and the peak RSS, and
+once with the functions of each layer wrapped by a timer, for the median
+self seconds per layer (a wrapped call's time minus that of the wrapped
+calls inside it):
 
     count tables          _count_table, _count_rows, _powers
     joins                 _join_blocks
@@ -35,9 +37,10 @@ those computed (one `lhs_vectors` call each, less the one call per
 distinct test word key that takes its moments from the empty relation
 word, on a checkout without `_Patterns.moments`), those decided wholesale
 as zero pairs (the rest) and the kernels built (misses of the
-`_space_kernel` memo).  The two sides alternate which runs first from
-seed to seed.  The record, with each checkout's commit
-(marked when its tree has uncommitted changes), goes to --out as JSON.
+`_space_kernel` memo); every round of a process must do the same work.
+The two sides alternate which runs first from seed to seed.  The record,
+with each checkout's commit (marked when its tree has uncommitted
+changes), goes to --out as JSON.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
+ROUNDS = 7
 LAYERS = {
     "_count_table": "count tables", "_count_rows": "count tables",
     "_powers": "count tables",
@@ -72,13 +76,25 @@ ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_TH
 ENV.pop("PYTHONPATH", None)
 
 
+def _memos() -> list:
+    """Every lru_cache of the loaded easywg modules."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "easywg":
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    found[id(obj)] = obj
+    return list(found.values())
+
+
 def child(src: str, seed: int, layered: bool) -> dict:
     sys.path[:0] = [str(Path(src) / "src"), str(ROOT / "perfbench")]
     import numpy  # noqa: F401  (loaded before the clock starts)
     import workloads
     from easywg import spaces
 
-    kernels = spaces._space_kernel  # the memos, before any timer wraps them
+    memos = _memos()  # before any timer wraps them
+    kernels = spaces._space_kernel
     outcomes = getattr(spaces, "_outcome_table", None)
     plans = getattr(spaces, "_verify_plan", None)
     inputs = workloads.verify(random.Random(seed))
@@ -117,32 +133,45 @@ def child(src: str, seed: int, layered: bool) -> dict:
             relations[0] += 1
             return relation(*args)
         spaces.Relation = made
-    reports = []
-    t0 = time.perf_counter()
-    for item in inputs["spaces"]:
-        space = spaces.parse_space(item["space"])
-        reports.append(spaces.verify_relations(space, inputs["max_k"], inputs["test_degree"]))
-    wall = time.perf_counter() - t0
-    for item, report in zip(inputs["spaces"], reports):
-        if (len(report.checks), report.all_passed) != (item["checked"], True):
-            raise SystemExit(f"{item['space']}: wrong verify result")
-    out = {"wall_s": round(wall, 4),
+    walls, layers, works = [], [], []
+    for _ in range(ROUNDS):
+        for memo in memos:
+            memo.cache_clear()
+        seconds.clear()
+        computed[0] = relations[0] = 0
+        reports = []
+        t0 = time.perf_counter()
+        for item in inputs["spaces"]:
+            space = spaces.parse_space(item["space"])
+            reports.append(spaces.verify_relations(space, inputs["max_k"], inputs["test_degree"]))
+        walls.append(time.perf_counter() - t0)
+        layers.append(dict(seconds))
+        for item, report in zip(inputs["spaces"], reports):
+            if (len(report.checks), report.all_passed) != (item["checked"], True):
+                raise SystemExit(f"{item['space']}: wrong verify result")
+        if layered:
+            tables = list({id(r.checks): r.checks for r in reports}.values())  # those built
+            pairs = sum(len(t._table) for t in tables)
+            if not hasattr(spaces._Patterns, "moments"):  # test moments are lhs_vectors calls
+                computed[0] -= sum(len({key for _, key in t._tests}) for t in tables)
+            info = outcomes.cache_info() if outcomes else None
+            outcome_builds = info.misses if info else len(reports)
+            works.append({"outcome_builds": outcome_builds,
+                          "outcome_hits": info.hits if info else 0,
+                          "relation_builds": plans.cache_info().misses if plans
+                          else outcome_builds,
+                          "relations_made": relations[0],
+                          "pairs": pairs, "pairs_wholesale": pairs - computed[0],
+                          "pairs_computed": computed[0],
+                          "kernel_builds": kernels.cache_info().misses})
+    out = {"wall_s": round(statistics.median(walls), 4),
            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
-           "layers_s": {k: round(v, 4) for k, v in sorted(seconds.items())}}
+           "layers_s": {name: round(statistics.median(r.get(name, 0.0) for r in layers), 4)
+                        for name in sorted(set().union(*layers))}}
     if layered:
-        tables = list({id(r.checks): r.checks for r in reports}.values())  # those built
-        pairs = sum(len(t._table) for t in tables)
-        if not hasattr(spaces._Patterns, "moments"):  # test moments are lhs_vectors calls
-            computed[0] -= sum(len({key for _, key in t._tests}) for t in tables)
-        info = outcomes.cache_info() if outcomes else None
-        outcome_builds = info.misses if info else len(reports)
-        out["work"] = {"outcome_builds": outcome_builds,
-                       "outcome_hits": info.hits if info else 0,
-                       "relation_builds": plans.cache_info().misses if plans else outcome_builds,
-                       "relations_made": relations[0],
-                       "pairs": pairs, "pairs_wholesale": pairs - computed[0],
-                       "pairs_computed": computed[0],
-                       "kernel_builds": kernels.cache_info().misses}
+        if any(w != works[0] for w in works):
+            raise SystemExit(f"rounds did different work: {works}")
+        out["work"] = works[0]
         out["missing_layers"] = missing
     return out
 
@@ -179,8 +208,8 @@ def main() -> int:
         ap.error("--parent is required")
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
     record = {
-        "what": "one cold round of the verify workload (40 verify_relations calls), "
-                "one process per side, seed and mode",
+        "what": "cold rounds of the verify workload (40 verify_relations calls), "
+                f"the median of {ROUNDS} per process, one process per side, seed and mode",
         "command": "python3 tools/bench_verify.py --parent DIR",
         "commits": {side: commit(src) for side, src in sides.items()},
         "python": platform.python_version(),
