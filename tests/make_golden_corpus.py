@@ -145,6 +145,15 @@ CASES: list[list[str]] = [
      "--rows", "1,2,1,3,2,1,1", "--cols", "2,3,2,1,3,2,2"],
     ["convergence", "--family", "group-as-space", "--category", "S",
      "--word", "oooooo", "--sizes", "2,3,7"],
+    # single O, O+, U and U+ factors at M > 1: every partition has k/2
+    # blocks, so these kernels are M^(k/2) times those at M = 1
+    ["verify", "--space", "O:3/I=1,2,3", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "O+:3/I=1,2", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "U:3/I=1,2", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "U+:3/I=2,3", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "U:2/I=1,2", "--max-k", "2", "--test-degree", "1", "--full"],
+    ["space-moment", "--space", "O:4/I=1,2,3", "--word", "oooooo",
+     "--indices", "1,2,1,2,3,3"],
 ]
 
 
