@@ -207,8 +207,16 @@ def parse_space(text: str) -> SpaceSpec:
 # and index set shares it.  So is the part of verify's outcome tables
 # that reads only the categories (_verify_plan: the relations, the test
 # words and the pairs' concatenated keys).  verify's count rows at a
-# dimension are memoized by N as well, and its outcome tables by the
-# factors, M, max_k and the test degree.
+# dimension are memoized by N as well, its equality patterns by the
+# factors and the test degree, and its outcome tables by the factors, M,
+# max_k and the test degree.
+#
+# When every partition tuple of a word joins to the same number b of
+# blocks (_uniform_blocks; every word of a single O, O+, U or U+ factor,
+# whose partitions all have k/2 blocks), y at M is M^b times y at M = 1.
+# Such a kernel is memoized under M = 1 and scaled, and so are verify's
+# left sides, which are linear in it: every index-set size of the factors
+# shares one contraction.  Other words are contracted at their M.
 
 
 def _factor_keys(categories: Sequence[CategoryId], word: ColoredWord) -> tuple[int, ...]:
@@ -226,15 +234,36 @@ class _Kernel:
     denominator: int
 
 
+def _uniform_blocks(categories: tuple[CategoryId, ...], keys: tuple[int, ...]) -> "int | None":
+    """The join block count that every partition tuple of the words with
+    these factor keys has (0 when there are none), or None when the counts
+    differ; read from the memoized joins."""
+    blocks = _join_blocks(categories, keys)
+    if not blocks:
+        return 0
+    b = blocks[0]
+    return b if blocks.count(b) == len(blocks) else None
+
+
 def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
-    keys = _factor_keys([f.category for f in space.factors], word)
-    return _space_kernel(space.factors, space.m, keys)
+    categories = tuple(f.category for f in space.factors)
+    keys = _factor_keys(categories, word)
+    b = _uniform_blocks(categories, keys)
+    if b is None:
+        return _space_kernel(space.factors, space.m, keys)
+    kern, scale = _space_kernel(space.factors, 1, keys), space.m**b
+    if scale == 1:
+        return kern
+    return _Kernel(kern.dlists, kern.shape, tuple(scale * y for y in kern.values),
+                   kern.blocks, kern.denominator)
 
 
 @lru_cache(maxsize=None)
 def _space_kernel(factors: tuple[GroupSpec, ...], m: int, keys: tuple[int, ...]) -> _Kernel:
     """The kernel over the factors at M = m of the words with _factor_keys
-    keys; index sets of one size share it."""
+    keys; index sets of one size share it.  When the keys' joins all have b
+    blocks (_uniform_blocks), callers ask for m = 1 and scale by M^b, so
+    that every index-set size shares it."""
     categories = tuple(f.category for f in factors)
     dlists = tuple(map(_enumerate, categories, keys))
     shape = tuple(len(d) for d in dlists)
@@ -309,8 +338,9 @@ class _Plan:
     the categories alone, at one max_k and test degree."""
 
     groups: tuple  # (factor keys, relations) per relation word that has any
-    tests: tuple  # (test word, factor keys) per test word
-    pairs: tuple  # (e_key, f_key, test degree, concatenated keys, bare) per distinct pair
+    tests: tuple  # (test word, factor keys, uniform blocks) per test word
+    # (e_key, f_key, test degree, concatenated keys, bare, uniform blocks) per distinct pair
+    pairs: tuple
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +352,8 @@ def _verify_plan(categories: tuple[CategoryId, ...], max_k: int, test_degree: in
     Words with the same _factor_keys share their partition tuples and
     joins.  A pair holds the keys of a relation word followed by a test
     word, concatenated per factor (partitions.concat_key), and is bare
-    when some factor has no partitions for them.
+    when some factor has no partitions for them.  Test words and pairs
+    carry _uniform_blocks of their kernel's keys (0 for a bare pair).
     """
     joined: dict = {}
     groups = []
@@ -334,14 +365,19 @@ def _verify_plan(categories: tuple[CategoryId, ...], max_k: int, test_degree: in
         if joined[keys]:
             groups.append((keys, tuple(Relation(word, combo, blocks)
                                        for combo, blocks in joined[keys])))
-    tests = tuple((f, _factor_keys(categories, f)) for f in _all_words(test_degree))
+    tests = []
+    for f_word in _all_words(test_degree):
+        f_key = _factor_keys(categories, f_word)
+        tests.append((f_word, f_key, _uniform_blocks(categories, f_key)))
     pairs: dict = {}
     for e_key, _ in groups:
-        for f_word, f_key in tests:
+        for f_word, f_key, _ in tests:
             if (e_key, f_key) not in pairs:
                 key = tuple(map(concat_key, categories, e_key, f_key))
-                pairs[e_key, f_key] = (len(f_word), key, not all(map(_enumerate, categories, key)))
-    return _Plan(tuple(groups), tests, tuple((*keys, *v) for keys, v in pairs.items()))
+                bare = not all(map(_enumerate, categories, key))
+                pairs[e_key, f_key] = (len(f_word), key, bare,
+                                       0 if bare else _uniform_blocks(categories, key))
+    return _Plan(tuple(groups), tuple(tests), tuple((*keys, *v) for keys, v in pairs.items()))
 
 
 def relation_set(space: SpaceSpec, max_k: int) -> list[Relation]:
@@ -451,11 +487,15 @@ class _Patterns:
     stands for prod_r (N_r)_{|rho_r|} tuples (falling factorials), and
     `count` is their total, |coordinates|^d.  Every tuple of a pattern has
     the same outcomes, so a pattern is decided once, from count tables that
-    read only the pattern.
+    read only the pattern.  Nothing here reads M: the left sides of words
+    whose kernel is scaled from M = 1 are kept at M = 1, for every M.
     """
 
     def __init__(self, factors: tuple[GroupSpec, ...], d: int):
         self.factors = factors
+        # fulls -> left sides at M = 1 and their denominator; on d test legs the
+        # kernel's keys fix the relation word's (partitions.concat_key)
+        self._unit: dict = {}
         everything = _enumerate(CategoryId.S, d)
         self.options = [
             [p for p in everything if p.block_count <= f.dimension] for f in factors
@@ -470,20 +510,32 @@ class _Patterns:
         """The test tuple with the given per-factor components."""
         return tuple(zip(*comps)) if len(self.factors) > 1 else comps[0]
 
-    def lhs_vectors(self, kern: _Kernel, heads: tuple[int, ...], fulls: tuple[int, ...],
-                    size: int) -> list:
-        """For each pattern, the integrals (times the kernel's denominator) of
-        the left sides of the relations of the words with factor keys heads
-        times the test monomial; fulls are the kernel's factor keys, those
-        of a relation word followed by the test word."""
-        if not kern.values:  # no partition tuples: every integral is 0
-            return [[0] * size] * len(self.combos)
-        mats: dict = {}  # equal factors share their count matrices
-        for f, opts, head, full in zip(self.factors, self.options, heads, fulls):
-            if f not in mats:
-                mats[f] = [_count_rows(f.category, head, full, rho.rgs, f.dimension)
-                           for rho in opts]
-        return _contract_each(kern.values, kern.shape, [mats[f] for f in self.factors])
+    def lhs_vectors(self, m: int, b: "int | None", heads: tuple[int, ...],
+                    fulls: tuple[int, ...], size: int) -> tuple[list, int, int]:
+        """(v, scale, denominator): for each pattern, the integrals at M = m
+        of the left sides of the relations of the words with factor keys
+        heads times the test monomial are scale * v[pattern] / denominator.
+        fulls are the kernel's factor keys, those of a relation word
+        followed by the test word, and b their _uniform_blocks: when it is
+        not None, v is read at M = 1, contracted once for every M, and the
+        scale is m^b."""
+        found = None if b is None else self._unit.get(fulls)
+        if found is None:
+            kern = _space_kernel(self.factors, m if b is None else 1, fulls)
+            if not kern.values:  # no partition tuples: every integral is 0
+                v = [[0] * size] * len(self.combos)
+            else:
+                mats: dict = {}  # equal factors share their count matrices
+                for f, opts, head, full in zip(self.factors, self.options, heads, fulls):
+                    if f not in mats:
+                        mats[f] = [_count_rows(f.category, head, full, rho.rgs, f.dimension)
+                                   for rho in opts]
+                v = _contract_each(kern.values, kern.shape, [mats[f] for f in self.factors])
+            found = v, kern.denominator
+            if b is not None:
+                self._unit[fulls] = found
+        v, den = found
+        return v, 1 if b is None else m**b, den
 
     def tuples(self, chosen: Sequence[int]) -> list[tuple]:
         """(test tuple, pattern position) for every tuple of the chosen
@@ -498,6 +550,13 @@ class _Patterns:
             out.extend((self._indices(combo), i) for combo in itertools.product(*comps))
         out.sort()
         return out
+
+
+@lru_cache(maxsize=None)
+def _patterns(factors: tuple[GroupSpec, ...], d: int) -> _Patterns:
+    """_Patterns(factors, d), memoized for the process: every M of the
+    factors shares the patterns and the left sides kept at M = 1."""
+    return _Patterns(factors, d)
 
 
 _PASSED = (True, None, None)
@@ -520,7 +579,7 @@ class _Checks:
     def __init__(self, groups: list, tests: list, patterns: list, table: dict):
         self._groups, self._tests, self._patterns, self._table = groups, tests, patterns, table
         self._len = sum(len(rels) for _, rels in groups) * sum(
-            patterns[len(f)].count for f, _ in tests
+            patterns[len(f)].count for f, *_ in tests
         )
 
     def __len__(self) -> int:
@@ -536,7 +595,7 @@ class _Checks:
         expanded: dict = {}
         for e_key, rels in self._groups:
             passed = (_PASSED,) * len(rels)
-            for f_word, f_key in self._tests:
+            for f_word, f_key, _ in self._tests:
                 entries = self._table[e_key, f_key]
                 if entries is None:
                     if failing:
@@ -589,36 +648,38 @@ def _outcome_table(
     the integral of the empty relation word's left side, 1, times m.
     The relations, the test words and the pairs with their concatenated
     keys come from _verify_plan, which reads only the categories and which
-    every N and M share.  A pair is decided wholesale, before any kernel
+    every N and M share.  The left sides, and so the moments, of a pair or
+    test word whose joins all have b blocks are read at M = 1 from
+    _patterns, which every M shares, and scaled by M^b in the
+    cross-multiplication; a second M of a single O, O+, U or U+ factor
+    then contracts nothing.  A pair is decided wholesale, before any kernel
     of it is built, when the test monomial's moment is 0 at every pattern
     and the pair is bare: every integral is then 0, and 0 = M^b . 0
     passes.
     """
     categories = tuple(f.category for f in factors)
     plan = _verify_plan(categories, max_k, test_degree)
-    patterns = [_Patterns(factors, d) for d in range(test_degree + 1)]
+    patterns = [_patterns(factors, d) for d in range(test_degree + 1)]
     empty = _factor_keys(categories, ColoredWord())  # the relation word whose left side is 1
     moments: dict = {}  # f_key -> the test monomial's moment at each pattern
-    for f_word, f_key in plan.tests:
+    for f_word, f_key, b in plan.tests:
         if f_key not in moments:
-            kern = _space_kernel(factors, m, f_key)
-            lvecs = patterns[len(f_word)].lhs_vectors(kern, empty, f_key, 1)
-            moments[f_key] = [Fraction(v, kern.denominator) for (v,) in lvecs]
+            lvecs, power, den = patterns[len(f_word)].lhs_vectors(m, b, empty, f_key, 1)
+            moments[f_key] = [Fraction(power * v, den) for (v,) in lvecs]
     vanishing = {f_key for f_key, ms in moments.items() if not any(ms)}
     scales = {e_key: [m**rel.join_blocks for rel in rels] for e_key, rels in plan.groups}
     table: dict = {}
-    for e_key, f_key, d, key, bare in plan.pairs:
+    for e_key, f_key, d, key, bare, b in plan.pairs:
         if bare and f_key in vanishing:
             table[e_key, f_key] = None  # 0 = M^b . 0 for every check
             continue
-        kern = _space_kernel(factors, m, key)
         entries = []
-        lvecs = patterns[d].lhs_vectors(kern, e_key, key, len(scales[e_key]))
+        lvecs, power, den = patterns[d].lhs_vectors(m, b, e_key, key, len(scales[e_key]))
         for lvec, m_j in zip(lvecs, moments[f_key]):
-            right = m_j.numerator * kern.denominator
+            left, right = power * m_j.denominator, m_j.numerator * den
             outs = tuple(
-                _PASSED if lhs * m_j.denominator == s * right
-                else (False, Fraction(lhs, kern.denominator), s * m_j)
+                _PASSED if lhs * left == s * right
+                else (False, Fraction(power * lhs, den), s * m_j)
                 for lhs, s in zip(lvec, scales[e_key])
             )
             entries.append(None if all(o is _PASSED for o in outs) else outs)

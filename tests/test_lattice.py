@@ -148,17 +148,17 @@ def test_seven_legs_build_no_weingarten_matrix():
 def engine(monkeypatch):
     """Calls a function with S factors taking the Weingarten branch of
     `_inverse_rows`, and every space kernel, verify's pair kernels
-    included, and verify's outcome tables taken from memos of the test's
-    own rather than the process's, so that the two routes never share a
-    kernel or a table."""
-    kernels = functools.lru_cache(maxsize=None)(spaces._space_kernel.__wrapped__)
-    outcomes = functools.lru_cache(maxsize=None)(spaces._outcome_table.__wrapped__)
+    included, verify's outcome tables and its patterns, with the left sides
+    they keep, taken from memos of the test's own rather than the
+    process's, so that the two routes never share a kernel or a table."""
+    memos = {name: functools.lru_cache(maxsize=None)(getattr(spaces, name).__wrapped__)
+             for name in ("_space_kernel", "_outcome_table", "_patterns")}
 
     def call(fn, *args):
         with monkeypatch.context() as m:
             m.delitem(integrator._LATTICES, CategoryId.S)
-            m.setattr(spaces, "_space_kernel", kernels)
-            m.setattr(spaces, "_outcome_table", outcomes)
+            for name, memo in memos.items():
+                m.setattr(spaces, name, memo)
             return fn(*args)
     return call
 

@@ -299,10 +299,12 @@ class TestVerifyRelations:
 
 def test_memo_keys_share_builds():
     # builds read from the memos' cache_info(): a kernel depends on the
-    # factors, M and the word's key per factor, not on the index set, and a
-    # Weingarten matrix on the category's word key
+    # factors, M and the word's key per factor, not on the index set, nor
+    # on M when every partition tuple joins to one block count (an O word's
+    # pairings all have k/2 blocks), and a Weingarten matrix on the
+    # category's word key
     clear_caches()
-    for text in ("O:3/I=1,2", "O:3/I=2,3"):
+    for text in ("O:3/I=1,2", "O:3/I=2,3", "O:3/I=1"):
         space_moment(parse_space(text), "oooo", (1, 1, 2, 2))
     assert spaces._space_kernel.cache_info().misses == 1
     for text, words, builds in [("U:2xS:3/J=1,2", ("ob", "bo"), 2),

@@ -13,7 +13,7 @@ import itertools
 import pytest
 
 import easywg.spaces as spaces
-from easywg.partitions import ColoredWord, enumerate_partitions
+from easywg.partitions import ColoredWord, as_category, enumerate_partitions
 from easywg.spaces import parse_space, relation_set, verify_relations
 from fraction_reference import clear_caches
 from verify_reference import coordinates, force_false, reference_checks
@@ -149,12 +149,16 @@ def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypat
         assert failed == (forced_false and parse_space(text).m > 1)
 
 
-def test_count_tables_are_built_once_per_key(monkeypatch):
+@pytest.mark.parametrize("kept", [False, True], ids=["patterns-per-table", "patterns-memo"])
+def test_count_tables_are_built_once_per_key(kept, monkeypatch):
     # the nine O slots of the verify benchmark: N = 2 and 3, index sets of
     # every size; O:3 meets every pattern that O:2 does, so one O:3 slot
     # alone builds every table the nine need; the outcome tables and count
     # rows above the tables are left unmemoized, so every slot asks for its
-    # tables, index sets of one size included
+    # tables, index sets of one size included, unless its left sides are
+    # kept: an O word's joins all have k/2 blocks, so with the _patterns
+    # memo the first slot of each dimension keeps its left sides at M = 1,
+    # and the other slots, whatever their M, ask for no table
     slots = ["O:2/I=1", "O:2/I=2", "O:2/I=1,2", "O:3/I=1", "O:3/I=3", "O:3/I=1,3",
              "O:3/I=2,3", "O:3/I=1,2,3", "O:3/I=1,2,3"]
     monkeypatch.setattr(spaces, "_outcome_table", spaces._outcome_table.__wrapped__)
@@ -162,15 +166,24 @@ def test_count_tables_are_built_once_per_key(monkeypatch):
     build = spaces._count_table.__wrapped__
 
     def run(texts):
-        """(tables built, distinct keys asked for, lookups), from an empty memo."""
-        table, keys = functools.lru_cache(maxsize=None)(build), []
+        """(tables built, distinct keys asked for, lookups per space), from
+        empty memos."""
+        table, keys, asked = functools.lru_cache(maxsize=None)(build), [], []
         monkeypatch.setattr(spaces, "_count_table", lambda *key: keys.append(key) or table(*key))
+        monkeypatch.setattr(spaces, "_patterns", functools.lru_cache(maxsize=None)(
+            spaces._patterns.__wrapped__) if kept else spaces._Patterns)
         for text in texts:
+            before = len(keys)
             assert verify_relations(parse_space(text), 4, 3).all_passed
-        return table.cache_info().misses, len(set(keys)), len(keys)
+            asked.append(len(keys) - before)
+        return table.cache_info().misses, len(set(keys)), asked
 
     built, distinct, asked = run(slots)
-    assert built == distinct and asked > 5 * built
+    assert built == distinct
+    if kept:
+        assert asked[0] > 0 and asked[3] > 0 and sum(asked) == asked[0] + asked[3]
+    else:
+        assert all(asked) and sum(asked) > 5 * built
     assert run(["O:3/I=2"])[0] == built
 
 
@@ -179,7 +192,9 @@ def test_zero_pairs_build_no_kernel(monkeypatch):
     # has none exactly when the test word is unbalanced: such a pair is
     # passed wholesale, and only the test words and the other pairs get a
     # kernel; a U word's factor keys are its code; from empty memos, so that
-    # the outcome table is built here
+    # the outcome table is built here; every U word's joins have k/2 blocks,
+    # so each left side is kept at M = 1, and a pair of the empty relation
+    # word reads the one its test word's moments left
     clear_caches()
     space = parse_space("U:3/I=1,2")
     calls = collections.Counter()
@@ -190,10 +205,13 @@ def test_zero_pairs_build_no_kernel(monkeypatch):
     assert report.all_passed and report.failures == []
     tests = list(spaces._all_words(3))
     heads = {r.word for r in relation_set(space, 4)}
-    pairs = [ColoredWord(e.colors + f.colors) for e in heads for f in tests]
-    kept = [w for w in pairs if enumerate_partitions("U", w)]
+    pairs = [(e, ColoredWord(e.colors + f.colors)) for e in heads for f in tests]
+    kept = [w for e, w in pairs if enumerate_partitions("U", w)]
     assert len(heads) == 9 and len(kept) == 27
-    assert calls == collections.Counter((w.code,) for w in tests + kept)
+    assert set(calls) == {(w.code,) for w in tests + kept}
+    contracted = [w for e, w in pairs if e and enumerate_partitions("U", w)]
+    assert len(contracted) == 24
+    assert calls == collections.Counter((w.code,) for w in tests + contracted)
 
 
 def test_vanishing_moments_alone_decide_no_pair(monkeypatch):
@@ -209,8 +227,9 @@ def test_vanishing_moments_alone_decide_no_pair(monkeypatch):
             return spaces._Kernel(kern.dlists, kern.shape, (), kern.blocks, kern.denominator)
         return kern
     monkeypatch.setattr(spaces, "_space_kernel", functools.lru_cache(maxsize=None)(kernel))
-    monkeypatch.setattr(spaces, "_outcome_table",
-                        functools.lru_cache(maxsize=None)(spaces._outcome_table.__wrapped__))
+    for name in ("_outcome_table", "_patterns"):  # no left side kept from the real kernel
+        monkeypatch.setattr(spaces, name, functools.lru_cache(maxsize=None)(
+            getattr(spaces, name).__wrapped__))
     report = verify_relations(parse_space("O:2/I=1,2"), 2, 2)
     paired = [c for c in report.failures
               if len(c.relation.word) == 2 and len(c.monomial_word) == 2]
@@ -324,3 +343,108 @@ def test_relation_set_returns_a_new_list():
     first.reverse()
     first.append(first[0])
     assert relation_set(space, 3) == expected
+
+
+# ---------------------------------------------------------------------------
+# Kernels and left sides scaled from M = 1.
+
+SINGLE_BODIES = [f"{cat}:{n}" for cat in ("O", "O+", "U", "U+") for n in (2, 3)]
+
+
+def _sizes(body: str) -> list:
+    """The space over the factor of `body` at every index-set size."""
+    n = int(body.split(":")[1])
+    return [parse_space(f"{body}/I=" + ",".join(map(str, range(1, m + 1))))
+            for m in range(1, n + 1)]
+
+
+def test_uniform_blocks_of_single_pairing_factors():
+    # every partition of a single O, O+, U or U+ factor is a pairing, so
+    # every word has k/2 join blocks, or none at all; S words on two or
+    # more legs and products of pairings on four legs have varying counts
+    for cat in ("O", "O+", "U", "U+"):
+        for word in spaces._all_words(6):
+            keys = spaces._factor_keys([as_category(cat)], word)
+            expected = len(word) // 2 if enumerate_partitions(cat, word) else 0
+            assert spaces._uniform_blocks((as_category(cat),), keys) == expected
+    s = (as_category("S"),)
+    assert [spaces._uniform_blocks(s, (k,)) for k in range(4)] == [0, 1, None, None]
+    o = (as_category("O"), as_category("O+"))
+    assert [spaces._uniform_blocks(o, (k, k)) for k in (0, 2, 4)] == [0, 1, None]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+@pytest.mark.parametrize("forced", [False, True], ids=["true", "forced-false"])
+@pytest.mark.parametrize("body", SINGLE_BODIES)
+def test_scaled_outcome_tables_equal_a_contraction_at_m(body, forced, order, monkeypatch):
+    """Every M of a single O, O+, U or U+ factor, verified in one process,
+    reads the kernels and left sides kept at M = 1; each outcome table must
+    equal one built from empty memos with every kernel contracted at its M,
+    and forced-false relations must still fail at M > 1."""
+    if forced:
+        force_false(monkeypatch)
+    clear_caches()
+    warm = {}
+    for space in _sizes(body)[::order]:
+        report = verify_relations(space, 4, 3)
+        assert report.all_passed == (not forced or space.m == 1)
+        warm[space.m] = (space.factors, report.checks)
+    for m, (factors, checks) in warm.items():
+        clear_caches()
+        with monkeypatch.context() as ctx:
+            ctx.setattr(spaces, "_uniform_blocks", lambda *args: None)  # contract at M
+            cold = spaces._outcome_table.__wrapped__(factors, m, 4, 3)
+        assert (cold._groups, cold._table) == (checks._groups, checks._table), m
+
+
+@pytest.mark.parametrize("body", SINGLE_BODIES)
+def test_scaled_kernels_equal_a_contraction_at_m(body):
+    # space_moment's and char-exact's kernels: memoized at M = 1, scaled by M^b
+    clear_caches()
+    for space in _sizes(body):
+        for word in spaces._all_words(6):
+            keys = spaces._factor_keys([space.factors[0].category], word)
+            cold = spaces._space_kernel.__wrapped__(space.factors, space.m, keys)
+            assert spaces._kernel(space, word) == cold, (space.text, word)
+
+
+def _count_contractions(monkeypatch) -> collections.Counter:
+    """Calls of the kernel and left-side contractions and of the count rows
+    from now on."""
+    calls = collections.Counter()
+    for name in ("_contract_axis", "_contract_each", "_count_rows"):
+        real = getattr(spaces, name)
+        monkeypatch.setattr(spaces, name,
+                            lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("body", SINGLE_BODIES)
+def test_a_second_m_of_a_single_factor_contracts_nothing(body, monkeypatch):
+    clear_caches()
+    first, *others = _sizes(body)
+    assert verify_relations(first, 4, 3).all_passed
+    calls = _count_contractions(monkeypatch)
+    for space in others:
+        report = verify_relations(space, 4, 3)
+        assert report.all_passed and len(report.checks) == _expected_count(space, 4, 3)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("first,second", [
+    ("O:2xO+:2/J=1", "O:2xO+:2/J=1,2"),
+    ("U:2xU:2/J=1", "group-as-space:U:2"),
+])
+def test_a_product_at_a_second_m_still_contracts_at_that_m(first, second, monkeypatch):
+    # some of a product's words join their partition tuples to varying
+    # block counts: their kernels are contracted at each M
+    clear_caches()
+    assert verify_relations(parse_space(first), 4, 3).all_passed
+    calls = _count_contractions(monkeypatch)
+    asked = []
+    real = spaces._space_kernel
+    monkeypatch.setattr(spaces, "_space_kernel",
+                        lambda fs, m, keys: asked.append(m) or real(fs, m, keys))
+    assert verify_relations(parse_space(second), 4, 3).all_passed
+    assert calls["_contract_axis"] > 0 and calls["_contract_each"] > 0
+    assert 2 in asked

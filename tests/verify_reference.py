@@ -6,8 +6,11 @@ pattern, decides each (relation word, test word, pattern) once, and
 builds one `RelationCheck` per check, in the order relation word, test
 word, test tuple, relation.  The library now decides each pattern once and
 counts its tuples; `tests/test_verify_patterns.py` compares the two check
-by check.  `kernel_partition` gives a tuple's equality pattern, and
-`force_false` makes every relation false for the tests of failing checks.
+by check.  Every kernel here is contracted at the space's own M
+(`_space_kernel` at M), never scaled from M = 1 as the library does for
+words whose joins all have one block count.  `kernel_partition` gives a
+tuple's equality pattern, and `force_false` makes every relation false
+for the tests of failing checks.
 Nothing in src imports this module.
 """
 
@@ -20,7 +23,7 @@ from fractions import Fraction
 from easywg import spaces
 from easywg.integrator import _contract_each
 from easywg.partitions import ColoredWord, SetPartition, enumerate_partitions
-from easywg.spaces import RelationCheck, _exponent_rows, _factor_keys, _kernel, _powers
+from easywg.spaces import RelationCheck, _exponent_rows, _factor_keys, _powers
 
 
 def kernel_partition(values) -> SetPartition:
@@ -88,11 +91,17 @@ def _moment(space, kern, indices: tuple) -> Fraction:
     return Fraction(_contract(kern.values, kern.shape, rows)[0], kern.denominator)
 
 
+def _kernel_at_m(space, word):
+    """The space's kernel of the word, contracted at the space's M."""
+    keys = _factor_keys([f.category for f in space.factors], word)
+    return spaces._space_kernel(space.factors, space.m, keys)
+
+
 def _outcomes(space, relations, f_word, j) -> list[tuple]:
     """(ok, lhs, rhs) for each relation of one word against f_word at j."""
     e_word = relations[0].word
-    kern_w = _kernel(space, ColoredWord(e_word.colors + f_word.colors))
-    m_j = _moment(space, _kernel(space, f_word), j)
+    kern_w = _kernel_at_m(space, ColoredWord(e_word.colors + f_word.colors))
+    m_j = _moment(space, _kernel_at_m(space, f_word), j)
     lvec = [0] * len(relations)
     if kern_w.values:
         lvec = _contract(kern_w.values, kern_w.shape, [

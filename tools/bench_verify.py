@@ -9,11 +9,10 @@ inputs are those of the benchmark's `verify` workload
 (`perfbench/workloads.py` of this checkout, read only, so both sides get
 the same inputs): 40 `verify_relations` calls at max_k 4, test degree 3.  A
 fresh process with one BLAS thread runs ROUNDS rounds, each cold (every
-memo of the package is emptied before it), twice per checkout and seed:
-once plain, for the median wall time of a round and the peak RSS, and
-once with the functions of each layer wrapped by a timer, for the median
-self seconds per layer (a wrapped call's time minus that of the wrapped
-calls inside it):
+memo of the package is emptied before it), in two modes: plain, for the
+median wall time of a round and the peak RSS, and with the functions of
+each layer wrapped by a timer, for the median self seconds per layer (a
+wrapped call's time minus that of the wrapped calls inside it):
 
     count tables          _count_table, _count_rows, _powers
     joins                 _join_blocks
@@ -35,12 +34,20 @@ checkout without it, one per outcome table built) and the `Relation`
 records made, the (relation word key, test word key) pairs of the tables built,
 those computed (one `lhs_vectors` call each, less the one call per
 distinct test word key that takes its moments from the empty relation
-word, on a checkout without `_Patterns.moments`), those decided wholesale
-as zero pairs (the rest) and the kernels built (misses of the
-`_space_kernel` memo); every round of a process must do the same work.
-The two sides alternate which runs first from seed to seed.  The record,
-with each checkout's commit (marked when its tree has uncommitted
-changes), goes to --out as JSON.
+word), those decided wholesale as zero pairs (the rest), the kernels
+built (misses of the `_space_kernel` memo), the equality patterns built
+(`_Patterns` objects made), the left sides served without contraction
+(`lhs_vectors` calls answered from the left sides a `_Patterns` keeps at
+M = 1; 0 on a checkout without them) and the outcome tables built
+without any contraction (no `_contract_axis` or `_contract_each` call);
+every round of a process must do the same work, and so must every
+process of a side and seed.
+
+Each side runs PROCESSES processes per seed and mode, and the record holds
+their medians: a whole process can run 1.5x slower than another doing the
+same work.  The sides alternate which runs first from process to process
+and from seed to seed.  The record, with each checkout's commit (marked
+when its tree has uncommitted changes), goes to --out as JSON.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 ROUNDS = 7
+PROCESSES = 3
 LAYERS = {
     "_count_table": "count tables", "_count_rows": "count tables",
     "_powers": "count tables",
@@ -115,30 +123,53 @@ def child(src: str, seed: int, layered: bool) -> dict:
                 inside[-1] += spent
         setattr(spaces, name, wrapper)
 
-    computed, relations = [0], [0]
+    counts = collections.Counter()
     missing = [name for name in LAYERS if not hasattr(spaces, name)]
     if layered:
         for name in LAYERS:
             if name not in missing:
                 timed(name)
-        lhs_vectors = spaces._Patterns.lhs_vectors
+        lhs_vectors, patterns = spaces._Patterns.lhs_vectors, spaces._Patterns.__init__
 
-        def counted(*args):
-            computed[0] += 1
-            return lhs_vectors(*args)
+        def counted(self, *args):  # args end with the heads, the fulls and the size
+            counts["computed"] += 1
+            counts["kept"] += args[-2] in getattr(self, "_unit", ())
+            return lhs_vectors(self, *args)
         spaces._Patterns.lhs_vectors = counted
+
+        def built(*args):
+            counts["patterns"] += 1
+            patterns(*args)
+        spaces._Patterns.__init__ = built
         relation = spaces.Relation
 
         def made(*args):
-            relations[0] += 1
+            counts["relations"] += 1
             return relation(*args)
         spaces.Relation = made
+        for name in ("_contract_axis", "_contract_each"):
+            contract = getattr(spaces, name)
+
+            def contracting(*args, contract=contract):
+                counts["contractions"] += 1
+                return contract(*args)
+            setattr(spaces, name, contracting)
+        table = spaces._outcome_table
+
+        def tabled(*args):
+            before = (outcomes.cache_info().misses if outcomes else 0, counts["contractions"])
+            try:
+                return table(*args)
+            finally:
+                fresh = not outcomes or outcomes.cache_info().misses > before[0]
+                counts["uncontracted"] += fresh and counts["contractions"] == before[1]
+        spaces._outcome_table = tabled
     walls, layers, works = [], [], []
     for _ in range(ROUNDS):
         for memo in memos:
             memo.cache_clear()
         seconds.clear()
-        computed[0] = relations[0] = 0
+        counts.clear()
         reports = []
         t0 = time.perf_counter()
         for item in inputs["spaces"]:
@@ -152,18 +183,21 @@ def child(src: str, seed: int, layered: bool) -> dict:
         if layered:
             tables = list({id(r.checks): r.checks for r in reports}.values())  # those built
             pairs = sum(len(t._table) for t in tables)
-            if not hasattr(spaces._Patterns, "moments"):  # test moments are lhs_vectors calls
-                computed[0] -= sum(len({key for _, key in t._tests}) for t in tables)
+            # the test words' moments are lhs_vectors calls too, one per distinct key
+            computed = counts["computed"] - sum(len({t_[1] for t_ in t._tests}) for t in tables)
             info = outcomes.cache_info() if outcomes else None
             outcome_builds = info.misses if info else len(reports)
             works.append({"outcome_builds": outcome_builds,
                           "outcome_hits": info.hits if info else 0,
                           "relation_builds": plans.cache_info().misses if plans
                           else outcome_builds,
-                          "relations_made": relations[0],
-                          "pairs": pairs, "pairs_wholesale": pairs - computed[0],
-                          "pairs_computed": computed[0],
-                          "kernel_builds": kernels.cache_info().misses})
+                          "relations_made": counts["relations"],
+                          "pairs": pairs, "pairs_wholesale": pairs - computed,
+                          "pairs_computed": computed,
+                          "kernel_builds": kernels.cache_info().misses,
+                          "pattern_builds": counts["patterns"],
+                          "left_sides_kept": counts["kept"],
+                          "outcome_builds_uncontracted": counts["uncontracted"]})
     out = {"wall_s": round(statistics.median(walls), 4),
            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
            "layers_s": {name: round(statistics.median(r.get(name, 0.0) for r in layers), 4)
@@ -209,7 +243,8 @@ def main() -> int:
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
     record = {
         "what": "cold rounds of the verify workload (40 verify_relations calls), "
-                f"the median of {ROUNDS} per process, one process per side, seed and mode",
+                f"the median of {ROUNDS} per process, and of {PROCESSES} alternating "
+                "processes per side, seed and mode",
         "command": "python3 tools/bench_verify.py --parent DIR",
         "commits": {side: commit(src) for side, src in sides.items()},
         "python": platform.python_version(),
@@ -219,14 +254,28 @@ def main() -> int:
         "seeds": {},
     }
     for i, seed in enumerate(SEEDS):
+        runs: dict = {side: [] for side in sides}  # (plain, layered) per process
+        for p in range(PROCESSES):
+            order = list(sides.items()) if (i + p) % 2 == 0 else list(sides.items())[::-1]
+            for side, src in order:
+                runs[side].append((run(src, seed, False), run(src, seed, True)))
+                print(seed, side, json.dumps(runs[side][-1]), file=sys.stderr)
         row = {}
-        order = list(sides.items()) if i % 2 == 0 else list(sides.items())[::-1]
-        for side, src in order:
-            plain, layered = run(src, seed, False), run(src, seed, True)
-            row[side] = dict(plain, layers_s=layered["layers_s"], work=layered["work"])
-            record["missing_layers"][side] = layered["missing_layers"]
-            print(seed, side, json.dumps(row[side]), file=sys.stderr)
-        record["seeds"][str(seed)] = {side: row[side] for side in sides}
+        for side, done in runs.items():
+            plains, layereds = zip(*done)
+            if any(r["work"] != layereds[0]["work"] for r in layereds):
+                raise SystemExit(f"{side}, seed {seed}: processes did different work")
+            record["missing_layers"][side] = layereds[0]["missing_layers"]
+            row[side] = {
+                "wall_s": statistics.median(r["wall_s"] for r in plains),
+                "wall_s_processes": [r["wall_s"] for r in plains],
+                "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in plains),
+                "layers_s": {layer: round(statistics.median(
+                    r["layers_s"].get(layer, 0.0) for r in layereds), 4)
+                    for layer in sorted(set().union(*(r["layers_s"] for r in layereds)))},
+                "work": layereds[0]["work"],
+            }
+        record["seeds"][str(seed)] = row
     record["median"] = {
         side: {
             "wall_s": statistics.median(r[side]["wall_s"] for r in record["seeds"].values()),
