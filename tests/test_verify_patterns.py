@@ -149,8 +149,7 @@ def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypat
         assert failed == (forced_false and parse_space(text).m > 1)
 
 
-@pytest.mark.parametrize("kept", [False, True], ids=["patterns-per-table", "patterns-memo"])
-def test_count_tables_are_built_once_per_key(kept, monkeypatch):
+def test_count_tables_are_built_once_per_key(monkeypatch):
     # the nine O slots of the verify benchmark: N = 2 and 3, index sets of
     # every size; O:3 meets every pattern that O:2 does, so one O:3 slot
     # alone builds every table the nine need; the outcome tables and count
@@ -165,26 +164,25 @@ def test_count_tables_are_built_once_per_key(kept, monkeypatch):
     monkeypatch.setattr(spaces, "_count_rows", spaces._count_rows.__wrapped__)
     build = spaces._count_table.__wrapped__
 
-    def run(texts):
+    def run(texts, kept):
         """(tables built, distinct keys asked for, lookups per space), from
-        empty memos."""
+        empty memos, with patterns memoized or made per outcome table."""
         table, keys, asked = functools.lru_cache(maxsize=None)(build), [], []
         monkeypatch.setattr(spaces, "_count_table", lambda *key: keys.append(key) or table(*key))
         monkeypatch.setattr(spaces, "_patterns", functools.lru_cache(maxsize=None)(
-            spaces._patterns.__wrapped__) if kept else spaces._Patterns)
+            spaces._Patterns) if kept else spaces._Patterns)
         for text in texts:
             before = len(keys)
             assert verify_relations(parse_space(text), 4, 3).all_passed
             asked.append(len(keys) - before)
         return table.cache_info().misses, len(set(keys)), asked
 
-    built, distinct, asked = run(slots)
-    assert built == distinct
-    if kept:
-        assert asked[0] > 0 and asked[3] > 0 and sum(asked) == asked[0] + asked[3]
-    else:
-        assert all(asked) and sum(asked) > 5 * built
-    assert run(["O:3/I=2"])[0] == built
+    built, distinct, asked = run(slots, False)
+    assert built == distinct and all(asked) and sum(asked) > 5 * built
+    *kept, asked = run(slots, True)
+    assert kept == [built, distinct]
+    assert asked[0] > 0 and asked[3] > 0 and sum(asked) == asked[0] + asked[3]
+    assert run(["O:3/I=2"], True)[0] == built
 
 
 def test_zero_pairs_build_no_kernel(monkeypatch):
