@@ -51,9 +51,9 @@ def char_moment_exact(query: CharacterQuery) -> Fraction:
     Sum over tuples of factor partitions (pi, sigma) of
     T^{|join pi|} M^{|join sigma|} prod_r W_r(pi_r, sigma_r); rational.
     """
-    kern = _kernel(query.space, query.word)
+    kern, scale = _kernel(query.space, query.word)
     t = query.truncation
-    num = sum(t**b * y for b, y in zip(kern.blocks, kern.values))
+    num = scale * sum(t**b * y for b, y in zip(kern.blocks, kern.values))
     return Fraction(num, kern.denominator)
 
 

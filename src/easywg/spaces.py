@@ -206,17 +206,18 @@ def parse_space(text: str) -> SpaceSpec:
 # under the factors' categories and keys, so that every space, dimension
 # and index set shares it.  So is the part of verify's outcome tables
 # that reads only the categories (_verify_plan: the relations, the test
-# words and the pairs' concatenated keys).  verify's count rows at a
-# dimension are memoized by N as well, its equality patterns by the
-# factors and the test degree, and its outcome tables by the factors, M,
-# max_k and the test degree.
+# words and the pairs' concatenated keys).  A count table holds exponents
+# of N, which its reader raises each factor's N to.  verify's equality
+# patterns are memoized by the factors and the test degree, and its
+# outcome tables by the factors, M, max_k and the test degree.
 #
 # When every partition tuple of a word joins to the same number b of
 # blocks (_uniform_blocks; every word of a single O, O+, U or U+ factor,
 # whose partitions all have k/2 blocks), y at M is M^b times y at M = 1.
-# Such a kernel is memoized under M = 1 and scaled, and so are verify's
-# left sides, which are linear in it: every index-set size of the factors
-# shares one contraction.  Other words are contracted at their M.
+# Such a kernel is memoized under M = 1 and read with the scale M^b
+# beside it (_kernel), and so are verify's left sides, which are linear in
+# it (_Patterns.lhs_vectors): every index-set size of the factors shares
+# one contraction.  Other words are contracted at their M, with scale 1.
 
 
 def _factor_keys(categories: Sequence[CategoryId], word: ColoredWord) -> tuple[int, ...]:
@@ -245,17 +246,16 @@ def _uniform_blocks(categories: tuple[CategoryId, ...], keys: tuple[int, ...]) -
     return b if blocks.count(b) == len(blocks) else None
 
 
-def _kernel(space: SpaceSpec, word: ColoredWord) -> _Kernel:
+def _kernel(space: SpaceSpec, word: ColoredWord) -> tuple[_Kernel, int]:
+    """(kernel, scale): the space's kernel of the word is scale times the
+    memoized kernel's values, scale = M^b read at M = 1 when the word's
+    joins all have b blocks (_uniform_blocks), else 1 at the space's M."""
     categories = tuple(f.category for f in space.factors)
     keys = _factor_keys(categories, word)
     b = _uniform_blocks(categories, keys)
     if b is None:
-        return _space_kernel(space.factors, space.m, keys)
-    kern, scale = _space_kernel(space.factors, 1, keys), space.m**b
-    if scale == 1:
-        return kern
-    return _Kernel(kern.dlists, kern.shape, tuple(scale * y for y in kern.values),
-                   kern.blocks, kern.denominator)
+        return _space_kernel(space.factors, space.m, keys), 1
+    return _space_kernel(space.factors, 1, keys), space.m**b
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +303,8 @@ def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fractio
     """
     word = as_word(word)
     indices = space.validate_indices(indices, len(word))
-    return _moment_from_kernel(space, _kernel(space, word), indices)
+    kern, scale = _kernel(space, word)
+    return scale * _moment_from_kernel(space, kern, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,6 @@ class Relation:
         return len(self.word)
 
 
-@lru_cache(maxsize=None)
 def _all_words(max_k: int) -> tuple[ColoredWord, ...]:
     """Every colored word of length at most max_k, shortest first."""
     return tuple(ColoredWord(colors) for k in range(max_k + 1)
@@ -425,12 +425,16 @@ class VerificationReport:
         return next(self.checks.failing(), None) is None
 
 
-def _exponent_rows(
-    heads: Sequence[SetPartition], fulls: Sequence[SetPartition], pattern: tuple[int, ...]
+@lru_cache(maxsize=None)
+def _count_table(
+    category: CategoryId, head: int, full: int, pattern: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Sparse rows, entry [h][w]: the exponent e with n^e head tuples in
-    {1..n}^k fitting h whose concatenation with a tail of equality pattern
-    `pattern` (a restricted-growth string on d legs) fits w on k+d legs.
+    """Sparse rows over the category's partitions h of the word key head
+    and w of the word key full, entry [h][w]: the exponent e with n^e head
+    tuples in {1..n}^k fitting h whose concatenation with a tail of
+    equality pattern `pattern` (a restricted-growth string on d legs) fits
+    w on k+d legs.  Memoized for the process: the rows read neither N nor
+    M, and their reader raises its N to the exponents.
 
     With J = (h + pattern) v w, the tuple is constant on the blocks of J,
     so the count is n^(|J| - |pattern|) when J restricted to the tail legs
@@ -439,9 +443,9 @@ def _exponent_rows(
     are equal exactly when they have the same number of blocks.
     """
     tail = max(pattern) + 1 if pattern else 0
-    full_links = [_links(w.rgs) for w in fulls]
+    full_links = [_links(w.rgs) for w in _enumerate(category, full)]
     out = []
-    for h in heads:
+    for h in _enumerate(category, head):
         k = h.ground_size
         legs = k + len(pattern)
         both = _links(h.rgs + tuple(h.block_count + x for x in pattern))
@@ -452,31 +456,6 @@ def _exponent_rows(
                 row.append((c, blocks - tail))
         out.append(tuple(row))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _count_table(
-    category: CategoryId, head: int, full: int, pattern: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """_exponent_rows for the category's partitions of two word keys,
-    memoized for the process: the rows depend on neither N nor M."""
-    return _exponent_rows(_enumerate(category, head), _enumerate(category, full), pattern)
-
-
-def _powers(
-    rows: Sequence[Sequence[tuple[int, int]]], n: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Exponent rows as count rows at dimension n."""
-    return tuple(tuple((c, n**e) for c, e in row) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def _count_rows(
-    category: CategoryId, head: int, full: int, pattern: tuple[int, ...], n: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """_count_table's rows as count rows at dimension n, memoized for the
-    process: spaces of one dimension share them whatever their M."""
-    return _powers(_count_table(category, head, full, pattern), n)
 
 
 class _Patterns:
@@ -518,7 +497,8 @@ class _Patterns:
         fulls are the kernel's factor keys, those of a relation word
         followed by the test word, and b their _uniform_blocks: when it is
         not None, v is read at M = 1, contracted once for every M, and the
-        scale is m^b."""
+        scale is m^b.  The kernel is contracted with count matrices, each
+        factor's N raised to the exponents of _count_table."""
         found = None if b is None else self._unit.get(fulls)
         if found is None:
             kern = _space_kernel(self.factors, m if b is None else 1, fulls)
@@ -528,7 +508,9 @@ class _Patterns:
                 mats: dict = {}  # equal factors share their count matrices
                 for f, opts, head, full in zip(self.factors, self.options, heads, fulls):
                     if f not in mats:
-                        mats[f] = [_count_rows(f.category, head, full, rho.rgs, f.dimension)
+                        n = f.dimension
+                        mats[f] = [[[(c, n**e) for c, e in row]
+                                    for row in _count_table(f.category, head, full, rho.rgs)]
                                    for rho in opts]
                 v = _contract_each(kern.values, kern.shape, [mats[f] for f in self.factors])
             found = v, kern.denominator

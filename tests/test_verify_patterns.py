@@ -152,16 +152,15 @@ def test_shared_join_work_equals_a_cold_reference(order, forced_false, monkeypat
 def test_count_tables_are_built_once_per_key(monkeypatch):
     # the nine O slots of the verify benchmark: N = 2 and 3, index sets of
     # every size; O:3 meets every pattern that O:2 does, so one O:3 slot
-    # alone builds every table the nine need; the outcome tables and count
-    # rows above the tables are left unmemoized, so every slot asks for its
-    # tables, index sets of one size included, unless its left sides are
+    # alone builds every table the nine need; the outcome tables above the
+    # count tables are left unmemoized, so every slot asks for its tables,
+    # index sets of one size included, unless its left sides are
     # kept: an O word's joins all have k/2 blocks, so with the _patterns
     # memo the first slot of each dimension keeps its left sides at M = 1,
     # and the other slots, whatever their M, ask for no table
     slots = ["O:2/I=1", "O:2/I=2", "O:2/I=1,2", "O:3/I=1", "O:3/I=3", "O:3/I=1,3",
              "O:3/I=2,3", "O:3/I=1,2,3", "O:3/I=1,2,3"]
     monkeypatch.setattr(spaces, "_outcome_table", spaces._outcome_table.__wrapped__)
-    monkeypatch.setattr(spaces, "_count_rows", spaces._count_rows.__wrapped__)
     build = spaces._count_table.__wrapped__
 
     def run(texts, kept):
@@ -397,20 +396,24 @@ def test_scaled_outcome_tables_equal_a_contraction_at_m(body, forced, order, mon
 
 @pytest.mark.parametrize("body", SINGLE_BODIES)
 def test_scaled_kernels_equal_a_contraction_at_m(body):
-    # space_moment's and char-exact's kernels: memoized at M = 1, scaled by M^b
+    # space_moment's and char-exact's kernels: memoized at M = 1, read with
+    # the scale M^b
     clear_caches()
     for space in _sizes(body):
         for word in spaces._all_words(6):
             keys = spaces._factor_keys([space.factors[0].category], word)
             cold = spaces._space_kernel.__wrapped__(space.factors, space.m, keys)
-            assert spaces._kernel(space, word) == cold, (space.text, word)
+            kern, scale = spaces._kernel(space, word)
+            assert tuple(scale * y for y in kern.values) == cold.values, (space.text, word)
+            assert (kern.dlists, kern.shape, kern.blocks, kern.denominator) == (
+                cold.dlists, cold.shape, cold.blocks, cold.denominator), (space.text, word)
 
 
 def _count_contractions(monkeypatch) -> collections.Counter:
-    """Calls of the kernel and left-side contractions and of the count rows
-    from now on."""
+    """Calls of the kernel and left-side contractions and of the count
+    tables from now on."""
     calls = collections.Counter()
-    for name in ("_contract_axis", "_contract_each", "_count_rows"):
+    for name in ("_contract_axis", "_contract_each", "_count_table"):
         real = getattr(spaces, name)
         monkeypatch.setattr(spaces, name,
                             lambda *a, real=real, name=name: calls.update([name]) or real(*a))
@@ -445,4 +448,4 @@ def test_a_product_at_a_second_m_still_contracts_at_that_m(first, second, monkey
                         lambda fs, m, keys: asked.append(m) or real(fs, m, keys))
     assert verify_relations(parse_space(second), 4, 3).all_passed
     assert calls["_contract_axis"] > 0 and calls["_contract_each"] > 0
-    assert 2 in asked
+    assert calls["_count_table"] > 0 and 2 in asked

@@ -16,7 +16,7 @@ import easywg.integrator as integrator
 import easywg.spaces as spaces
 from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten
-from easywg.partitions import ColoredWord, as_word, enumerate_partitions
+from easywg.partitions import ColoredWord, as_category, as_word, enumerate_partitions
 from easywg.spaces import parse_space, relation_set, space_moment
 from verify_reference import _count_matrix, coordinates, force_false
 
@@ -31,26 +31,40 @@ def _fits(parts, tuples: np.ndarray) -> np.ndarray:
     return out
 
 
+def _keyed_words(category, length: int) -> list[ColoredWord]:
+    """One word of the given length per word key of the category: every
+    coloured word for U and U+, balanced or not, and o^length otherwise."""
+    if not category.color_sensitive:
+        return [as_word("o" * length)]
+    return [as_word("".join(w)) for w in itertools.product("ob", repeat=length)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_count_matrix_against_brute_force(n):
-    # every S partition pair with k + d <= 6; one tail per kernel with at
-    # most n values, written with values counted down from n
-    for k in range(7):
-        heads = enumerate_partitions("S", "o" * k)
-        tuples = list(itertools.product(range(1, n + 1), repeat=k))
-        head_tuples = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)
-        fit_heads = _fits(heads, head_tuples)
-        for d in range(7 - k):
-            fulls = enumerate_partitions("S", "o" * (k + d))
-            for ker in enumerate_partitions("S", "o" * d):
-                if ker.block_count > n:
-                    continue
-                tail = tuple(n - label for label in ker.rgs)
-                tails = np.tile(np.array(tail, dtype=np.int64), (len(tuples), 1))
-                joined = np.hstack([head_tuples, tails])
-                expected = [[(w, c) for w, c in enumerate(row) if c]
-                            for row in (fit_heads @ _fits(fulls, joined).T).tolist()]
-                assert _count_matrix(heads, fulls, tail, n) == expected, (k, tail)
+    # every category and every pair of word keys with k + d <= 6; one tail
+    # per kernel with at most n values, written with values counted down
+    # from n: the one N-free count table, raised to n, counts the tuples
+    for category in map(as_category, ("S", "S+", "O", "O+", "U", "U+")):
+        for k in range(7):
+            tuples = list(itertools.product(range(1, n + 1), repeat=k))
+            head_tuples = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)
+            for head in _keyed_words(category, k):
+                heads = enumerate_partitions(category, head)
+                fit_heads = _fits(heads, head_tuples)
+                for d in range(7 - k):
+                    for tail_word in _keyed_words(category, d):
+                        full = ColoredWord(head.colors + tail_word.colors)
+                        fulls = enumerate_partitions(category, full)
+                        for ker in enumerate_partitions("S", "o" * d):
+                            if ker.block_count > n:
+                                continue
+                            tail = tuple(n - label for label in ker.rgs)
+                            tails = np.tile(np.array(tail, dtype=np.int64), (len(tuples), 1))
+                            joined = np.hstack([head_tuples, tails])
+                            expected = [[(w, c) for w, c in enumerate(row) if c]
+                                        for row in (fit_heads @ _fits(fulls, joined).T).tolist()]
+                            got = _count_matrix(category, head, full, tail, n)
+                            assert got == expected, (category, head, full, tail)
 
 
 def _explicit(space, word, row_weight) -> Fraction:

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from easywg import spaces
 from easywg.integrator import _contract_each
-from easywg.partitions import ColoredWord, SetPartition, enumerate_partitions
-from easywg.spaces import RelationCheck, _exponent_rows, _factor_keys, _powers
+from easywg.partitions import ColoredWord, SetPartition, word_key
+from easywg.spaces import RelationCheck, _count_table, _factor_keys
 
 
 def kernel_partition(values) -> SetPartition:
@@ -65,11 +65,14 @@ def coordinates(space) -> list:
     return list(itertools.product(*(range(1, f.dimension + 1) for f in space.factors)))
 
 
-def _count_matrix(heads, fulls, tail: tuple, n: int) -> list[list[tuple[int, int]]]:
-    """Sparse rows, entry [h][w]: the number of head tuples in {1..n}^k
-    fitting h whose concatenation with `tail` fits w on k+d legs."""
-    rows = _powers(_exponent_rows(heads, fulls, kernel_partition(tail).rgs), n)
-    return [list(row) for row in rows]
+def _count_matrix(category, head: ColoredWord, full: ColoredWord, tail: tuple,
+                  n: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows over the category's partitions h of `head` and w of
+    `full`, entry [h][w]: the number of head tuples in {1..n}^k fitting h
+    whose concatenation with `tail` fits w on k+d legs."""
+    table = _count_table(category, word_key(category, head), word_key(category, full),
+                         kernel_partition(tail).rgs)
+    return [[(c, n**e) for c, e in row] for row in table]
 
 
 def _contract(flat, shape, row_sets):
@@ -100,13 +103,14 @@ def _kernel_at_m(space, word):
 def _outcomes(space, relations, f_word, j) -> list[tuple]:
     """(ok, lhs, rhs) for each relation of one word against f_word at j."""
     e_word = relations[0].word
-    kern_w = _kernel_at_m(space, ColoredWord(e_word.colors + f_word.colors))
+    full = ColoredWord(e_word.colors + f_word.colors)
+    kern_w = _kernel_at_m(space, full)
     m_j = _moment(space, _kernel_at_m(space, f_word), j)
     lvec = [0] * len(relations)
     if kern_w.values:
         lvec = _contract(kern_w.values, kern_w.shape, [
-            _count_matrix(enumerate_partitions(f.category, e_word), fulls, comp, f.dimension)
-            for f, fulls, comp in zip(space.factors, kern_w.dlists, _components(space, j))
+            _count_matrix(f.category, e_word, full, comp, f.dimension)
+            for f, comp in zip(space.factors, _components(space, j))
         ])
     out = []
     for lhs, rel in zip(lvec, relations):

@@ -31,6 +31,8 @@ import sys
 import time
 from pathlib import Path
 
+from checkout import commit
+
 ROOT = Path(__file__).resolve().parent.parent
 KEYS = [("O", "o" * 10, 10), ("S", "o" * 7, 10), ("S+", "o" * 8, 10),
         ("O+", "o" * 6, 10), ("U", "ooobbb", 10)]
@@ -79,16 +81,6 @@ def run(src: Path, key, layered: bool) -> dict:
     out = subprocess.run(argv + (["--layered"] if layered else []), env=ENV,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
-
-
-def commit(src: Path) -> str:
-    try:
-        head, dirty = (subprocess.run(["git", "-C", str(src), *argv], capture_output=True,
-                                      text=True, check=True).stdout.strip()
-                       for argv in (["rev-parse", "HEAD"], ["status", "--porcelain"]))
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown (not a git checkout)"
-    return head + (" with uncommitted changes" if dirty else "")
 
 
 def main() -> int:

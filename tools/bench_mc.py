@@ -30,6 +30,8 @@ import sys
 import time
 from pathlib import Path
 
+from checkout import commit
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 SAMPLES = 100_000
@@ -67,16 +69,6 @@ def run(src: Path, case: str, seed: int) -> dict:
     argv = [sys.executable, __file__, "--child", str(src), case, str(seed)]
     out = subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
-
-
-def commit(src: Path) -> str:
-    try:
-        head, dirty = (subprocess.run(["git", "-C", str(src), *argv], capture_output=True,
-                                      text=True, check=True).stdout.strip()
-                       for argv in (["rev-parse", "HEAD"], ["status", "--porcelain"]))
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown (not a git checkout)"
-    return head + (" with uncommitted changes" if dirty else "")
 
 
 def main() -> int:

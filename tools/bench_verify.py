@@ -14,7 +14,7 @@ median wall time of a round and the peak RSS, and with the functions of
 each layer wrapped by a timer, for the median self seconds per layer (a
 wrapped call's time minus that of the wrapped calls inside it):
 
-    count tables          _count_table, _count_rows, _powers
+    count tables          _count_table
     joins                 _join_blocks
     relations             relation_set and _verify_plan, less their joins
     kernels               _space_kernel, less its joins and inverses
@@ -35,7 +35,10 @@ records made, the (relation word key, test word key) pairs of the tables built,
 those computed (one `lhs_vectors` call each, less the one call per
 distinct test word key that takes its moments from the empty relation
 word), those decided wholesale as zero pairs (the rest), the kernels
-built (misses of the `_space_kernel` memo), the equality patterns built
+built (misses of the `_space_kernel` memo), the count tables built and
+looked up (misses, and misses plus hits, of the `_count_table` memo; on a
+checkout that raises the tables to N in a memo of their own, only that
+memo's misses look a table up), the equality patterns built
 (`_Patterns` objects made), the left sides served without contraction
 (`lhs_vectors` calls answered from the left sides a `_Patterns` keeps at
 M = 1; 0 on a checkout without them) and the outcome tables built
@@ -65,13 +68,14 @@ import sys
 import time
 from pathlib import Path
 
+from checkout import commit
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 ROUNDS = 7
 PROCESSES = 3
 LAYERS = {
-    "_count_table": "count tables", "_count_rows": "count tables",
-    "_powers": "count tables",
+    "_count_table": "count tables",
     "_join_blocks": "joins",
     "relation_set": "relations", "_verify_plan": "relations",
     "_space_kernel": "kernels",
@@ -102,7 +106,7 @@ def child(src: str, seed: int, layered: bool) -> dict:
     from easywg import spaces
 
     memos = _memos()  # before any timer wraps them
-    kernels = spaces._space_kernel
+    kernels, count_tables = spaces._space_kernel, spaces._count_table
     outcomes = getattr(spaces, "_outcome_table", None)
     plans = getattr(spaces, "_verify_plan", None)
     inputs = workloads.verify(random.Random(seed))
@@ -195,6 +199,9 @@ def child(src: str, seed: int, layered: bool) -> dict:
                           "pairs": pairs, "pairs_wholesale": pairs - computed,
                           "pairs_computed": computed,
                           "kernel_builds": kernels.cache_info().misses,
+                          "count_table_builds": count_tables.cache_info().misses,
+                          "count_table_lookups": count_tables.cache_info().misses
+                          + count_tables.cache_info().hits,
                           "pattern_builds": counts["patterns"],
                           "left_sides_kept": counts["kept"],
                           "outcome_builds_uncontracted": counts["uncontracted"]})
@@ -215,16 +222,6 @@ def run(src: Path, seed: int, layered: bool) -> dict:
     out = subprocess.run(argv + (["--layered"] if layered else []), env=ENV,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
-
-
-def commit(src: Path) -> str:
-    try:
-        head, dirty = (subprocess.run(["git", "-C", str(src), *argv], capture_output=True,
-                                      text=True, check=True).stdout.strip()
-                       for argv in (["rev-parse", "HEAD"], ["status", "--porcelain"]))
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown (not a git checkout)"
-    return head + (" with uncommitted changes" if dirty else "")
 
 
 def main() -> int:
