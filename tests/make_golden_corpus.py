@@ -154,6 +154,29 @@ CASES: list[list[str]] = [
     ["verify", "--space", "U:2/I=1,2", "--max-k", "2", "--test-degree", "1", "--full"],
     ["space-moment", "--space", "O:4/I=1,2,3", "--word", "oooooo",
      "--indices", "1,2,1,2,3,3"],
+    # every counting kind, law and family, and words without partitions
+    ["oracle", "counting", "--kind", "bell", "--k", "9"],
+    ["oracle", "counting", "--kind", "double-factorial", "--k", "6"],
+    ["oracle", "counting", "--kind", "poisson-recurrence", "--k", "7", "--t", "3/2"],
+    ["oracle", "counting", "--kind", "poisson-recurrence", "--k", "0"],
+    ["limit-moments", "--law", "poisson", "--t", "3/2", "--max-k", "6"],
+    ["limit-moments", "--law", "gaussian", "--t", "2", "--max-k", "8"],
+    ["limit-moments", "--law", "semicircle", "--t", "1/2", "--max-k", "8",
+     "--format", "csv"],
+    ["limit-moments", "--law", "free-matching", "--t", "3", "--max-k", "6"],
+    ["convergence", "--family", "free-real-sphere", "--word", "oooo",
+     "--sizes", "2,3,6"],
+    ["convergence", "--family", "free-complex-sphere", "--word", "obob",
+     "--sizes", "2,4", "--format", "csv"],
+    ["group-moment", "--group", "O:3", "--word", "ooo",
+     "--rows", "1,1,1", "--cols", "1,1,1"],
+    ["group-moment", "--group", "U+:2", "--word", "oob",
+     "--rows", "1,1,1", "--cols", "1,1,1"],
+    ["partitions", "--category", "O", "--word", "ooo"],
+    ["partitions", "--category", "U", "--word", "obo"],
+    # a word without legs draws no matrix, so its estimate is exact on any host
+    ["oracle", "haar-mc", "--group", "U:3", "--word", "", "--rows", "", "--cols", "",
+     "--samples", "10000", "--seed", "1"],
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import easywg.cli as cli
 import easywg.exact_linalg as xl
+from easywg.characters import _LAW_KINDS
 from fraction_reference import clear_caches
 
 CORPUS = json.loads(
@@ -36,3 +37,16 @@ def test_corpus_covers_every_category_and_the_empty_word():
         and len(json.loads(c["stdout"])["basis"]) < len(json.loads(c["stdout"])["index"])
     ]
     assert len(singular) >= 6
+
+
+def _choices(option: str) -> set[str]:
+    return {a[a.index(option) + 1] for a in (c["argv"] for c in CORPUS) if option in a}
+
+
+def test_corpus_covers_every_command_and_choice():
+    ran = {" ".join(a[:2]) if a[0] == "oracle" else a[0] for a in (c["argv"] for c in CORPUS)}
+    assert ran == set(cli._COMMANDS)
+    assert _choices("--kind") == {"bell", "catalan", "double-factorial", "poisson-recurrence"}
+    assert _choices("--law") == set(_LAW_KINDS)
+    assert _choices("--family") == set(cli._FAMILIES)
+    assert _choices("--format") == {"csv"}
