@@ -57,6 +57,14 @@ def char_moment_exact(query: CharacterQuery) -> Fraction:
     return Fraction(num, kern.denominator)
 
 
+def _positive(t) -> Fraction:
+    """t as a Fraction, which must be > 0."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be > 0")
+    return t
+
+
 def _block_sum(parts: Iterable[SetPartition], t: Fraction) -> Fraction:
     """Sum of t^{|pi|} over the partitions."""
     return sum((t**p.block_count for p in parts), Fraction(0))
@@ -67,9 +75,7 @@ def char_moment_asymptotic(
 ) -> Fraction:
     """Large-size limit of the rescaled character moment: sum of t^{|pi|}
     over the intersection of the categories' partition sets for the word."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    t = _positive(t)
     cats = [as_category(c) for c in categories]
     if not cats:
         raise ValueError("at least one category is required")
@@ -102,9 +108,7 @@ class LimitLaw:
             raise ValueError(
                 f"unknown law {self.kind!r}; expected one of {sorted(_LAW_KINDS)}"
             )
-        object.__setattr__(self, "t", Fraction(self.t))
-        if self.t <= 0:
-            raise ValueError("t must be > 0")
+        object.__setattr__(self, "t", _positive(self.t))
 
     @property
     def category(self) -> CategoryId:
@@ -149,9 +153,7 @@ def bp_compare(
     cat = as_category(classical_category)
     if cat.is_free:
         raise ValueError("bp_compare takes a classical category (S, O or U)")
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    t = _positive(t)
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
     rows = []

@@ -9,7 +9,6 @@ codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -82,6 +81,11 @@ def _float(x: Fraction) -> "float | None":
         return None
 
 
+def _value(x: Fraction) -> dict:
+    """An exact value as its fraction string and its float rendering."""
+    return {"value": format_scalar(x), "value_float": _float(x)}
+
+
 def _matrix_strings(rows) -> list[list[str]]:
     return [[format_scalar(x) for x in row] for row in rows]
 
@@ -119,7 +123,7 @@ def _cmd_group_moment(args):
     ]
     # the Haar measure of a product group is the product of the factors' measures
     value = math.prod((group_moment(g, q) for g, q in zip(groups, queries)), start=Fraction(1))
-    return {"value": format_scalar(value), "value_float": _float(value)}
+    return _value(value)
 
 
 def _cmd_space_moment(args):
@@ -128,11 +132,11 @@ def _cmd_space_moment(args):
     indices = _parse_indices(args.indices, space.is_product)
     value = space_moment(space, word, indices)
     k = len(word)
-    value_float = _float(value)
+    fields = _value(value)
+    value_float = fields["value_float"]
     unscaled = None if value_float is None else value_float / (space.m ** (k / 2.0))
     return {
-        "value": format_scalar(value),
-        "value_float": value_float,
+        **fields,
         "unscaled": {
             "coefficient": format_scalar(value),
             "m": space.m,
@@ -188,13 +192,13 @@ def _cmd_verify(args):
 def _cmd_char_exact(args):
     space = parse_space(args.space)
     value = char_moment_exact(CharacterQuery(space, args.truncation, as_word(args.word)))
-    return {"value": format_scalar(value), "value_float": _float(value)}
+    return _value(value)
 
 
 def _cmd_char_asymptotic(args):
     cats = [as_category(c) for c in args.categories.split(",")]
     value = char_moment_asymptotic(cats, args.word, _parse_t(args.t))
-    return {"value": format_scalar(value), "value_float": _float(value)}
+    return _value(value)
 
 
 def _cmd_limit_moments(args):
@@ -246,7 +250,7 @@ def _cmd_convergence(args):
 def _cmd_sn_moment(args):
     q = MomentQuery(as_word(args.word), _parse_ints(args.rows), _parse_ints(args.cols))
     value = oracles.sn_exhaustive_moment(args.n, q)
-    return {"value": format_scalar(value), "value_float": _float(value)}
+    return _value(value)
 
 
 def _cmd_sn_space_moment(args):
@@ -254,7 +258,7 @@ def _cmd_sn_space_moment(args):
         args.n, IndexSet.parse(args.index_set), as_word(args.word),
         _parse_ints(args.indices),
     )
-    return {"value": format_scalar(value), "value_float": _float(value)}
+    return _value(value)
 
 
 def _cmd_haar_mc(args):
@@ -366,16 +370,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit_csv(table) -> str:
-    import csv  # only --format csv needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in table:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def _write_json(payload: dict, out) -> None:
     """Write json.dumps(payload, indent=2) and a newline.  A top-level value
     that is an iterator is written item by item as it yields, so a long row
@@ -417,9 +411,12 @@ def main(argv=None) -> int:
         return 1
     elapsed = time.perf_counter() - started
     if getattr(args, "format", "json") == "csv":
+        import csv  # only --format csv needs it
+
         key, columns = _TABLES[args.command_name]
-        table = [columns] + [[str(row[c]) for c in columns] for row in fields[key]]
-        sys.stdout.write(_emit_csv(table))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(row[c]) for c in columns] for row in fields[key])
     else:
         payload = {
             "command": args.command_name,

@@ -37,10 +37,6 @@ class GroupSpec:
         except (ValueError, TypeError):
             raise ValueError(f"cannot parse group spec {text!r}") from None
 
-    @property
-    def text(self) -> str:
-        return f"{self.category.value}:{self.dimension}"
-
 
 @record
 class IndexSet:
@@ -67,10 +63,6 @@ class IndexSet:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def text(self) -> str:
-        return ",".join(str(x) for x in self.members)
 
 
 @record

@@ -28,6 +28,14 @@ _MC_BLOCK = 50_000
 _CHUNK = 4096
 
 
+def _check_exhaustive(n: int) -> None:
+    """Reject an n that exhaustive enumeration does not take."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > _MAX_EXHAUSTIVE:
+        raise ValueError(f"exhaustive enumeration capped at n <= {_MAX_EXHAUSTIVE}")
+
+
 @lru_cache(maxsize=None)
 def _consistent_permutations(n: int, constraints: frozenset) -> int:
     """Count permutations g of {1..n} with g(j) = i for every (j, i) pair."""
@@ -44,10 +52,7 @@ def sn_exhaustive_moment(n: int, query: MomentQuery) -> Fraction:
     Entries are 0/1 reals, so colors are irrelevant; the monomial is 1
     exactly when the permutation maps every column index to its row index.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _MAX_EXHAUSTIVE:
-        raise ValueError(f"exhaustive enumeration capped at n <= {_MAX_EXHAUSTIVE}")
+    _check_exhaustive(n)
     _check_bounds(query.rows, n, "row")
     _check_bounds(query.cols, n, "column")
     constraints = frozenset(zip(query.cols, query.rows))
@@ -76,10 +81,7 @@ def sn_exhaustive_space_moment(
     of the index set; the monomial is the indicator that all queried
     indices do.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _MAX_EXHAUSTIVE:
-        raise ValueError(f"exhaustive enumeration capped at n <= {_MAX_EXHAUSTIVE}")
+    _check_exhaustive(n)
     word = as_word(word)
     indices = tuple(indices)
     if len(indices) != len(word):

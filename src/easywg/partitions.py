@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -161,13 +161,11 @@ def as_word(word: WordLike) -> ColoredWord:
     raise TypeError(f"cannot interpret {word!r} as a colored word")
 
 
-@total_ordering
 class SetPartition:
     """A partition of {1, ..., k} in canonical restricted-growth form.
 
     ``rgs[i]`` is the block label of point i+1, blocks labeled 0, 1, ...
-    in order of first appearance.  Instances are immutable and hashable;
-    ordering compares the growth strings lexicographically.
+    in order of first appearance.  Instances are immutable and hashable.
     """
 
     __slots__ = ("rgs", "_blocks")
@@ -222,9 +220,6 @@ class SetPartition:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SetPartition) and self.rgs == other.rgs
-
-    def __lt__(self, other: "SetPartition") -> bool:
-        return self.rgs < other.rgs
 
     def __hash__(self) -> int:
         return hash(self.rgs)
@@ -339,13 +334,18 @@ def _generate(category: CategoryId, key: int) -> list[SetPartition]:
     open a block only while fewer blocks wait for a partner than positions
     remain.  Free categories keep a stack of the blocks that may still
     grow: joining a block closes every block above it, so a free pairing
-    joins only the top of its stack of waiting blocks.
+    joins only the top of its stack of waiting blocks.  A pairing category
+    has no partitions of an odd number of legs, nor U and U+ of a word
+    whose white and black counts differ: such words return none before the
+    search, which recurses one level per leg.
     """
     k = key_length(category, key)
     pairs = category not in (CategoryId.S, CategoryId.S_PLUS)
     nested = category.is_free
     # leg i's color is the code's bit k-1-i (see ColoredWord)
     colors = [key >> (k - 1 - i) & 1 for i in range(k)] if category.color_sensitive else None
+    if pairs and (k % 2 or colors and 2 * sum(colors) != k):
+        return []
     rgs = [0] * k
     size: list[int] = []
     first_color: list = []

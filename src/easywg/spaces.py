@@ -71,20 +71,11 @@ class SpaceSpec:
 
     @property
     def ambient_dimension(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f.dimension
-        return n
+        return math.prod(f.dimension for f in self.factors)
 
     @property
     def is_product(self) -> bool:
         return len(self.factors) > 1
-
-    @property
-    def text(self) -> str:
-        body = "x".join(f.text for f in self.factors)
-        tag = "J" if self.is_product else "I"
-        return f"{body}/{tag}={self.index.text}"
 
     def validate_indices(self, indices: Sequence, length: int) -> tuple:
         indices = tuple(indices)
@@ -280,20 +271,6 @@ def _space_kernel(factors: tuple[GroupSpec, ...], m: int, keys: tuple[int, ...])
     return _Kernel(dlists, shape, tuple(values), blocks, den)
 
 
-def _factor_components(space: SpaceSpec, indices: tuple) -> list[tuple]:
-    if not space.is_product:
-        return [indices]
-    return [tuple(x[r] for x in indices) for r in range(len(space.factors))]
-
-
-def _moment_from_kernel(space: SpaceSpec, kern: _Kernel, indices: tuple) -> Fraction:
-    if not kern.values:
-        return Fraction(0)
-    comps = _factor_components(space, indices)
-    rows = [[[_delta_row(dlist, comp)]] for dlist, comp in zip(kern.dlists, comps)]
-    return Fraction(_contract_each(kern.values, kern.shape, rows)[0][0], kern.denominator)
-
-
 def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fraction:
     """Rescaled moment of a coordinate monomial over the space.
 
@@ -304,7 +281,14 @@ def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fractio
     word = as_word(word)
     indices = space.validate_indices(indices, len(word))
     kern, scale = _kernel(space, word)
-    return scale * _moment_from_kernel(space, kern, indices)
+    if not kern.values:
+        return Fraction(0)
+    # one index component per factor, the empty word's included, for which
+    # zip(*indices) would give none
+    comps = ([tuple(x[r] for x in indices) for r in range(len(space.factors))]
+             if space.is_product else [indices])
+    rows = [[[_delta_row(dlist, comp)]] for dlist, comp in zip(kern.dlists, comps)]
+    return scale * Fraction(_contract_each(kern.values, kern.shape, rows)[0][0], kern.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +442,12 @@ def _count_table(
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 class _Patterns:
     """The equality patterns of test tuples on d legs: one restricted-growth
-    string per factor, with at most N_r blocks for a factor of dimension N_r.
+    string per factor, with at most N_r blocks for a factor of dimension N_r;
+    memoized for the process by the factors and d, so that every M of the
+    factors shares the patterns and the left sides kept at M = 1.
 
     `combos` lists them in itertools.product order over the factors; each
     stands for prod_r (N_r)_{|rho_r|} tuples (falling factorials), and
@@ -532,13 +519,6 @@ class _Patterns:
             out.extend((self._indices(combo), i) for combo in itertools.product(*comps))
         out.sort()
         return out
-
-
-@lru_cache(maxsize=None)
-def _patterns(factors: tuple[GroupSpec, ...], d: int) -> _Patterns:
-    """_Patterns(factors, d), memoized for the process: every M of the
-    factors shares the patterns and the left sides kept at M = 1."""
-    return _Patterns(factors, d)
 
 
 _PASSED = (True, None, None)
@@ -632,7 +612,7 @@ def _outcome_table(
     keys come from _verify_plan, which reads only the categories and which
     every N and M share.  The left sides, and so the moments, of a pair or
     test word whose joins all have b blocks are read at M = 1 from
-    _patterns, which every M shares, and scaled by M^b in the
+    _Patterns, which every M shares, and scaled by M^b in the
     cross-multiplication; a second M of a single O, O+, U or U+ factor
     then contracts nothing.  A pair is decided wholesale, before any kernel
     of it is built, when the test monomial's moment is 0 at every pattern
@@ -641,7 +621,7 @@ def _outcome_table(
     """
     categories = tuple(f.category for f in factors)
     plan = _verify_plan(categories, max_k, test_degree)
-    patterns = [_patterns(factors, d) for d in range(test_degree + 1)]
+    patterns = [_Patterns(factors, d) for d in range(test_degree + 1)]
     empty = _factor_keys(categories, ColoredWord())  # the relation word whose left side is 1
     moments: dict = {}  # f_key -> the test monomial's moment at each pattern
     for f_word, f_key, b in plan.tests:

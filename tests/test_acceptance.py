@@ -127,14 +127,14 @@ def test_criterion_4_relation_verification():
     crossing = SetPartition((0, 1, 0, 1))
     for sp in spaces:
         rep = verify_relations(sp, 4, 2)
-        assert rep.all_passed, (sp.text, rep.failures[:3])
+        assert rep.all_passed, (repr(sp), rep.failures[:3])
         # the normalization identity sum_i x_i x_i^* = 1 is among the checks
         s = len(sp.factors)
         assert any(
             c.relation.word.text == "ob"
             and c.relation.partitions == (unit_pair,) * s
             for c in rep.checks
-        ), sp.text
+        ), repr(sp)
     # the commutation-consequence identity for the classical unitary space
     rep = verify_relations(SpaceSpec((GroupSpec("U", 5),), IndexSet((1, 2))), 4, 0)
     hits = [

@@ -16,7 +16,7 @@ import easywg.cli as cli
 from easywg.exact_linalg import format_scalar
 from easywg.integrator import GroupSpec, IndexSet
 from easywg.partitions import as_category, as_word
-from easywg.spaces import parse_space
+from easywg.spaces import SpaceSpec, parse_space
 from fraction_reference import clear_caches
 from verify_reference import force_false
 
@@ -427,6 +427,24 @@ class TestVerifyFullStreaming:
         assert int(rss_kib) < 64 * 1024
 
 
+_DEEP = [  # more legs than the recursion limit, and no partitions
+    (["partitions", "--category", "O+", "--word", "o" * 995], "count", 0),
+    (["partitions", "--category", "O+", "--word", "o" * 1001], "count", 0),
+    (["partitions", "--category", "U", "--word", "ob" * 500 + "o"], "count", 0),
+    (["space-moment", "--space", "O:3/I=1", "--word", "o" * 1001,
+      "--indices", ",".join(["1"] * 1001)], "value", "0/1"),
+    (["char-asymptotic", "--categories", "O", "--word", "o" * 1001, "--t", "1"], "value", "0/1"),
+]
+
+
+@pytest.mark.parametrize("argv,field,value", _DEEP,
+                         ids=[f"{a[0]} {a[2]} {len(a[4])} legs" for a, *_ in _DEEP])
+def test_deep_words_without_partitions_print_one_document(capsys, argv, field, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)[field] == value
+
+
 class TestRoundTrip:
     def test_echoed_inputs_parse_back(self, capsys):
         _, out, _ = run(
@@ -435,7 +453,7 @@ class TestRoundTrip:
         )
         doc = json.loads(out)
         sp = parse_space(doc["inputs"]["space"])
-        assert sp.text == "O+:5/I=1,2"
+        assert sp == SpaceSpec((GroupSpec("O+", 5),), IndexSet((1, 2)))
         assert as_word(doc["inputs"]["word"]).text == "ob"
 
     def test_group_echo_parses_back(self, capsys):
@@ -444,7 +462,7 @@ class TestRoundTrip:
             "--rows", "1,1", "--cols", "1,1",
         )
         doc = json.loads(out)
-        assert GroupSpec.parse(doc["inputs"]["group"][0]).text == "U+:4"
+        assert GroupSpec.parse(doc["inputs"]["group"][0]) == GroupSpec("U+", 4)
 
 
 # Modules that only the matrix engine, the Monte Carlo oracle, its thread

@@ -19,7 +19,7 @@ class TestGroupSpec:
     def test_parse(self):
         g = GroupSpec.parse("O+:4")
         assert g.category.value == "O+" and g.dimension == 4
-        assert g.text == "O+:4"
+        assert g == GroupSpec("O+", 4)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -152,7 +152,7 @@ def engine(monkeypatch):
     they keep, taken from memos of the test's own rather than the
     process's, so that the two routes never share a kernel or a table."""
     memos = {name: functools.lru_cache(maxsize=None)(getattr(spaces, name).__wrapped__)
-             for name in ("_space_kernel", "_outcome_table", "_patterns")}
+             for name in ("_space_kernel", "_outcome_table", "_Patterns")}
 
     def call(fn, *args):
         with monkeypatch.context() as m:

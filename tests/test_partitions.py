@@ -177,6 +177,14 @@ class TestEnumeration:
         assert enumerate_partitions("O", "ooo") == []
         assert enumerate_partitions("U", "oo") == []
 
+    @pytest.mark.parametrize("cat,word", [
+        ("O", "o" * 1001), ("O+", "o" * 995), ("O+", "o" * 1001), ("U", "ob" * 500 + "o"),
+        ("U", "ob" * 500 + "oo"), ("U+", "ob" * 500 + "oo"),
+    ], ids=lambda x: f"{len(x)} legs" if len(x) > 2 else x)
+    def test_words_without_partitions_skip_the_search(self, cat, word):
+        # one recursion level per leg would pass the recursion limit
+        assert enumerate_partitions(cat, word) == []
+
     def test_empty_word_single_partition(self):
         for cat in ALL_CATEGORIES:
             assert enumerate_partitions(cat, "") == [SetPartition(())]

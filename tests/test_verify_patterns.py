@@ -155,21 +155,21 @@ def test_count_tables_are_built_once_per_key(monkeypatch):
     # alone builds every table the nine need; the outcome tables above the
     # count tables are left unmemoized, so every slot asks for its tables,
     # index sets of one size included, unless its left sides are
-    # kept: an O word's joins all have k/2 blocks, so with the _patterns
+    # kept: an O word's joins all have k/2 blocks, so with the _Patterns
     # memo the first slot of each dimension keeps its left sides at M = 1,
     # and the other slots, whatever their M, ask for no table
     slots = ["O:2/I=1", "O:2/I=2", "O:2/I=1,2", "O:3/I=1", "O:3/I=3", "O:3/I=1,3",
              "O:3/I=2,3", "O:3/I=1,2,3", "O:3/I=1,2,3"]
     monkeypatch.setattr(spaces, "_outcome_table", spaces._outcome_table.__wrapped__)
-    build = spaces._count_table.__wrapped__
+    build, patterns = spaces._count_table.__wrapped__, spaces._Patterns.__wrapped__
 
     def run(texts, kept):
         """(tables built, distinct keys asked for, lookups per space), from
         empty memos, with patterns memoized or made per outcome table."""
         table, keys, asked = functools.lru_cache(maxsize=None)(build), [], []
         monkeypatch.setattr(spaces, "_count_table", lambda *key: keys.append(key) or table(*key))
-        monkeypatch.setattr(spaces, "_patterns", functools.lru_cache(maxsize=None)(
-            spaces._Patterns) if kept else spaces._Patterns)
+        monkeypatch.setattr(spaces, "_Patterns", functools.lru_cache(maxsize=None)(
+            patterns) if kept else patterns)
         for text in texts:
             before = len(keys)
             assert verify_relations(parse_space(text), 4, 3).all_passed
@@ -224,7 +224,7 @@ def test_vanishing_moments_alone_decide_no_pair(monkeypatch):
             return spaces._Kernel(kern.dlists, kern.shape, (), kern.blocks, kern.denominator)
         return kern
     monkeypatch.setattr(spaces, "_space_kernel", functools.lru_cache(maxsize=None)(kernel))
-    for name in ("_outcome_table", "_patterns"):  # no left side kept from the real kernel
+    for name in ("_outcome_table", "_Patterns"):  # no left side kept from the real kernel
         monkeypatch.setattr(spaces, name, functools.lru_cache(maxsize=None)(
             getattr(spaces, name).__wrapped__))
     report = verify_relations(parse_space("O:2/I=1,2"), 2, 2)
@@ -275,7 +275,7 @@ def test_index_sets_of_one_size_share_one_outcome_table(body, forced, monkeypatc
     for space in _index_set_spaces(body):
         report = verify_relations(space, max_k, degree)
         assert report.space is space
-        assert _outcome(report) == cold[space], space.text
+        assert _outcome(report) == cold[space], repr(space)
     sizes = {space.m for space in cold}
     assert memo.cache_info().misses == len(sizes)
     assert memo.cache_info().hits == len(cold) - len(sizes)
@@ -404,9 +404,9 @@ def test_scaled_kernels_equal_a_contraction_at_m(body):
             keys = spaces._factor_keys([space.factors[0].category], word)
             cold = spaces._space_kernel.__wrapped__(space.factors, space.m, keys)
             kern, scale = spaces._kernel(space, word)
-            assert tuple(scale * y for y in kern.values) == cold.values, (space.text, word)
+            assert tuple(scale * y for y in kern.values) == cold.values, (repr(space), word)
             assert (kern.dlists, kern.shape, kern.blocks, kern.denominator) == (
-                cold.dlists, cold.shape, cold.blocks, cold.denominator), (space.text, word)
+                cold.dlists, cold.shape, cold.blocks, cold.denominator), (repr(space), word)
 
 
 def _count_contractions(monkeypatch) -> collections.Counter:

@@ -21,7 +21,7 @@ wrapped call's time minus that of the wrapped calls inside it):
     inverses              _inverse_rows, as called by the spaces module:
                           each factor's generalized inverse, the S lattice
                           operator or the engine's Weingarten block
-    contraction           _contract_each and _moment_from_kernel
+    contraction           _contract_each
     cross-multiplication  verify_relations and _outcome_table, less
                           everything above (the zero-pair test included)
 
@@ -46,11 +46,13 @@ without any contraction (no `_contract_axis` or `_contract_each` call);
 every round of a process must do the same work, and so must every
 process of a side and seed.
 
-Each side runs PROCESSES processes per seed and mode, and the record holds
-their medians: a whole process can run 1.5x slower than another doing the
-same work.  The sides alternate which runs first from process to process
-and from seed to seed.  The record, with each checkout's commit (marked
-when its tree has uncommitted changes), goes to --out as JSON.
+Each side runs PROCESSES processes per seed and mode.  A seed's wall time
+is the least of its processes' (all of them are kept under
+`wall_s_processes`), and its other figures are their medians: a whole
+process can run 1.5x slower than another doing the same work.  The sides
+alternate which runs first from process to process and from seed to seed.
+The record, with each checkout's commit (marked when its tree has
+uncommitted changes), goes to --out as JSON.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ LAYERS = {
     "relation_set": "relations", "_verify_plan": "relations",
     "_space_kernel": "kernels",
     "_inverse_rows": "inverses",
-    "_contract_each": "contraction", "_moment_from_kernel": "contraction",
+    "_contract_each": "contraction",
     "verify_relations": "cross-multiplication",
     "_outcome_table": "cross-multiplication",
 }
@@ -133,18 +135,20 @@ def child(src: str, seed: int, layered: bool) -> dict:
         for name in LAYERS:
             if name not in missing:
                 timed(name)
-        lhs_vectors, patterns = spaces._Patterns.lhs_vectors, spaces._Patterns.__init__
+        # the class itself, or the class a memo wraps
+        cls = getattr(spaces._Patterns, "__wrapped__", spaces._Patterns)
+        lhs_vectors, patterns = cls.lhs_vectors, cls.__init__
 
         def counted(self, *args):  # args end with the heads, the fulls and the size
             counts["computed"] += 1
             counts["kept"] += args[-2] in getattr(self, "_unit", ())
             return lhs_vectors(self, *args)
-        spaces._Patterns.lhs_vectors = counted
+        cls.lhs_vectors = counted
 
         def built(*args):
             counts["patterns"] += 1
             patterns(*args)
-        spaces._Patterns.__init__ = built
+        cls.__init__ = built
         relation = spaces.Relation
 
         def made(*args):
@@ -240,8 +244,8 @@ def main() -> int:
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
     record = {
         "what": "cold rounds of the verify workload (40 verify_relations calls), "
-                f"the median of {ROUNDS} per process, and of {PROCESSES} alternating "
-                "processes per side, seed and mode",
+                f"the median of {ROUNDS} per process; per side and seed, the least "
+                f"wall of {PROCESSES} alternating processes and the median of the rest",
         "command": "python3 tools/bench_verify.py --parent DIR",
         "commits": {side: commit(src) for side, src in sides.items()},
         "python": platform.python_version(),
@@ -264,7 +268,7 @@ def main() -> int:
                 raise SystemExit(f"{side}, seed {seed}: processes did different work")
             record["missing_layers"][side] = layereds[0]["missing_layers"]
             row[side] = {
-                "wall_s": statistics.median(r["wall_s"] for r in plains),
+                "wall_s": min(r["wall_s"] for r in plains),
                 "wall_s_processes": [r["wall_s"] for r in plains],
                 "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in plains),
                 "layers_s": {layer: round(statistics.median(
