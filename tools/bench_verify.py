@@ -244,8 +244,8 @@ def main() -> int:
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
     record = {
         "what": "cold rounds of the verify workload (40 verify_relations calls), "
-                f"the median of {ROUNDS} per process; per side and seed, the least "
-                f"wall of {PROCESSES} alternating processes and the median of the rest",
+                f"the median of {ROUNDS} per process; per side and seed, the least wall "
+                f"of {PROCESSES} alternating processes and the median of their other figures",
         "command": "python3 tools/bench_verify.py --parent DIR",
         "commits": {side: commit(src) for side, src in sides.items()},
         "python": platform.python_version(),
