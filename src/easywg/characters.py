@@ -87,12 +87,12 @@ def char_moment_asymptotic(
 
 
 _LAW_KINDS = {
-    "poisson": (CategoryId.S, "plain"),
-    "free-poisson": (CategoryId.S_PLUS, "plain"),
-    "gaussian": (CategoryId.O, "plain"),
-    "semicircle": (CategoryId.O_PLUS, "plain"),
-    "classical-matching": (CategoryId.U, "alternating"),
-    "free-matching": (CategoryId.U_PLUS, "alternating"),
+    "poisson": CategoryId.S,
+    "free-poisson": CategoryId.S_PLUS,
+    "gaussian": CategoryId.O,
+    "semicircle": CategoryId.O_PLUS,
+    "classical-matching": CategoryId.U,
+    "free-matching": CategoryId.U_PLUS,
 }
 
 
@@ -112,11 +112,11 @@ class LimitLaw:
 
     @property
     def category(self) -> CategoryId:
-        return _LAW_KINDS[self.kind][0]
+        return _LAW_KINDS[self.kind]
 
 
-def _law_word(kind: str, k: int) -> ColoredWord:
-    if _LAW_KINDS[kind][1] == "alternating":
+def _law_word(category: CategoryId, k: int) -> ColoredWord:
+    if category.color_sensitive:
         return ColoredWord(
             (Color.WHITE if i % 2 == 0 else Color.BLACK) for i in range(k)
         )
@@ -127,13 +127,13 @@ def limit_law_moments(law: LimitLaw, max_k: int) -> list[Fraction]:
     """Moments m_1 .. m_max_k of the law: m_k = sum over the category's
     partition set of t^{|pi|}.
 
-    Plain kinds use the all-white word; matching kinds use the alternating
-    word, the reading under which unitary-type moments are nonzero.
+    Unitary-type categories read the alternating word, under which their
+    moments are nonzero; the others read the all-white word.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
     return [
-        _block_sum(enumerate_partitions(law.category, _law_word(law.kind, k)), law.t)
+        _block_sum(enumerate_partitions(law.category, _law_word(law.category, k)), law.t)
         for k in range(1, max_k + 1)
     ]
 
@@ -158,7 +158,7 @@ def bp_compare(
         raise ValueError("max_k must be >= 0")
     rows = []
     for k in range(1, max_k + 1):
-        word = _law_word("classical-matching" if cat is CategoryId.U else "poisson", k)
+        word = _law_word(cat, k)
         rows.append(BpRow(
             k,
             _block_sum(enumerate_partitions(cat, word), t),

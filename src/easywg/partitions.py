@@ -298,20 +298,11 @@ class CategoryId(enum.Enum):
 
     @property
     def free_version(self) -> "CategoryId":
-        return _FREE_OF[self]
+        return self if self.is_free else CategoryId(self.value + "+")
 
     def __repr__(self) -> str:
         return f"CategoryId({self.value!r})"
 
-
-_FREE_OF = {
-    CategoryId.S: CategoryId.S_PLUS,
-    CategoryId.O: CategoryId.O_PLUS,
-    CategoryId.U: CategoryId.U_PLUS,
-    CategoryId.S_PLUS: CategoryId.S_PLUS,
-    CategoryId.O_PLUS: CategoryId.O_PLUS,
-    CategoryId.U_PLUS: CategoryId.U_PLUS,
-}
 
 CategoryLike = Union[CategoryId, str]
 
@@ -337,7 +328,8 @@ def _generate(category: CategoryId, key: int) -> list[SetPartition]:
     joins only the top of its stack of waiting blocks.  A pairing category
     has no partitions of an odd number of legs, nor U and U+ of a word
     whose white and black counts differ: such words return none before the
-    search, which recurses one level per leg.
+    search.  The search keeps its own stack of moves, so its depth, one leg
+    per level, is not bounded by Python's recursion limit.
     """
     k = key_length(category, key)
     pairs = category not in (CategoryId.S, CategoryId.S_PLUS)
@@ -347,40 +339,30 @@ def _generate(category: CategoryId, key: int) -> list[SetPartition]:
     if pairs and (k % 2 or colors and 2 * sum(colors) != k):
         return []
     rgs = [0] * k
-    size: list[int] = []
-    first_color: list = []
     out: list[SetPartition] = []
-
-    def place(i: int, stack: list[int], waiting: int) -> None:
+    # moves (i, label, blocks, grow): leg i-1 takes the label, which leaves
+    # that many blocks, of which those that may still grow (for a pairing
+    # category, those waiting for a partner) start at the legs in grow
+    todo: list[tuple] = [(0, 0, 0, ())]
+    while todo:
+        i, label, blocks, grow = todo.pop()
+        if i:
+            rgs[i - 1] = label
         if i == k:
             out.append(SetPartition(rgs))
-            return
-        if nested:  # the stack holds its blocks in label order
-            candidates = stack[-1:] if pairs else stack
-        else:
-            candidates = range(len(size))
-        for label in candidates:
-            if pairs and (size[label] != 1 or (colors and first_color[label] == colors[i])):
+            continue
+        if not pairs or len(grow) < k - i - 1:  # a new block, pushed first so tried last
+            todo.append((i + 1, blocks, blocks + 1, grow + (i,)))
+        joins = grow[-1:] if nested and pairs else grow
+        for j in range(len(joins) - 1, -1, -1):
+            first = joins[j]
+            if colors and colors[first] == colors[i]:
                 continue
-            rest = stack
-            if nested:
-                j = stack.index(label)
-                rest = stack[:j] if pairs else stack[:j + 1]
-            rgs[i] = label
-            size[label] += 1
-            place(i + 1, rest, waiting - 1 if pairs else waiting)
-            size[label] -= 1
-        if not pairs or waiting < k - i - 1:
-            label = len(size)
-            rgs[i] = label
-            size.append(1)
-            first_color.append(colors[i] if colors else None)
-            place(i + 1, stack + [label] if nested else stack,
-                  waiting + 1 if pairs else waiting)
-            size.pop()
-            first_color.pop()
-
-    place(0, [], 0)
+            if pairs:
+                rest = grow[:-1] if nested else grow[:j] + grow[j + 1:]
+            else:
+                rest = grow[:j + 1] if nested else grow
+            todo.append((i + 1, rgs[first], blocks, rest))
     return out
 
 

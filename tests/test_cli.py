@@ -445,6 +445,23 @@ def test_deep_words_without_partitions_print_one_document(capsys, argv, field, v
     assert json.loads(out)[field] == value
 
 
+_NESTED = "o" * 500 + "b" * 500  # more legs than the recursion limit, one U+ partition
+_ONES = ",".join(["1"] * 1000)
+
+
+@pytest.mark.parametrize("argv,field,value", [
+    (["partitions", "--category", "U+", "--word", _NESTED], "count", 1),
+    (["group-moment", "--group", "U+:2", "--word", _NESTED, "--rows", _ONES, "--cols", _ONES],
+     "value", f"1/{2**500}"),
+    (["space-moment", "--space", "free-complex-sphere:2", "--word", _NESTED,
+      "--indices", _ONES], "value", f"1/{2**500}"),
+], ids=["partitions", "group-moment", "space-moment"])
+def test_deep_words_with_partitions_print_one_document(capsys, argv, field, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)[field] == value
+
+
 class TestRoundTrip:
     def test_echoed_inputs_parse_back(self, capsys):
         _, out, _ = run(

@@ -185,6 +185,11 @@ class TestEnumeration:
         # one recursion level per leg would pass the recursion limit
         assert enumerate_partitions(cat, word) == []
 
+    def test_deep_word_with_partitions(self):
+        # 1000 legs: the search keeps its own stack, not one frame per leg
+        [nested] = enumerate_partitions("U+", "o" * 500 + "b" * 500)
+        assert nested.blocks == tuple((i, 1001 - i) for i in range(1, 501))
+
     def test_empty_word_single_partition(self):
         for cat in ALL_CATEGORIES:
             assert enumerate_partitions(cat, "") == [SetPartition(())]
@@ -335,7 +340,9 @@ class TestCategoryId:
             as_category("H")
 
     def test_partners(self):
-        assert CategoryId.S.free_version is CategoryId.S_PLUS
+        for classical, free in [("S", "S+"), ("O", "O+"), ("U", "U+")]:
+            assert as_category(classical).free_version is as_category(free)
+            assert as_category(free).free_version is as_category(free)
         assert CategoryId.O_PLUS.is_free and not CategoryId.O.is_free
 
 

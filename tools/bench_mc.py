@@ -20,25 +20,18 @@ the two sides' estimates and standard errors, goes to --out as JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from checkout import commit
+import harness
 
-ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 SAMPLES = 100_000
 CASES = {"O:4 width 1": ("O", "oooo", 1), "O:4 width 4": ("O", "oooo", 4),
          "U:4 width 1": ("U", "obob", 1), "U:4 width 4": ("U", "obob", 4)}
-ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-ENV.pop("PYTHONPATH", None)
 
 
 def hwm_kib() -> int:
@@ -46,7 +39,7 @@ def hwm_kib() -> int:
         return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 
 
-def child(src: str, case: str, seed: int) -> dict:
+def child(src: str, case: str, seed: str) -> dict:
     sys.path.insert(0, str(Path(src) / "src"))
     import numpy  # noqa: F401  (loaded before the clock starts)
     from easywg.integrator import MomentQuery
@@ -57,7 +50,7 @@ def child(src: str, case: str, seed: int) -> dict:
     query = MomentQuery(as_word(word), (1, 2, 3, 4), (width,) * 4)
     before = hwm_kib()
     t0 = time.perf_counter()
-    rep = haar_mc_moment(kind, 4, query, SAMPLES, seed)
+    rep = haar_mc_moment(kind, 4, query, SAMPLES, int(seed))
     wall = time.perf_counter() - t0
     after = hwm_kib()
     return {"wall_s": round(wall, 4), "hwm_growth_mib": round((after - before) / 1024, 2),
@@ -65,41 +58,18 @@ def child(src: str, case: str, seed: int) -> dict:
             "estimate": rep.estimate, "standard_error": rep.standard_error}
 
 
-def run(src: Path, case: str, seed: int) -> dict:
-    argv = [sys.executable, __file__, "--child", str(src), case, str(seed)]
-    out = subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--parent")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_mc.json"))
-    ap.add_argument("--child", nargs=3, metavar=("SRC", "CASE", "SEED"))
-    args = ap.parse_args()
-    if args.child:
-        src, case, seed = args.child
-        print(json.dumps(child(src, case, int(seed))))
-        return 0
-    if not args.parent:
-        ap.error("--parent is required")
-    sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
-    record = {
-        "what": f"one haar_mc_moment call at N = 4, {SAMPLES} samples, one process per "
-                "side, case and seed",
-        "command": "python3 tools/bench_mc.py --parent DIR",
-        "commits": {side: commit(src) for side, src in sides.items()},
-        "python": platform.python_version(),
-        "env": {"OPENBLAS_NUM_THREADS": "1"},
-        "cpus": os.cpu_count(),
-        "seeds": {},
-    }
+    args, sides, record = harness.start(
+        __file__, child, ("SRC", "CASE", "SEED"),
+        f"one haar_mc_moment call at N = 4, {SAMPLES} samples, one process per "
+        "side, case and seed")
+    record["seeds"] = {}
     for i, seed in enumerate(SEEDS):
         row: dict = {case: {} for case in CASES}
         order = list(sides.items()) if i % 2 == 0 else list(sides.items())[::-1]
         for side, src in order:
             for case in CASES:
-                row[case][side] = run(src, case, seed)
+                row[case][side] = harness.run(__file__, src, case, seed)
                 print(seed, case, side, json.dumps(row[case][side]), file=sys.stderr)
         record["seeds"][str(seed)] = {case: {side: row[case][side] for side in sides}
                                       for case in CASES}

@@ -38,8 +38,8 @@ word), those decided wholesale as zero pairs (the rest), the kernels
 built (misses of the `_space_kernel` memo), the count tables built and
 looked up (misses, and misses plus hits, of the `_count_table` memo; on a
 checkout that raises the tables to N in a memo of their own, only that
-memo's misses look a table up), the equality patterns built
-(`_Patterns` objects made), the left sides served without contraction
+memo's misses look a table up), the equality patterns built (misses of
+the `_Patterns` memo), the left sides served without contraction
 (`lhs_vectors` calls answered from the left sides a `_Patterns` keeps at
 M = 1; 0 on a checkout without them) and the outcome tables built
 without any contraction (no `_contract_axis` or `_contract_each` call);
@@ -57,22 +57,17 @@ uncommitted changes), goes to --out as JSON.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import json
-import os
-import platform
 import random
 import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from checkout import commit
+import harness
 
-ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 ROUNDS = 7
 PROCESSES = 3
@@ -86,8 +81,6 @@ LAYERS = {
     "verify_relations": "cross-multiplication",
     "_outcome_table": "cross-multiplication",
 }
-ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-ENV.pop("PYTHONPATH", None)
 
 
 def _memos() -> list:
@@ -101,8 +94,8 @@ def _memos() -> list:
     return list(found.values())
 
 
-def child(src: str, seed: int, layered: bool) -> dict:
-    sys.path[:0] = [str(Path(src) / "src"), str(ROOT / "perfbench")]
+def child(src: str, seed: str, layered: bool) -> dict:
+    sys.path[:0] = [str(Path(src) / "src"), str(harness.ROOT / "perfbench")]
     import numpy  # noqa: F401  (loaded before the clock starts)
     import workloads
     from easywg import spaces
@@ -111,44 +104,18 @@ def child(src: str, seed: int, layered: bool) -> dict:
     kernels, count_tables = spaces._space_kernel, spaces._count_table
     outcomes = getattr(spaces, "_outcome_table", None)
     plans = getattr(spaces, "_verify_plan", None)
-    inputs = workloads.verify(random.Random(seed))
-    seconds: collections.Counter = collections.Counter()
-    inside = [0.0]  # per open wrapped call: seconds spent in wrapped calls below it
-
-    def timed(name):
-        f = getattr(spaces, name)
-
-        def wrapper(*args, **kwargs):
-            inside.append(0.0)
-            t0 = time.perf_counter()
-            try:
-                return f(*args, **kwargs)
-            finally:
-                spent = time.perf_counter() - t0
-                seconds[LAYERS[name]] += spent - inside.pop()
-                inside[-1] += spent
-        setattr(spaces, name, wrapper)
-
+    inputs = workloads.verify(random.Random(int(seed)))
+    seconds, missing = harness.time_layers(LAYERS, [spaces], layered)
     counts = collections.Counter()
-    missing = [name for name in LAYERS if not hasattr(spaces, name)]
     if layered:
-        for name in LAYERS:
-            if name not in missing:
-                timed(name)
-        # the class itself, or the class a memo wraps
-        cls = getattr(spaces._Patterns, "__wrapped__", spaces._Patterns)
-        lhs_vectors, patterns = cls.lhs_vectors, cls.__init__
+        cls = spaces._Patterns.__wrapped__  # the class its memo wraps
+        lhs_vectors = cls.lhs_vectors
 
         def counted(self, *args):  # args end with the heads, the fulls and the size
             counts["computed"] += 1
             counts["kept"] += args[-2] in getattr(self, "_unit", ())
             return lhs_vectors(self, *args)
         cls.lhs_vectors = counted
-
-        def built(*args):
-            counts["patterns"] += 1
-            patterns(*args)
-        cls.__init__ = built
         relation = spaces.Relation
 
         def made(*args):
@@ -206,7 +173,7 @@ def child(src: str, seed: int, layered: bool) -> dict:
                           "count_table_builds": count_tables.cache_info().misses,
                           "count_table_lookups": count_tables.cache_info().misses
                           + count_tables.cache_info().hits,
-                          "pattern_builds": counts["patterns"],
+                          "pattern_builds": spaces._Patterns.cache_info().misses,
                           "left_sides_kept": counts["kept"],
                           "outcome_builds_uncontracted": counts["uncontracted"]})
     out = {"wall_s": round(statistics.median(walls), 4),
@@ -221,45 +188,21 @@ def child(src: str, seed: int, layered: bool) -> dict:
     return out
 
 
-def run(src: Path, seed: int, layered: bool) -> dict:
-    argv = [sys.executable, __file__, "--child", str(src), str(seed)]
-    out = subprocess.run(argv + (["--layered"] if layered else []), env=ENV,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--parent")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_verify.json"))
-    ap.add_argument("--child", nargs=2, metavar=("SRC", "SEED"))
-    ap.add_argument("--layered", action="store_true")
-    args = ap.parse_args()
-    if args.child:
-        src, seed = args.child
-        print(json.dumps(child(src, int(seed), args.layered)))
-        return 0
-    if not args.parent:
-        ap.error("--parent is required")
-    sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
-    record = {
-        "what": "cold rounds of the verify workload (40 verify_relations calls), "
-                f"the median of {ROUNDS} per process; per side and seed, the least wall "
-                f"of {PROCESSES} alternating processes and the median of their other figures",
-        "command": "python3 tools/bench_verify.py --parent DIR",
-        "commits": {side: commit(src) for side, src in sides.items()},
-        "python": platform.python_version(),
-        "env": {"OPENBLAS_NUM_THREADS": "1"},
-        "cpus": os.cpu_count(),
-        "missing_layers": {},
-        "seeds": {},
-    }
+    args, sides, record = harness.start(
+        __file__, child, ("SRC", "SEED"),
+        "cold rounds of the verify workload (40 verify_relations calls), "
+        f"the median of {ROUNDS} per process; per side and seed, the least wall "
+        f"of {PROCESSES} alternating processes and the median of their other figures",
+        layered=True)
+    record.update(missing_layers={}, seeds={})
     for i, seed in enumerate(SEEDS):
         runs: dict = {side: [] for side in sides}  # (plain, layered) per process
         for p in range(PROCESSES):
             order = list(sides.items()) if (i + p) % 2 == 0 else list(sides.items())[::-1]
             for side, src in order:
-                runs[side].append((run(src, seed, False), run(src, seed, True)))
+                runs[side].append((harness.run(__file__, src, seed),
+                                   harness.run(__file__, src, seed, layered=True)))
                 print(seed, side, json.dumps(runs[side][-1]), file=sys.stderr)
         row = {}
         for side, done in runs.items():
