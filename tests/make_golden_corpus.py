@@ -177,6 +177,26 @@ CASES: list[list[str]] = [
     # a word without legs draws no matrix, so its estimate is exact on any host
     ["oracle", "haar-mc", "--group", "U:3", "--word", "", "--rows", "", "--cols", "",
      "--samples", "10000", "--seed", "1"],
+    # U words whose colours are not sorted, at a singular N (3 whites, N = 2),
+    # and U+ words that are rotations or colour swaps of others
+    ["group-moment", "--group", "U:2", "--word", "obbobo",
+     "--rows", "1,1,2,2,1,1", "--cols", "1,2,1,1,1,2"],
+    ["group-moment", "--group", "U:2", "--word", "obbobo",
+     "--rows", "1,1,1,1,1,1", "--cols", "1,1,1,1,1,1"],
+    ["group-moment", "--group", "U+:2", "--word", "boob",
+     "--rows", "1,1,2,2", "--cols", "1,1,2,2"],
+    ["group-moment", "--group", "U+:2", "--word", "bobobo",
+     "--rows", "1,1,2,2,1,1", "--cols", "1,2,2,1,1,1"],
+    ["group-moment", "--group", "U+:3", "--word", "oobbob",
+     "--rows", "1,2,2,1,3,3", "--cols", "1,1,1,1,2,2"],
+    ["space-moment", "--space", "U+:3/I=1,2", "--word", "obbobo",
+     "--indices", "1,1,2,2,1,1"],
+    ["space-moment", "--space", "group-as-space:U+:2", "--word", "boob",
+     "--indices", "1.2,1.2,1.2,1.2"],
+    ["verify", "--space", "U+:3/I=1,2", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "group-as-space:U+:2", "--max-k", "4", "--test-degree", "3"],
+    ["verify", "--space", "group-as-space:U+:2", "--max-k", "2", "--test-degree", "1",
+     "--full"],
 ]
 
 
