@@ -1,8 +1,9 @@
 """Haar-state moments of easy quantum groups: each factor's generalized
 inverse (_inverse_rows), shared by group moments and space kernels, with
 the S category's built from the partition lattice's Moebius function for
-the partitions that N keeps (_lattice_operator, memoized by k and N), and
-the tensor contraction that every Weingarten sum runs on."""
+the partitions that N keeps (_lattice_operator, memoized by k and N), the
+U and U+ categories' built once per symmetry class of words and relabelled
+(_relabel), and the tensor contraction that every Weingarten sum runs on."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Sequence
 
 from .exact_linalg import _weingarten
 from .partitions import (CategoryId, ColoredWord, _enumerate, as_category, as_word,
-                         record, word_key)
+                         key_length, record, word_key)
 
 
 @record
@@ -182,18 +183,70 @@ def _lattice_operator(k: int, n: int) -> tuple[tuple[Rows, ...], int]:
 _LATTICES = {CategoryId.S: _lattice_operator}
 
 
+@lru_cache(maxsize=None)
+def _relabel(category: CategoryId, key: int) -> tuple[int, "tuple[int, ...] | None"]:
+    """(canonical, phi): the word key of the canonical word of the key's
+    symmetry class, and phi[i], the index in the canonical key's
+    enumeration of the key's partition i carried over by a leg map; phi is
+    None when the key is its own canonical key.  Memoized.
+
+    A permutation of the legs is an automorphism of the partition lattice,
+    so it keeps the join block counts: when it maps the key's partition set
+    onto the canonical one, G_w[i][j] = G_c[phi i][phi j], and X_c relabelled
+    the same way is a generalized inverse of G_w with the same L.  The U
+    pairings of a word are those of its colours sorted whites first (a
+    stable sort of the legs; the canonical word is o^a b^a).  The U+
+    partitions, noncrossing pairings of opposite colours, are carried over
+    by the k rotations, the reflection and the colour swap, 4k maps in all,
+    and the canonical word is the image with the least code.  The other
+    categories key their words by length, so their map is the identity.
+    Raises RuntimeError if phi is not a bijection.
+    """
+    if not category.color_sensitive or key == 1:  # key 1: the empty word
+        return key, None
+    k = key_length(category, key)
+    bits = format(key, "b")[1:]  # leg colours, the first leg first, "1" black
+    if category is CategoryId.U:
+        legs = sorted(range(k), key=bits.__getitem__)  # stable: whites first, in order
+        image = "".join(sorted(bits))
+    else:
+        # canonical leg t is leg (t + s) % k, or (k - 1 - s - t) % k when flip
+        # is odd (the reflection); flip >= 2 also swaps the colours
+        turns = [bits + bits, (bits + bits)[::-1]]
+        turns += [d.translate(str.maketrans("01", "10")) for d in turns]
+        image, s, flip = min((d[s:s + k], s, flip) for flip, d in enumerate(turns)
+                             for s in range(k))
+        legs = [(k - 1 - s - t if flip % 2 else t + s) % k for t in range(k)]
+    canonical = int("1" + image, 2)
+    if canonical == key:
+        return key, None
+    position = {p.rgs: i for i, p in enumerate(_enumerate(category, canonical))}
+    phi = []
+    for p in _enumerate(category, key):
+        labels: dict[int, int] = {}  # the carried labels, renumbered in order of first use
+        phi.append(position.get(tuple(labels.setdefault(p.rgs[i], len(labels)) for i in legs)))
+    if len(phi) != len(position) or set(phi) != set(range(len(phi))):
+        raise RuntimeError(f"the leg map of {category.value} word key {key} is not a bijection")
+    return canonical, tuple(phi)
+
+
 def _inverse_rows(category: CategoryId, key: int, n: int) -> tuple[Sequence[Rows], int]:
     """A generalized inverse X of the category's Gram matrix for word key
     `key` at dimension n, times an integer L, as row sets to apply in turn,
-    and L: a lattice's inverse, or else the Weingarten block.  Consumers
-    pair X only with delta vectors, which lie in the Gram matrix's range,
-    so every generalized inverse gives the same numbers."""
+    and L: a lattice's inverse, or else the Weingarten block of the key's
+    canonical word (_relabel), relabelled.  Consumers pair X only with
+    delta vectors, which lie in the Gram matrix's range, so every
+    generalized inverse gives the same numbers."""
     if category in _LATTICES:
         return _LATTICES[category](key, n)
-    wg = _weingarten(category, key, n)
+    canonical, phi = _relabel(category, key)
+    wg = _weingarten(category, canonical, n)
+    where = list(range(len(wg.index)))  # the key's index of each canonical partition
+    for i, a in enumerate(phi or ()):
+        where[a] = i
     rows: list = [[] for _ in wg.index]
-    for i, row in zip(wg.basis, wg.block):
-        rows[i] = [(j, c) for j, c in zip(wg.basis, row) if c]
+    for a, row in zip(wg.basis, wg.block):
+        rows[where[a]] = [(where[b], c) for b, c in zip(wg.basis, row) if c]
     return [rows], wg.denominator
 
 

@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from easywg.exact_linalg import _weingarten, get_weingarten
-from easywg.integrator import GroupSpec, IndexSet, MomentQuery, group_moment
+from easywg import integrator, spaces
+from easywg.exact_linalg import _weingarten, get_weingarten, gram_matrix
+from easywg.integrator import GroupSpec, IndexSet, MomentQuery, _inverse_rows, group_moment
 from easywg.oracles import haar_mc_moment, sn_exhaustive_moment
-from easywg.partitions import as_word
+from easywg.partitions import _enumerate, as_category, as_word, enumerate_partitions, word_key
 from fraction_reference import clear_caches
 
 ALL_CATEGORIES = ["S", "O", "U", "S+", "O+", "U+"]
@@ -152,3 +154,80 @@ class TestProductGroupMoment:
                             * e2[i2][j2]
                         )
         assert total == group_moment(g1, q1) * group_moment(g2, q2)
+
+
+# U and U+ words share one Weingarten build per symmetry class
+# (integrator._relabel); group moments, kernels and verify read it relabelled.
+
+def _words(k):
+    return ["".join(w) for w in itertools.product("ob", repeat=k)]
+
+
+def _orbit(category, word):
+    """The words a leg map carries the word's partitions to, by brute force:
+    any colour-keeping permutation for U; rotations, the reflection and the
+    colour swap for U+."""
+    if category == "U":
+        return {w for w in _words(len(word)) if sorted(w) == sorted(word)}
+    swap = word.translate(str.maketrans("ob", "bo"))
+    return {v[s:] + v[:s] for v in (word, word[::-1], swap, swap[::-1])
+            for s in range(max(len(word), 1))}
+
+
+@pytest.mark.parametrize("category", ["U", "U+"])
+def test_relabelled_inverse_is_a_generalized_inverse_of_each_words_gram(category):
+    # G X G = L G, exactly, on each word's own Gram matrix and partition order
+    for word in (w for k in range(9) for w in _words(k)):
+        key = word_key(as_category(category), as_word(word))
+        if not enumerate_partitions(category, word):
+            continue
+        for n in (1, 2, 3, 4, 10):
+            g = gram_matrix(category, word, n).entries
+            (rows,), scale = _inverse_rows(as_category(category), key, n)
+            x = [[0] * len(g) for _ in g]
+            for i, row in enumerate(rows):
+                for j, c in row:
+                    x[i][j] = c
+            gx = [[sum(a * b for a, b in zip(r, col)) for col in zip(*x)] for r in g]
+            gxg = [[sum(a * b for a, b in zip(r, col)) for col in zip(*g)] for r in gx]
+            assert gxg == [[scale * e for e in r] for r in g], (category, word, n)
+
+
+@pytest.mark.parametrize("category", ["U", "U+"])
+def test_each_symmetry_class_builds_once(category):
+    clear_caches()
+    classes = set()
+    for word in _words(6):
+        if enumerate_partitions(category, word):
+            group_moment(GroupSpec(category, 2), q(word, (1,) * 6, (1,) * 6))
+            classes.add(min(_orbit(category, word)))
+    assert _weingarten.cache_info().misses == len(classes) == (1 if category == "U" else 3)
+
+
+def test_verify_builds_once_per_class(monkeypatch):
+    asked = []
+
+    def spy(category, key, n):
+        asked.append((category, key, n))
+        return _inverse_rows(category, key, n)
+    monkeypatch.setattr(spaces, "_inverse_rows", spy)
+    clear_caches()
+    report = spaces.verify_relations(spaces.parse_space("U+:3/I=1,2"), 4, 3)
+    assert report.all_passed
+    texts = {(format(key, "b")[1:].translate(str.maketrans("01", "ob")), n)
+             for _, key, n in asked}
+    classes = {(min(_orbit("U+", w)), n) for w, n in texts}
+    assert _weingarten.cache_info().misses == len(classes) < len(texts)
+
+
+def test_a_leg_map_that_is_not_a_bijection_raises(monkeypatch):
+    # the canonical word's partitions swapped for the O pairings of its length
+    def wrong(category, key):
+        if key == 0b10011:
+            return _enumerate(as_category("O"), 4)
+        return _enumerate(category, key)
+    monkeypatch.setattr(integrator, "_enumerate", wrong)
+    clear_caches()
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        group_moment(GroupSpec("U+", 2), q("boob", (1,) * 4, (1,) * 4))
+    clear_caches()

@@ -43,8 +43,24 @@ def test_verify_child_times_every_layer():
         "outcome_builds", "outcome_hits", "relation_builds", "relations_made", "pairs",
         "pairs_wholesale", "pairs_computed", "kernel_builds", "count_table_builds",
         "count_table_lookups", "pattern_builds", "left_sides_kept",
-        "outcome_builds_uncontracted"}
+        "outcome_builds_uncontracted", "weingarten_builds"}
     assert out["work"]["pattern_builds"] > 0
+    # one Weingarten build per symmetry class of U and U+ words, and per N
+    assert out["work"]["weingarten_builds"] == {"O": 8, "O+": 12, "U": 8, "U+": 14}
+
+
+def test_sides_alternate_and_keep_the_least_wall():
+    order = []
+    runs = harness.alternate({"parent": "P", "change": "C"},
+                             lambda side, src: order.append(src) or len(order), 3, first=1)
+    assert order == ["C", "P", "P", "C", "C", "P"]
+    assert runs == {"parent": [2, 3, 6], "change": [1, 4, 5]}
+    plains = [{"wall_s": w, "peak_rss_mib": m} for w, m in [(0.3, 30), (0.1, 32), (0.2, 31)]]
+    layereds = [{"layers_s": {"a": 0.1}}, {"layers_s": {"a": 0.3, "b": 0.2}},
+                {"layers_s": {"a": 0.2}}]
+    assert harness.best(plains, layereds) == {
+        "wall_s": 0.1, "wall_s_processes": [0.3, 0.1, 0.2], "peak_rss_mib": 31,
+        "layers_s": {"a": 0.2, "b": 0.0}}
 
 
 @pytest.mark.parametrize("script", ["bench_engine.py", "bench_mc.py", "bench_verify.py"])

@@ -7,11 +7,15 @@ Python-int route, so the record shows both sides of the size choice.
 
 DIR is a checkout of the commit to compare against, for example a `git
 clone` of this repository at that commit.  Every key is built cold in a
-fresh process with one BLAS thread, twice per checkout: once plain, for the
-wall time and the peak RSS, and once with each engine function wrapped by a
-timer, for the self seconds per layer (a wrapped call's time minus that of
-the wrapped calls inside it, so the layers do not overlap and sum to at
-most the build: `sweep` and `certificate` exclude the `products` they run).
+fresh process with one BLAS thread, in two modes: plain, for the wall time
+and the peak RSS, and with each engine function wrapped by a timer, for
+the self seconds per layer (a wrapped call's time minus that of the
+wrapped calls inside it, so the layers do not overlap and sum to at most
+the build: `sweep` and `certificate` exclude the `products` they run).
+Each side runs PROCESSES processes per key and mode, and the sides
+alternate which runs first from process to process and from key to key.
+A key's wall time is the least of its processes' (all of them are kept
+under `wall_s_processes`), and its peak RSS and layers are their medians.
 A function that a checkout lacks is not timed, and the record lists it
 under `missing_layers` for that side.  Reconstruction includes building the
 combined values from the CRT digits where the engine does that lazily.
@@ -29,6 +33,7 @@ from pathlib import Path
 
 import harness
 
+PROCESSES = 3
 KEYS = [("O", "o" * 10, 10), ("S", "o" * 7, 10), ("S+", "o" * 8, 10),
         ("O+", "o" * 6, 10), ("U", "ooobbb", 10)]
 LAYERS = {"_sweep": "sweep", "_matmul_mod": "products", "add": "crt",
@@ -55,20 +60,23 @@ def child(src: str, cat: str, word: str, n: str, layered: bool) -> dict:
 def main() -> int:
     args, sides, record = harness.start(
         __file__, child, ("SRC", "CAT", "WORD", "N"),
-        "cold get_weingarten at N=10, one process per key and run", layered=True)
+        f"cold get_weingarten at N=10; per key and side, the least wall of {PROCESSES} "
+        "alternating processes and the median of their other figures", layered=True)
     import numpy
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record.update(numpy=numpy.__version__, blas=blas.get("version"), missing_layers={}, keys={})
-    for key in KEYS:
+    for i, key in enumerate(KEYS):
+        def measure(side, src):
+            out = (harness.run(__file__, src, *key), harness.run(__file__, src, *key, layered=True))
+            print(" ".join(map(str, key)), side, json.dumps(out), file=sys.stderr)
+            return out
         row = {}
-        for side, src in sides.items():
-            plain = harness.run(__file__, src, *key)
-            layered = harness.run(__file__, src, *key, layered=True)
-            row[side] = {"n": plain["n"], "basis": plain["basis"], "wall_s": plain["wall_s"],
-                         "peak_rss_mib": plain["peak_rss_mib"], "layers_s": layered["layers_s"]}
-            record["missing_layers"][side] = layered["missing_layers"]
-            print(" ".join(map(str, key)), side, json.dumps(row[side]), file=sys.stderr)
+        for side, done in harness.alternate(sides, measure, PROCESSES, i).items():
+            plains, layereds = zip(*done)
+            record["missing_layers"][side] = layereds[0]["missing_layers"]
+            row[side] = {"n": plains[0]["n"], "basis": plains[0]["basis"],
+                         **harness.best(plains, layereds)}
         record["keys"][" ".join(map(str, key))] = row
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -42,9 +42,11 @@ memo's misses look a table up), the equality patterns built (misses of
 the `_Patterns` memo), the left sides served without contraction
 (`lhs_vectors` calls answered from the left sides a `_Patterns` keeps at
 M = 1; 0 on a checkout without them) and the outcome tables built
-without any contraction (no `_contract_axis` or `_contract_each` call);
-every round of a process must do the same work, and so must every
-process of a side and seed.
+without any contraction (no `_contract_axis` or `_contract_each` call),
+and the Weingarten matrices built per category (`weingarten_builds`:
+misses of the `exact_linalg._weingarten` memo, each counted by the
+category of the Gram matrix it inverts); every round of a process must do
+the same work, and so must every process of a side and seed.
 
 Each side runs PROCESSES processes per seed and mode.  A seed's wall time
 is the least of its processes' (all of them are kept under
@@ -98,7 +100,7 @@ def child(src: str, seed: str, layered: bool) -> dict:
     sys.path[:0] = [str(Path(src) / "src"), str(harness.ROOT / "perfbench")]
     import numpy  # noqa: F401  (loaded before the clock starts)
     import workloads
-    from easywg import spaces
+    from easywg import exact_linalg, spaces
 
     memos = _memos()  # before any timer wraps them
     kernels, count_tables = spaces._space_kernel, spaces._count_table
@@ -107,6 +109,7 @@ def child(src: str, seed: str, layered: bool) -> dict:
     inputs = workloads.verify(random.Random(int(seed)))
     seconds, missing = harness.time_layers(LAYERS, [spaces], layered)
     counts = collections.Counter()
+    builds = collections.Counter()  # Weingarten matrices built, per category
     if layered:
         cls = spaces._Patterns.__wrapped__  # the class its memo wraps
         lhs_vectors = cls.lhs_vectors
@@ -139,12 +142,19 @@ def child(src: str, seed: str, layered: bool) -> dict:
                 fresh = not outcomes or outcomes.cache_info().misses > before[0]
                 counts["uncontracted"] += fresh and counts["contractions"] == before[1]
         spaces._outcome_table = tabled
+        invert = exact_linalg.weingarten_matrix
+
+        def inverting(gram):  # one call per miss of _weingarten, with no disk cache
+            builds[gram.category.value] += 1
+            return invert(gram)
+        exact_linalg.weingarten_matrix = inverting
     walls, layers, works = [], [], []
     for _ in range(ROUNDS):
         for memo in memos:
             memo.cache_clear()
         seconds.clear()
         counts.clear()
+        builds.clear()
         reports = []
         t0 = time.perf_counter()
         for item in inputs["spaces"]:
@@ -160,6 +170,8 @@ def child(src: str, seed: str, layered: bool) -> dict:
             pairs = sum(len(t._table) for t in tables)
             # the test words' moments are lhs_vectors calls too, one per distinct key
             computed = counts["computed"] - sum(len({t_[1] for t_ in t._tests}) for t in tables)
+            if sum(builds.values()) != exact_linalg._weingarten.cache_info().misses:
+                raise SystemExit("Weingarten builds outside the _weingarten memo")
             info = outcomes.cache_info() if outcomes else None
             outcome_builds = info.misses if info else len(reports)
             works.append({"outcome_builds": outcome_builds,
@@ -175,7 +187,8 @@ def child(src: str, seed: str, layered: bool) -> dict:
                           + count_tables.cache_info().hits,
                           "pattern_builds": spaces._Patterns.cache_info().misses,
                           "left_sides_kept": counts["kept"],
-                          "outcome_builds_uncontracted": counts["uncontracted"]})
+                          "outcome_builds_uncontracted": counts["uncontracted"],
+                          "weingarten_builds": dict(sorted(builds.items()))})
     out = {"wall_s": round(statistics.median(walls), 4),
            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
            "layers_s": {name: round(statistics.median(r.get(name, 0.0) for r in layers), 4)
@@ -197,28 +210,17 @@ def main() -> int:
         layered=True)
     record.update(missing_layers={}, seeds={})
     for i, seed in enumerate(SEEDS):
-        runs: dict = {side: [] for side in sides}  # (plain, layered) per process
-        for p in range(PROCESSES):
-            order = list(sides.items()) if (i + p) % 2 == 0 else list(sides.items())[::-1]
-            for side, src in order:
-                runs[side].append((harness.run(__file__, src, seed),
-                                   harness.run(__file__, src, seed, layered=True)))
-                print(seed, side, json.dumps(runs[side][-1]), file=sys.stderr)
+        def measure(side, src):
+            out = (harness.run(__file__, src, seed), harness.run(__file__, src, seed, layered=True))
+            print(seed, side, json.dumps(out), file=sys.stderr)
+            return out
         row = {}
-        for side, done in runs.items():
+        for side, done in harness.alternate(sides, measure, PROCESSES, i).items():
             plains, layereds = zip(*done)
             if any(r["work"] != layereds[0]["work"] for r in layereds):
                 raise SystemExit(f"{side}, seed {seed}: processes did different work")
             record["missing_layers"][side] = layereds[0]["missing_layers"]
-            row[side] = {
-                "wall_s": min(r["wall_s"] for r in plains),
-                "wall_s_processes": [r["wall_s"] for r in plains],
-                "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in plains),
-                "layers_s": {layer: round(statistics.median(
-                    r["layers_s"].get(layer, 0.0) for r in layereds), 4)
-                    for layer in sorted(set().union(*(r["layers_s"] for r in layereds)))},
-                "work": layereds[0]["work"],
-            }
+            row[side] = {**harness.best(plains, layereds), "work": layereds[0]["work"]}
         record["seeds"][str(seed)] = row
     record["median"] = {
         side: {

@@ -15,6 +15,7 @@ import collections
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -77,6 +78,36 @@ def run(script: str, *args, layered: bool = False) -> dict:
     out = subprocess.run(argv + (["--layered"] if layered else []), env=ENV,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def alternate(sides: dict[str, Path], measure, processes: int, first: int = 0
+              ) -> dict[str, list]:
+    """measure(side, src) for each side, `processes` times per side; the
+    sides alternate which runs first from process to process, the parent
+    first in the first process when `first` is even."""
+    runs: dict[str, list] = {side: [] for side in sides}
+    for p in range(processes):
+        order = list(sides.items())
+        if (first + p) % 2:
+            order.reverse()
+        for side, src in order:
+            runs[side].append(measure(side, src))
+    return runs
+
+
+def best(plains: list[dict], layereds: list[dict]) -> dict:
+    """One side's figures from its processes: the least wall time (every
+    process's kept under `wall_s_processes`), since a whole process can run
+    1.5x slower than another doing the same work, and the medians of the
+    peak RSS and of each layer's seconds."""
+    return {
+        "wall_s": min(r["wall_s"] for r in plains),
+        "wall_s_processes": [r["wall_s"] for r in plains],
+        "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in plains),
+        "layers_s": {layer: round(statistics.median(r["layers_s"].get(layer, 0.0)
+                                                    for r in layereds), 5)
+                     for layer in sorted(set().union(*(r["layers_s"] for r in layereds)))},
+    }
 
 
 def time_layers(layers: dict[str, str], owners: list, wrap: bool
