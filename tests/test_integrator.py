@@ -178,9 +178,9 @@ def _orbit(category, word):
 def test_relabelled_inverse_is_a_generalized_inverse_of_each_words_gram(category):
     # G X G = L G, exactly, on each word's own Gram matrix and partition order
     for word in (w for k in range(9) for w in _words(k)):
-        key = word_key(as_category(category), as_word(word))
         if not enumerate_partitions(category, word):
             continue
+        key = word_key(as_category(category), as_word(word))
         for n in (1, 2, 3, 4, 10):
             g = gram_matrix(category, word, n).entries
             (rows,), scale = _inverse_rows(as_category(category), key, n)
@@ -230,4 +230,3 @@ def test_a_leg_map_that_is_not_a_bijection_raises(monkeypatch):
     clear_caches()
     with pytest.raises(RuntimeError, match="not a bijection"):
         group_moment(GroupSpec("U+", 2), q("boob", (1,) * 4, (1,) * 4))
-    clear_caches()

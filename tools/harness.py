@@ -1,5 +1,7 @@
 """What the `tools/bench_*.py` scripts share: their command line, the child
-process each measurement runs in, the record's header and a layer timer.
+process each measurement runs in, the alternation of the two sides over
+those processes and the figures kept from them, the record's header and a
+layer timer.
 
 A script is run as `python3 tools/bench_X.py --parent DIR [--out FILE]`,
 where DIR is a checkout of the commit to compare against; the record goes to
