@@ -197,6 +197,38 @@ CASES: list[list[str]] = [
     ["verify", "--space", "group-as-space:U+:2", "--max-k", "4", "--test-degree", "3"],
     ["verify", "--space", "group-as-space:U+:2", "--max-k", "2", "--test-degree", "1",
      "--full"],
+    # S factors at the largest words that finish in well under a second: the
+    # products with O, U+ and S, char-exact, N < k, and several N >= k in one
+    # process
+    ["space-moment", "--space", "S:3xO:3/J=1,2", "--word", "oooooo",
+     "--indices", "1.1,2.2,1.1,2.2,1.2,1.2"],
+    ["space-moment", "--space", "S:3xU+:3/J=1,2", "--word", "obobobob",
+     "--indices", "1.1,1.1,2.2,2.2,1.1,1.1,2.1,2.1"],
+    ["space-moment", "--space", "S:2xS:3xS:4/J=1,2", "--word", "ooooo",
+     "--indices", "1.1.1,2.2.2,1.1.1,2.2.2,1.1.1"],
+    ["char-exact", "--space", "S:5/I=1,2", "--truncation", "3", "--word", "oooooooo"],
+    ["char-exact", "--space", "group-as-space:S:4", "--truncation", "3",
+     "--word", "oooooo"],
+    ["space-moment", "--space", "S:2/I=1", "--word", "oooooooo",
+     "--indices", "1,1,1,1,1,1,1,1"],
+    ["convergence", "--family", "group-as-space", "--category", "S",
+     "--word", "oooooo", "--sizes", "4,6,8,10"],
+    # O and U: o^10 at a singular and a nonsingular N, o^6 b^6 with shuffled
+    # colours, U at N < a, and single-factor spaces
+    ["group-moment", "--group", "O:3", "--word", "oooooooooo",
+     "--rows", "1,1,2,2,3,3,1,1,2,2", "--cols", "1,2,1,2,3,3,3,3,1,1"],
+    ["group-moment", "--group", "O:10", "--word", "oooooooooo",
+     "--rows", "1,1,2,2,3,3,1,1,2,2", "--cols", "1,2,1,2,3,3,3,3,1,1"],
+    ["group-moment", "--group", "U:10", "--word", "obbooboboobb",
+     "--rows", "1,2,3,1,2,1,2,3,3,3,2,1", "--cols", "1,3,3,2,3,1,1,2,2,3,2,1"],
+    ["group-moment", "--group", "U:2", "--word", "bboobobo",
+     "--rows", "1,1,1,2,2,1,2,2", "--cols", "1,2,2,1,1,1,2,2"],
+    ["space-moment", "--space", "O:5/I=1,2", "--word", "oooooooo",
+     "--indices", "1,2,1,2,1,1,2,2"],
+    ["space-moment", "--space", "classical-sphere:U:4", "--word", "obbobo",
+     "--indices", "1,2,1,2,3,3"],
+    ["char-exact", "--space", "O:4/I=1,2", "--truncation", "2", "--word", "oooooo"],
+    ["char-exact", "--space", "U:3/I=1,2", "--truncation", "2", "--word", "obbobo"],
 ]
 
 
