@@ -1,7 +1,7 @@
 """Haar-state moments of easy quantum groups: each factor's generalized
 inverse (_inverse_rows), shared by group moments and space kernels, with
 the S category's built from the partition lattice's Moebius function for
-the partitions that N keeps (_lattice_operator, memoized by k and N), the
+the partitions that N keeps (_mobius, memoized by k and min(k, N)), the
 U and U+ categories' built once per symmetry class of words and relabelled
 (_relabel), and the tensor contraction that every Weingarten sum runs on."""
 
@@ -139,48 +139,37 @@ def _contract_each(
 
 
 @lru_cache(maxsize=None)
-def _lattice_operator(k: int, n: int) -> tuple[tuple[Rows, ...], int]:
-    """The S category's inverse on k legs at dimension n, times L, as two
-    row sets applied in turn, and L = (n)_{min(k, n)}; memoized, so the
-    rows are tuples.
+def _mobius(k: int, c: int) -> tuple[Rows, Rows, tuple[int, ...]]:
+    """(mu, mu^T, blocks): the rows of the partition lattice's Moebius
+    function on k legs for the tau with at most c blocks, mu^T over those
+    rows, and each kept tau's block count; memoized, so the rows are
+    tuples.  N enters the S inverse only through which tau it keeps, so
+    every N >= k shares the table at c = k (see _inverse_rows).
 
-    G = Z D Z^T over the partition lattice, with Z[pi, tau] = [pi <= tau]
-    and D = diag((n)_{|tau|}) (falling factorials), so X = mu^T D^+ mu is
-    a generalized inverse of G at every n, mu = Z^-1 being the lattice's
-    Moebius function.  The first row set is mu scaled by L D^+, over the
-    tau with at most n blocks ((n)_{|tau|} = 0 for the others), and the
-    second is mu^T; L / (n)_{|tau|} = (n - |tau|)! / (n - min(k, n))! is an
-    integer.  The coarsenings of tau are lambda o tau, lambda a set
-    partition of its blocks (tau labels them in order of first appearance,
-    so the composed growth string is canonical), and mu(tau, lambda o tau)
-    is the product over lambda's blocks of (-1)^(c-1) (c-1)!, c the size.
+    The coarsenings of tau are lambda o tau, lambda a set partition of its
+    blocks (tau labels them in order of first appearance, so the composed
+    growth string is canonical), and mu(tau, lambda o tau) is the product
+    over lambda's blocks of (-1)^(s-1) (s-1)!, s the size.
     """
     parts = _enumerate(CategoryId.S, k)
     position = {p.rgs: i for i, p in enumerate(parts)}
-    scale = math.perm(n, min(k, n))
-    merges = []  # per block count b <= min(k, n): (lambda's rgs, mu, mu L / (n)_b)
-    for b in range(min(k, n) + 1):
-        d = scale // math.perm(n, b)
-        merges.append([])
-        for lam in _enumerate(CategoryId.S, b):
-            mu = math.prod((-1) ** (len(c) - 1) * math.factorial(len(c) - 1) for c in lam.blocks)
-            merges[b].append((lam.rgs, mu, d * mu))
-    first: list = []
-    second: list = [[] for _ in parts]
-    for tau in parts:
-        if tau.block_count > n:
-            continue
-        t, row = len(first), []
-        for lam, mu, scaled in merges[tau.block_count]:
-            r = position[tuple(lam[x] for x in tau.rgs)]
-            row.append((r, scaled))
-            second[r].append((t, mu))
-        first.append(tuple(row))
-    return (tuple(first), tuple(map(tuple, second))), scale
+    # per block count b <= c: (lambda's rgs, mu(tau, lambda o tau)) for |tau| = b
+    merges = [[(lam.rgs, math.prod((-1) ** (len(s) - 1) * math.factorial(len(s) - 1)
+                                   for s in lam.blocks))
+               for lam in _enumerate(CategoryId.S, b)] for b in range(c + 1)]
+    kept = [tau for tau in parts if tau.block_count <= c]
+    mu = tuple(tuple((position[tuple(lam[x] for x in tau.rgs)], m)
+                     for lam, m in merges[tau.block_count]) for tau in kept)
+    mu_t: list = [[] for _ in parts]
+    for t, row in enumerate(mu):
+        for r, m in row:
+            mu_t[r].append((t, m))
+    return mu, tuple(map(tuple, mu_t)), tuple(tau.block_count for tau in kept)
 
 
-# Inverses read off a lattice, by word key (an S key is the length) and n.
-_LATTICES = {CategoryId.S: _lattice_operator}
+# Moebius tables of a lattice, by word key (an S key is the length) and the
+# most blocks that n keeps.
+_LATTICES = {CategoryId.S: _mobius}
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +227,15 @@ def _inverse_rows(category: CategoryId, key: int, n: int) -> tuple[Sequence[Rows
     delta vectors, which lie in the Gram matrix's range, so every
     generalized inverse gives the same numbers."""
     if category in _LATTICES:
-        return _LATTICES[category](key, n)
+        # G = Z D Z^T over the lattice, Z[pi, tau] = [pi <= tau] and
+        # D = diag((n)_{|tau|}), so mu^T D^+ mu is a generalized inverse at
+        # every n; (n)_{|tau|} = 0 beyond n blocks, and with L = (n)_{min(k, n)}
+        # each L / (n)_{|tau|} = (n - |tau|)! / (n - min(k, n))! is an integer
+        c = min(key, n)
+        mu, mu_t, blocks = _LATTICES[category](key, c)
+        scale = math.perm(n, c)
+        d = [scale // math.perm(n, b) for b in range(c + 1)]
+        return [mu, [((t, d[b]),) for t, b in enumerate(blocks)], mu_t], scale
     canonical, phi = _relabel(category, key)
     wg = _weingarten(category, canonical, n)
     where = list(range(len(wg.index)))  # the key's index of each canonical partition

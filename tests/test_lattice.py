@@ -35,14 +35,18 @@ from verify_reference import force_false, kernel_partition
 
 
 # ---------------------------------------------------------------------------
-# The Moebius function, read off the operator's row sets: the first is
-# mu scaled by L D^+ over the partitions with at most n blocks, and the
-# second is mu^T.
+# The Moebius function, read off the S inverse's row sets: mu over the
+# partitions with at most n blocks, the diagonal L D^+ over them, and mu^T;
+# mu and mu^T are the memoized table _mobius(k, min(k, n)).
+
+def _s_rows(k, n):
+    return integrator._inverse_rows(CategoryId.S, k, n)
+
 
 def test_interval_counts():
     # OEIS A000258: the number of intervals of the lattice of set partitions;
     # at n >= k every partition keeps its row, one entry per coarsening
-    counts = [sum(map(len, integrator._lattice_operator(k, 10)[0][0])) for k in range(9)]
+    counts = [sum(map(len, _s_rows(k, 10)[0][0])) for k in range(9)]
     assert counts == [1, 1, 3, 12, 60, 358, 2471, 19302, 167894]
 
 
@@ -55,7 +59,7 @@ def test_mobius_inverts_the_zeta_matrix(k):
     parts = enumerate_partitions("S", "o" * k)
     zeta = [[int(join(p, q) == q) for q in parts] for p in parts]
     mu = [[0] * len(parts) for _ in parts]
-    for r, column in enumerate(integrator._lattice_operator(k, k + 1)[0][1]):
+    for r, column in enumerate(_s_rows(k, k + 1)[0][2]):
         for t, value in column:
             assert zeta[t][r]  # only coarsenings are listed
             mu[t][r] = value
@@ -74,9 +78,19 @@ def _stirling2(k: int, b: int) -> int:
 def test_rows_only_for_partitions_that_n_keeps(k):
     # (n)_{|tau|} = 0 beyond n blocks, so D^+ drops those tau and no row is built
     for n in range(1, k):
-        first, second = integrator._lattice_operator(k, n)[0]
-        assert len(first) == sum(_stirling2(k, b) for b in range(n + 1))
+        first, diagonal, second = _s_rows(k, n)[0]
+        assert len(first) == len(diagonal) == sum(_stirling2(k, b) for b in range(n + 1))
         assert len(second) == len(enumerate_partitions("S", "o" * k))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_every_n_from_k_on_shares_one_mobius_table(k):
+    # N enters only through the diagonal, built at the call
+    integrator._mobius.cache_clear()
+    steps = [_s_rows(k, n)[0] for n in range(k, k + 5)]
+    assert integrator._mobius.cache_info().misses == 1
+    for first, _, second in steps[1:]:
+        assert first is steps[0][0] and second is steps[0][2]
 
 
 def _exact_matmul(a, b):
@@ -91,7 +105,7 @@ def _exact_matmul(a, b):
 def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
     # with G the Gram matrix and L X the operator: G X G = G and X G X = X;
     # the second fails if D^+ keeps a partition with more than n blocks
-    steps, scale = integrator._lattice_operator(k, n)
+    steps, scale = _s_rows(k, n)
     size = len(enumerate_partitions("S", "o" * k))
     flat, shape = [int(i == j) for i in range(size) for j in range(size)], (size, size)
     for rows in steps:
