@@ -229,6 +229,13 @@ CASES: list[list[str]] = [
      "--indices", "1,2,1,2,3,3"],
     ["char-exact", "--space", "O:4/I=1,2", "--truncation", "2", "--word", "oooooo"],
     ["char-exact", "--space", "U:3/I=1,2", "--truncation", "2", "--word", "obbobo"],
+    # verify and char-exact on S factors, alone and in products, N < k among
+    # the count tables of S:2/I=1,2
+    ["verify", "--space", "group-as-space:S:3", "--max-k", "4", "--test-degree", "2"],
+    ["verify", "--space", "S:3xO:3/J=1,2", "--max-k", "4", "--test-degree", "2"],
+    ["verify", "--space", "S:2xU+:2/J=1,2", "--max-k", "4", "--test-degree", "2"],
+    ["verify", "--space", "S:2/I=1,2", "--max-k", "5", "--test-degree", "2"],
+    ["char-exact", "--space", "S:3xO:3/J=1,2", "--truncation", "2", "--word", "oooooo"],
 ]
 
 
