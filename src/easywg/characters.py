@@ -23,7 +23,7 @@ from .partitions import (
     enumerate_partitions,
     record,
 )
-from .spaces import SpaceSpec, _kernel
+from .spaces import SpaceSpec, _factor_keys, _kernel, _weights
 
 
 @record
@@ -49,12 +49,13 @@ def char_moment_exact(query: CharacterQuery) -> Fraction:
     """Exact moment of sqrt(M) times the truncated character at the word.
 
     Sum over tuples of factor partitions (pi, sigma) of
-    T^{|join pi|} M^{|join sigma|} prod_r W_r(pi_r, sigma_r); rational.
+    T^{|join pi|} M^{|join sigma|} prod_r W_r(pi_r, sigma_r); rational,
+    read with spaces._weights at T, as S factors are read by exact kernel.
     """
+    categories = tuple(f.category for f in query.space.factors)
     kern, scale = _kernel(query.space, query.word)
-    t = query.truncation
-    num = scale * sum(t**b * y for b, y in zip(kern.blocks, kern.values))
-    return Fraction(num, kern.denominator)
+    weights = _weights(categories, _factor_keys(categories, query.word), query.truncation)
+    return Fraction(scale * sum(w * y for w, y in zip(weights, kern.values)), kern.denominator)
 
 
 def _positive(t) -> Fraction:

@@ -204,14 +204,16 @@ class WeingartenMatrix:
 # 2**13 indices (2**14 terms) sums exactly; a longer inner dimension is
 # taken chunk by chunk.  The split width and the chunk length are derived
 # from p, which keeps any p below 2**31.5 exact as well.  The sweep (_sweep)
-# pivots through panels of _PANEL diagonals.  Inside a panel an int64 entry
-# takes (2**63 - p) // (p - 1)**2 unreduced pivot updates, 2**11 for these
-# primes; between panels the matrix is left unreduced, each panel
-# subtracting one reduced product, so an entry stays above -(n / _PANEL) * p.
+# pivots through panels of _PANEL diagonals, fewer than the (2**63 - p) //
+# (p - 1)**2 = 2**11 unreduced pivot updates an int64 entry takes for these
+# primes, so a panel's block is reduced at its end; between panels the
+# matrix is left unreduced, each panel subtracting one reduced product, so
+# an entry stays above -(n / _PANEL) * p.
 _PRIME_LIMIT = 1 << 26
 _EXACT = 1 << 53
 _PANEL = 128
 _TILE = 1 << 18
+assert _PANEL <= (2**63 - _PRIME_LIMIT) // _PRIME_LIMIT**2, "a panel overflows int64"
 
 
 @lru_cache(maxsize=None)
@@ -267,13 +269,12 @@ def _sweep_panel(a: np.ndarray, p: int) -> list[int]:
     Sweeping c subtracts a[i, c] * a[c, j] / a[c, c] from every other entry,
     divides row and column c by a[c, c] and sets a[c, c] to -1 / a[c, c]; a
     diagonal that is 0 modulo p is skipped.  Column c is reduced when it is
-    used, and the whole block after every (2**63 - p) // (p - 1)**2 sweeps
-    (2**11 for the engine's primes), the unreduced updates an int64 entry
-    holds.  Overwrites a with its reduced sweep; returns the swept positions.
+    used, and the whole block at the end, which _PANEL keeps within the
+    unreduced updates an int64 entry holds.  Overwrites a with its reduced
+    sweep; returns the swept positions.
     """
     import numpy as np
 
-    every = (2**63 - p) // (p - 1) ** 2
     swept: list[int] = []
     for c in range(a.shape[0]):
         col = a[:, c] % p
@@ -285,8 +286,6 @@ def _sweep_panel(a: np.ndarray, p: int) -> list[int]:
         a[c] = a[:, c] = row
         a[c, c] = -inv % p
         swept.append(c)
-        if len(swept) % every == 0:
-            a %= p
     a %= p
     return swept
 

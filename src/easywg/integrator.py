@@ -1,9 +1,9 @@
 """Haar-state moments of easy quantum groups: each factor's generalized
 inverse (_inverse_rows), shared by group moments and space kernels, with
-the S category's built from the partition lattice's Moebius function for
-the partitions that N keeps (_mobius, memoized by k and min(k, N)), the
-U and U+ categories' built once per symmetry class of words and relabelled
-(_relabel), and the tensor contraction that every Weingarten sum runs on."""
+the S category's the diagonal D^+ of the partition lattice in exact-kernel
+coordinates (_EXACT_KERNEL), the U and U+ categories' built once per
+symmetry class of words and relabelled (_relabel), and the tensor
+contraction that every Weingarten sum runs on."""
 
 from __future__ import annotations
 
@@ -93,9 +93,18 @@ def _check_bounds(indices: Sequence[int], n: int, what: str) -> None:
 Rows = Sequence[Sequence[tuple[int, int]]]
 
 
-def _delta_row(partitions: Sequence, indices: Sequence) -> list[tuple[int, int]]:
-    """The sparse row of the partitions that the indices fit."""
-    return [(j, 1) for j, p in enumerate(partitions) if p.delta(indices)]
+# The categories whose axes every consumer reads by exact kernel (see
+# _inverse_rows): an index tuple selects its kernel alone.
+_EXACT_KERNEL = {CategoryId.S}
+
+
+def _delta_row(category: CategoryId, parts: Sequence, indices: Sequence) -> list[tuple[int, int]]:
+    """The sparse row of the partitions that the indices fit; on an axis
+    read by exact kernel, of the indices' kernel alone: the fitting
+    partition with as many blocks as the indices have distinct values."""
+    exact = len(set(indices)) if category in _EXACT_KERNEL else None
+    return [(j, 1) for j, p in enumerate(parts)
+            if p.delta(indices) and exact in (None, p.block_count)]
 
 
 def _contract_axis(
@@ -136,40 +145,6 @@ def _contract_each(
     for axis, row_sets in enumerate(options):
         layer = [_contract_axis(f, s, axis, rows) for f, s in layer for rows in row_sets]
     return [f for f, _ in layer]
-
-
-@lru_cache(maxsize=None)
-def _mobius(k: int, c: int) -> tuple[Rows, Rows, tuple[int, ...]]:
-    """(mu, mu^T, blocks): the rows of the partition lattice's Moebius
-    function on k legs for the tau with at most c blocks, mu^T over those
-    rows, and each kept tau's block count; memoized, so the rows are
-    tuples.  N enters the S inverse only through which tau it keeps, so
-    every N >= k shares the table at c = k (see _inverse_rows).
-
-    The coarsenings of tau are lambda o tau, lambda a set partition of its
-    blocks (tau labels them in order of first appearance, so the composed
-    growth string is canonical), and mu(tau, lambda o tau) is the product
-    over lambda's blocks of (-1)^(s-1) (s-1)!, s the size.
-    """
-    parts = _enumerate(CategoryId.S, k)
-    position = {p.rgs: i for i, p in enumerate(parts)}
-    # per block count b <= c: (lambda's rgs, mu(tau, lambda o tau)) for |tau| = b
-    merges = [[(lam.rgs, math.prod((-1) ** (len(s) - 1) * math.factorial(len(s) - 1)
-                                   for s in lam.blocks))
-               for lam in _enumerate(CategoryId.S, b)] for b in range(c + 1)]
-    kept = [tau for tau in parts if tau.block_count <= c]
-    mu = tuple(tuple((position[tuple(lam[x] for x in tau.rgs)], m)
-                     for lam, m in merges[tau.block_count]) for tau in kept)
-    mu_t: list = [[] for _ in parts]
-    for t, row in enumerate(mu):
-        for r, m in row:
-            mu_t[r].append((t, m))
-    return mu, tuple(map(tuple, mu_t)), tuple(tau.block_count for tau in kept)
-
-
-# Moebius tables of a lattice, by word key (an S key is the length) and the
-# most blocks that n keeps.
-_LATTICES = {CategoryId.S: _mobius}
 
 
 @lru_cache(maxsize=None)
@@ -222,20 +197,21 @@ def _relabel(category: CategoryId, key: int) -> tuple[int, "tuple[int, ...] | No
 def _inverse_rows(category: CategoryId, key: int, n: int) -> tuple[Sequence[Rows], int]:
     """A generalized inverse X of the category's Gram matrix for word key
     `key` at dimension n, times an integer L, as row sets to apply in turn,
-    and L: a lattice's inverse, or else the Weingarten block of the key's
-    canonical word (_relabel), relabelled.  Consumers pair X only with
-    delta vectors, which lie in the Gram matrix's range, so every
-    generalized inverse gives the same numbers."""
-    if category in _LATTICES:
-        # G = Z D Z^T over the lattice, Z[pi, tau] = [pi <= tau] and
-        # D = diag((n)_{|tau|}), so mu^T D^+ mu is a generalized inverse at
-        # every n; (n)_{|tau|} = 0 beyond n blocks, and with L = (n)_{min(k, n)}
-        # each L / (n)_{|tau|} = (n - |tau|)! / (n - min(k, n))! is an integer
+    and L: for S the diagonal D^+, or else the Weingarten block of the
+    key's canonical word (_relabel), relabelled.  Consumers pair X only
+    with delta vectors, which lie in the Gram matrix's range, so every
+    generalized inverse gives the same numbers.
+
+    For S, G = Z D Z^T with Z[pi, tau] = [pi <= tau], D = diag((n)_{|tau|}).
+    Every delta-sum paired with X is Z a, a counting tuples by exact kernel,
+    and X = Z^-T D^+ Z^-1 gives (Z a)^T X (Z b) = a^T D^+ b.  D^+ has an
+    empty row beyond n blocks, and with L = (n)_{min(k, n)} each
+    L / (n)_{|tau|} = (n - |tau|)! / (n - min(k, n))! is an integer."""
+    if category in _EXACT_KERNEL:
         c = min(key, n)
-        mu, mu_t, blocks = _LATTICES[category](key, c)
         scale = math.perm(n, c)
-        d = [scale // math.perm(n, b) for b in range(c + 1)]
-        return [mu, [((t, d[b]),) for t, b in enumerate(blocks)], mu_t], scale
+        return [[((t, scale // math.perm(n, p.block_count)),) if p.block_count <= c else ()
+                 for t, p in enumerate(_enumerate(category, key))]], scale
     canonical, phi = _relabel(category, key)
     wg = _weingarten(category, canonical, n)
     where = list(range(len(wg.index)))  # the key's index of each canonical partition
@@ -251,7 +227,8 @@ def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
     """Haar integral of the colored coordinate monomial over the group.
 
     The Weingarten sum delta(rows)^T X delta(cols), with X from
-    _inverse_rows: S takes the partition lattice, builds no matrix and
+    _inverse_rows: S reads both delta vectors by exact kernel, so the sum
+    is [ker rows = ker cols] / (N)_{|ker rows|}, and builds no matrix and
     loads no numpy.  The degree-0 monomial integrates to 1.
     """
     _check_bounds(query.rows, group.dimension, "row")
@@ -261,7 +238,8 @@ def group_moment(group: GroupSpec, query: MomentQuery) -> Fraction:
     if not parts:  # an empty Weingarten sum needs no inverse
         return Fraction(0)
     steps, scale = _inverse_rows(group.category, key, group.dimension)
-    flat, shape = [int(p.delta(query.cols)) for p in parts], (len(parts),)
-    for rows in [*steps, [_delta_row(parts, query.rows)]]:
+    cols = dict(_delta_row(group.category, parts, query.cols))
+    flat, shape = [cols.get(j, 0) for j in range(len(parts))], (len(parts),)
+    for rows in [*steps, [_delta_row(group.category, parts, query.rows)]]:
         flat, shape = _contract_axis(flat, shape, 0, rows)
     return Fraction(flat[0], scale)

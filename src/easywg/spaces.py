@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .integrator import (
+    _EXACT_KERNEL,
     GroupSpec,
     IndexSet,
     _contract_axis,
@@ -188,8 +189,12 @@ def parse_space(text: str) -> SpaceSpec:
 # with sums of delta vectors of tuples in {1..N_r}^k, which lie in the
 # Gram matrix's range, so the moments do not depend on the choice.  Each
 # axis is contracted with the row sets of integrator._inverse_rows, which
-# group moments share: the partition lattice's inverse for S factors, the
-# Weingarten matrix for every other factor.  A word enters as its factor
+# group moments share: the diagonal D^+ for S factors, whose axes are read
+# by exact kernel (integrator._EXACT_KERNEL), the Weingarten matrix for
+# every other factor.  Moebius inversion on an S axis makes the start
+# values (x)_{|J|} where every S partition is the join J, else 0
+# (_weights); a delta row keeps the tuple's kernel alone, and a count
+# table the entries with J = w.  A word enters as its factor
 # keys, one partitions.word_key per factor, and nothing below reads the
 # word itself: kernels are memoized by the factor list, M and the factor
 # keys, and what depends on neither N nor M, the partition tuples' join
@@ -222,7 +227,6 @@ class _Kernel:
     dlists: tuple[tuple[SetPartition, ...], ...]
     shape: tuple[int, ...]
     values: tuple[int, ...]  # flat, row-major over the shape
-    blocks: tuple[int, ...]  # join block count per position, same order
     denominator: int
 
 
@@ -237,10 +241,23 @@ def _uniform_blocks(categories: tuple[CategoryId, ...], keys: tuple[int, ...]) -
     return b if blocks.count(b) == len(blocks) else None
 
 
+def _weights(categories: tuple[CategoryId, ...], keys: tuple[int, ...], x: int) -> list[int]:
+    """x^{|J|} per partition tuple of the factor keys, J its join; with S
+    axes, (x)_{|J|} when each S partition has |J| blocks, and 0 otherwise."""
+    blocks = _join_blocks(categories, keys)
+    if _EXACT_KERNEL.isdisjoint(categories):
+        return [x**b for b in blocks]
+    sizes = itertools.product(*([p.block_count if c in _EXACT_KERNEL else None for p in
+                                 _enumerate(c, key)] for c, key in zip(categories, keys)))
+    return [math.perm(x, b) if all(s in (None, b) for s in ss) else 0
+            for b, ss in zip(blocks, sizes)]
+
+
 def _kernel(space: SpaceSpec, word: ColoredWord) -> tuple[_Kernel, int]:
     """(kernel, scale): the space's kernel of the word is scale times the
     memoized kernel's values, scale = M^b read at M = 1 when the word's
-    joins all have b blocks (_uniform_blocks), else 1 at the space's M."""
+    joins all have b blocks (_uniform_blocks), else 1 at the space's M.
+    With an S factor b <= 1, where the start (M)_b (_weights) is M^b."""
     categories = tuple(f.category for f in space.factors)
     keys = _factor_keys(categories, word)
     b = _uniform_blocks(categories, keys)
@@ -258,17 +275,16 @@ def _space_kernel(factors: tuple[GroupSpec, ...], m: int, keys: tuple[int, ...])
     categories = tuple(f.category for f in factors)
     dlists = tuple(map(_enumerate, categories, keys))
     shape = tuple(len(d) for d in dlists)
-    blocks = _join_blocks(categories, keys)
     values: "list[int] | tuple[int, ...]" = ()
     den = 1
-    if blocks:  # an empty partition set needs no inverse
-        values, now = [m**b for b in blocks], shape
+    if all(shape):  # an empty partition set needs no inverse
+        values, now = _weights(categories, keys, m), shape
         for axis, (f, key) in enumerate(zip(factors, keys)):
             steps, scale = _inverse_rows(f.category, key, f.dimension)
             for rows in steps:
                 values, now = _contract_axis(values, now, axis, rows)
             den *= scale
-    return _Kernel(dlists, shape, tuple(values), blocks, den)
+    return _Kernel(dlists, shape, tuple(values), den)
 
 
 def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fraction:
@@ -287,7 +303,8 @@ def space_moment(space: SpaceSpec, word: WordLike, indices: Sequence) -> Fractio
     # zip(*indices) would give none
     comps = ([tuple(x[r] for x in indices) for r in range(len(space.factors))]
              if space.is_product else [indices])
-    rows = [[[_delta_row(dlist, comp)]] for dlist, comp in zip(kern.dlists, comps)]
+    rows = [[[_delta_row(f.category, dlist, comp)]]
+            for f, dlist, comp in zip(space.factors, kern.dlists, comps)]
     return scale * Fraction(_contract_each(kern.values, kern.shape, rows)[0][0], kern.denominator)
 
 
@@ -424,19 +441,22 @@ def _count_table(
     so the count is n^(|J| - |pattern|) when J restricted to the tail legs
     is the pattern, and 0 (no entry) when J would equate two distinct tail
     values.  The restriction is never finer than the pattern, so the two
-    are equal exactly when they have the same number of blocks.
+    are equal exactly when they have the same number of blocks.  Read by
+    exact kernel (S), the tuples' kernel must be w: only the entries with
+    J = w (|J| = |w|) are kept, and their reader takes (n - |pattern|)_e.
     """
     tail = max(pattern) + 1 if pattern else 0
-    full_links = [_links(w.rgs) for w in _enumerate(category, full)]
+    full_links = [(_links(w.rgs), w.block_count if category in _EXACT_KERNEL else None)
+                  for w in _enumerate(category, full)]
     out = []
     for h in _enumerate(category, head):
         k = h.ground_size
         legs = k + len(pattern)
         both = _links(h.rgs + tuple(h.block_count + x for x in pattern))
         row = []
-        for c, links in enumerate(full_links):
+        for c, (links, size) in enumerate(full_links):
             parent, blocks = _join_forest(legs, (both, links))
-            if len({_root(parent, x) for x in range(k, legs)}) == tail:
+            if size in (None, blocks) and len({_root(parent, x) for x in range(k, legs)}) == tail:
                 row.append((c, blocks - tail))
         out.append(tuple(row))
     return tuple(out)
@@ -496,7 +516,9 @@ class _Patterns:
                 for f, opts, head, full in zip(self.factors, self.options, heads, fulls):
                     if f not in mats:
                         n = f.dimension
-                        mats[f] = [[[(c, n**e) for c, e in row]
+                        exact = f.category in _EXACT_KERNEL
+                        mats[f] = [[[(c, math.perm(n - rho.block_count, e) if exact else n**e)
+                                     for c, e in row]
                                     for row in _count_table(f.category, head, full, rho.rgs)]
                                    for rho in opts]
                 v = _contract_each(kern.values, kern.shape, [mats[f] for f in self.factors])

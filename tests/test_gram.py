@@ -195,19 +195,23 @@ def test_dimension_equal_to_the_prime_sweeps_nothing(cat, word):
 
 @pytest.mark.parametrize("cat,word,n,singular", ELIMINATION_KEYS)
 def test_periodic_reduction_prevents_overflow(monkeypatch, cat, word, n, singular):
-    # With p = 2**31 - 1 a single pivot update is near 2**62, so an int64
-    # entry holds at most two unreduced updates, and the products split
-    # residues into 16-bit halves and take 32 inner indices (64 terms) per
-    # float64 product.  Widths 3 and the default need the in-panel
-    # reduction, and at the default width the first panel of S+ o^6 at N=10
-    # sweeps 128 diagonals, so its products take four chunks.  Python ints
-    # never wrap and give the reference residues.
+    # A panel's block is reduced once, at the panel's end, so a panel may
+    # make at most as many pivot updates as an int64 entry holds unreduced:
+    # 2**11 for the engine's primes, against the module's _PANEL = 128.
+    # With p = 2**31 - 1 a single pivot update is near 2**62, so an entry
+    # holds at most two, and the panels of widths 1 and 2 stay within that;
+    # the products split residues into 16-bit halves and take 32 inner
+    # indices (64 terms) per float64 product.  Python ints never wrap and
+    # give the reference residues.
+    assert (2**63 - xl._PRIME_LIMIT) // xl._PRIME_LIMIT**2 > xl._PANEL
     p = 2**31 - 1
     assert (2**63 - p) // (p - 1) ** 2 == 2
     assert _chunk(p) == 32
     a = xl._residues(gram_matrix(cat, word, n), p)
     profile, block = _reference_sweep(a, p)
-    for width, got_profile, got_block in _sweeps(monkeypatch, a, p):
+    for width in (1, 2):
+        monkeypatch.setattr(xl, "_PANEL", width)
+        got_profile, got_block = xl._sweep(a.copy(), p)
         assert got_profile == profile, width
         assert np.array_equal(got_block, block), width
 

@@ -1,12 +1,14 @@
-"""The partition-lattice route for S factors.
+"""The exact-kernel route for S factors.
 
-`integrator._inverse_rows` gives S the inverse X = mu^T D^+ mu on the
-lattice of set partitions instead of the Weingarten matrix, and every
-other category the Weingarten matrix; space kernels and `group_moment`
-both take it from there.  Both are generalized inverses of the same Gram
-matrix, so every moment-level number must agree.  These tests compare the
-two routes on such numbers, the `engine` fixture sending S through the
-Weingarten branch, and the lattice route with closed forms and the
+`integrator._inverse_rows` gives S the diagonal D^+ of the partition
+lattice, which every consumer reads in exact-kernel coordinates, and
+every other category the Weingarten matrix; space kernels and
+`group_moment` both take it from there.  D^+ read that way and the
+Weingarten matrix are generalized inverses of the same Gram matrix, so
+every moment-level number must agree.  These tests check the lattice
+factorization G = Z D Z^T and the row sets, compare the two routes on
+such numbers, the `engine` fixture sending S through the Weingarten
+branch, and check the exact-kernel route against closed forms and the
 exhaustive S_n oracle.
 """
 
@@ -26,45 +28,57 @@ import easywg.integrator as integrator
 import easywg.spaces as spaces
 from easywg.characters import CharacterQuery, char_moment_exact
 from easywg.exact_linalg import get_weingarten, gram_matrix
-from easywg.integrator import GroupSpec, IndexSet, MomentQuery, _contract_axis, group_moment
+from easywg.integrator import GroupSpec, IndexSet, MomentQuery, group_moment
 from easywg.oracles import sn_exhaustive_space_moment
-from easywg.partitions import CategoryId, enumerate_partitions
+from easywg.partitions import CategoryId, as_word, enumerate_partitions
 from easywg.spaces import parse_space, space_moment, verify_relations
-from fraction_reference import clear_caches, join
-from verify_reference import force_false, kernel_partition
+from fraction_reference import clear_caches
+from verify_reference import coordinates, force_false, kernel_partition
 
 
 # ---------------------------------------------------------------------------
-# The Moebius function, read off the S inverse's row sets: mu over the
-# partitions with at most n blocks, the diagonal L D^+ over them, and mu^T;
-# mu and mu^T are the memoized table _mobius(k, min(k, n)).
+# The lattice in exact-kernel coordinates: G = Z D Z^T with
+# Z[pi, tau] = [pi <= tau] and D = diag((n)_{|tau|}), the S inverse's one
+# row set L D^+, and delta rows that hold a tuple's kernel alone.
 
 def _s_rows(k, n):
     return integrator._inverse_rows(CategoryId.S, k, n)
 
 
-def test_interval_counts():
-    # OEIS A000258: the number of intervals of the lattice of set partitions;
-    # at n >= k every partition keeps its row, one entry per coarsening
-    counts = [sum(map(len, _s_rows(k, 10)[0][0])) for k in range(9)]
-    assert counts == [1, 1, 3, 12, 60, 358, 2471, 19302, 167894]
+def _zeta(parts) -> np.ndarray:
+    """Z[pi, tau] = [pi <= tau]: no two legs that pi joins are apart in
+    tau, counted over the k^2 pairs of legs."""
+    same = np.array([[int(a == b) for a in p.rgs for b in p.rgs] for p in parts],
+                    dtype=np.int64).reshape(len(parts), -1)
+    return (same @ (1 - same).T == 0).astype(np.int64)
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _exact_matmul(a, b):
+    """a @ b in float64 for integer matrices, exact while every partial sum
+    stays below 2**53."""
+    assert np.abs(a).max(initial=0) * np.abs(b).max(initial=0) * a.shape[1] < 2**53
+    return a.astype(float) @ b.astype(float)
 
 
-@pytest.mark.parametrize("k", range(6))
-def test_mobius_inverts_the_zeta_matrix(k):
+@pytest.mark.parametrize("k, n", [(k, n) for k in range(7) for n in (1, 2, 3, 10)]
+                         + [(7, 2), (7, 3)])
+def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
+    # G = Z D Z^T entry for entry; with X the dense form of L D^+ from the
+    # row set, D X D = L D and X D X = L X, so Z^-T X Z^-1 is a reflexive
+    # generalized inverse of G; the second fails if D^+ keeps a partition
+    # with more than n blocks
     parts = enumerate_partitions("S", "o" * k)
-    zeta = [[int(join(p, q) == q) for q in parts] for p in parts]
-    mu = [[0] * len(parts) for _ in parts]
-    for r, column in enumerate(_s_rows(k, k + 1)[0][2]):
-        for t, value in column:
-            assert zeta[t][r]  # only coarsenings are listed
-            mu[t][r] = value
-    assert _matmul(mu, zeta) == [[int(s == t) for s in range(len(parts))]
-                                 for t in range(len(parts))]
+    z = _zeta(parts)
+    d = np.diag([math.perm(n, p.block_count) for p in parts])
+    g = np.array(gram_matrix("S", "o" * k, n).entries, dtype=np.int64)
+    assert np.array_equal(_exact_matmul(_exact_matmul(z, d), z.T), g)
+    (rows,), scale = _s_rows(k, n)
+    x = np.zeros_like(d)
+    for t, row in enumerate(rows):
+        for j, c in row:
+            x[t, j] = c
+    assert np.array_equal(_exact_matmul(_exact_matmul(d, x), d), scale * d)
+    assert np.array_equal(_exact_matmul(_exact_matmul(x, d), x), scale * x)
 
 
 def _stirling2(k: int, b: int) -> int:
@@ -76,44 +90,39 @@ def _stirling2(k: int, b: int) -> int:
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_rows_only_for_partitions_that_n_keeps(k):
-    # (n)_{|tau|} = 0 beyond n blocks, so D^+ drops those tau and no row is built
-    for n in range(1, k):
-        first, diagonal, second = _s_rows(k, n)[0]
-        assert len(first) == len(diagonal) == sum(_stirling2(k, b) for b in range(n + 1))
-        assert len(second) == len(enumerate_partitions("S", "o" * k))
+    # (n)_{|tau|} = 0 beyond n blocks, so D^+ is one integer diagonal row set
+    # with an entry L / (n)_{|tau|} at each tau with at most n blocks and an
+    # empty row at the others
+    parts = enumerate_partitions("S", "o" * k)
+    for n in range(1, k + 2):
+        steps, scale = _s_rows(k, n)
+        assert len(steps) == 1 and scale == math.perm(n, min(k, n))
+        (rows,) = steps
+        assert len(rows) == len(parts)
+        kept = [t for t, row in enumerate(rows) if row]
+        assert len(kept) == sum(_stirling2(k, b) for b in range(n + 1))
+        for t, (row, p) in enumerate(zip(rows, parts)):
+            if p.block_count <= n:
+                (j, c), = row
+                assert j == t and isinstance(c, int) and c * math.perm(n, p.block_count) == scale
+            else:
+                assert row == ()
 
 
-@pytest.mark.parametrize("k", [1, 3, 6])
-def test_every_n_from_k_on_shares_one_mobius_table(k):
-    # N enters only through the diagonal, built at the call
-    integrator._mobius.cache_clear()
-    steps = [_s_rows(k, n)[0] for n in range(k, k + 5)]
-    assert integrator._mobius.cache_info().misses == 1
-    for first, _, second in steps[1:]:
-        assert first is steps[0][0] and second is steps[0][2]
-
-
-def _exact_matmul(a, b):
-    """a @ b in float64 for integer matrices, exact while every partial sum
-    stays below 2**53."""
-    assert np.abs(a).max() * np.abs(b).max() * a.shape[1] < 2**53
-    return a @ b
-
-
-@pytest.mark.parametrize("k, n", [(k, n) for k in range(6) for n in (1, 2, 3, 10)]
-                         + [(7, 2), (7, 3)])
-def test_lattice_operator_is_a_reflexive_generalized_inverse(k, n):
-    # with G the Gram matrix and L X the operator: G X G = G and X G X = X;
-    # the second fails if D^+ keeps a partition with more than n blocks
-    steps, scale = _s_rows(k, n)
-    size = len(enumerate_partitions("S", "o" * k))
-    flat, shape = [int(i == j) for i in range(size) for j in range(size)], (size, size)
-    for rows in steps:
-        flat, shape = _contract_axis(flat, shape, 0, rows)
-    x = np.array(flat, dtype=float).reshape(size, size)
-    g = np.array(gram_matrix("S", "o" * k, n).entries, dtype=float)
-    assert np.array_equal(_exact_matmul(_exact_matmul(g, x), g), scale * g)
-    assert np.array_equal(_exact_matmul(_exact_matmul(x, g), x), scale * x)
+@pytest.mark.parametrize("k", range(6))
+def test_delta_row_holds_exactly_the_kernel(k):
+    # a tuple's delta vector over the partitions is Z e_{ker i}: read by
+    # exact kernel its row is e_{ker i}, one entry at the tuple's kernel;
+    # the same partitions read as O's (not by kernel) keep every fit
+    parts = enumerate_partitions("S", "o" * k)
+    z = _zeta(parts)
+    for idx in itertools.product(range(1, k + 1), repeat=k):
+        fits = [int(p.delta(idx)) for p in parts]
+        row = integrator._delta_row(CategoryId.S, parts, idx)
+        assert row == [(parts.index(kernel_partition(idx)), 1)]
+        assert z[:, row[0][0]].tolist() == fits
+        assert integrator._delta_row(CategoryId.O, parts, idx) == [
+            (j, 1) for j, f in enumerate(fits) if f]
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +170,24 @@ def test_seven_legs_build_no_weingarten_matrix():
 @pytest.fixture
 def engine(monkeypatch):
     """Calls a function with S factors taking the Weingarten branch of
-    `_inverse_rows`, and every space kernel, verify's pair kernels
-    included, verify's outcome tables and its patterns, with the left sides
-    they keep, taken from memos of the test's own rather than the
+    `_inverse_rows` and read, like every other factor, by fits rather than
+    by exact kernel; and with every space kernel, verify's pair kernels
+    included, verify's outcome tables, its patterns, with the left sides
+    they keep, and its count tables, whose S entries change meaning with
+    the switch, taken from memos of the test's own rather than the
     process's, so that the two routes never share a kernel or a table."""
     memos = {name: functools.lru_cache(maxsize=None)(getattr(spaces, name).__wrapped__)
-             for name in ("_space_kernel", "_outcome_table", "_Patterns")}
+             for name in ("_space_kernel", "_outcome_table", "_Patterns", "_count_table")}
 
     def call(fn, *args):
-        with monkeypatch.context() as m:
-            m.delitem(integrator._LATTICES, CategoryId.S)
-            for name, memo in memos.items():
-                m.setattr(spaces, name, memo)
-            return fn(*args)
+        integrator._EXACT_KERNEL.remove(CategoryId.S)
+        try:
+            with monkeypatch.context() as m:
+                for name, memo in memos.items():
+                    m.setattr(spaces, name, memo)
+                return fn(*args)
+        finally:
+            integrator._EXACT_KERNEL.add(CategoryId.S)
     return call
 
 
@@ -239,6 +253,28 @@ def test_space_and_character_moments_match_the_engine(text, engine):
         for t in range(1, min(f.dimension for f in space.factors) + 1):
             query = CharacterQuery(space, t, word)
             assert char_moment_exact(query) == engine(char_moment_exact, query)
+
+
+@pytest.mark.parametrize("text", ["S:2xO:2/J=1", "S:2xO:2/J=1,2", "S:3xO:3/J=1",
+                                  "S:3xO:3/J=1,2", "S:3xO:3/J=1,2,3"])
+def test_kernels_scaled_from_m_1_match_the_engine(text, engine, monkeypatch):
+    # every S x O partition tuple on oo joins to one block, so the kernel is
+    # read at M = 1 and scaled by M, exact because its start (M)_1 is M; the
+    # same numbers come from the engine and from a contraction at M
+    space, word = parse_space(text), as_word("oo")
+    categories = tuple(f.category for f in space.factors)
+    assert spaces._uniform_blocks(categories, spaces._factor_keys(categories, word)) == 1
+    queries = [(space_moment, space, word, idx)
+               for idx in itertools.product(coordinates(space), repeat=2)]
+    queries += [(char_moment_exact, CharacterQuery(space, t, word)) for t in range(1, 3)]
+    at_m = functools.lru_cache(maxsize=None)(spaces._space_kernel.__wrapped__)
+    for fn, *args in queries:
+        got = fn(*args)
+        assert got == engine(fn, *args)
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_uniform_blocks", lambda *a: None)
+            m.setattr(spaces, "_space_kernel", at_m)
+            assert got == fn(*args)
 
 
 def test_group_as_space_at_six_legs_matches_the_engine(engine):

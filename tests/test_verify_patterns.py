@@ -221,7 +221,7 @@ def test_vanishing_moments_alone_decide_no_pair(monkeypatch):
     def kernel(factors, m, keys):
         kern = build(factors, m, keys)
         if keys == (2,):
-            return spaces._Kernel(kern.dlists, kern.shape, (), kern.blocks, kern.denominator)
+            return spaces._Kernel(kern.dlists, kern.shape, (), kern.denominator)
         return kern
     monkeypatch.setattr(spaces, "_space_kernel", functools.lru_cache(maxsize=None)(kernel))
     for name in ("_outcome_table", "_Patterns"):  # no left side kept from the real kernel
@@ -405,8 +405,8 @@ def test_scaled_kernels_equal_a_contraction_at_m(body):
             cold = spaces._space_kernel.__wrapped__(space.factors, space.m, keys)
             kern, scale = spaces._kernel(space, word)
             assert tuple(scale * y for y in kern.values) == cold.values, (repr(space), word)
-            assert (kern.dlists, kern.shape, kern.blocks, kern.denominator) == (
-                cold.dlists, cold.shape, cold.blocks, cold.denominator), (repr(space), word)
+            assert (kern.dlists, kern.shape, kern.denominator) == (
+                cold.dlists, cold.shape, cold.denominator), (repr(space), word)
 
 
 def _count_contractions(monkeypatch) -> collections.Counter:

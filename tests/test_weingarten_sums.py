@@ -43,7 +43,9 @@ def _keyed_words(category, length: int) -> list[ColoredWord]:
 def test_count_matrix_against_brute_force(n):
     # every category and every pair of word keys with k + d <= 6; one tail
     # per kernel with at most n values, written with values counted down
-    # from n: the one N-free count table, raised to n, counts the tuples
+    # from n: the one N-free count table, raised to n, counts the tuples;
+    # S, read by exact kernel, counts the head tuples whose concatenation
+    # has exactly the kernel w
     for category in map(as_category, ("S", "S+", "O", "O+", "U", "U+")):
         for k in range(7):
             tuples = list(itertools.product(range(1, n + 1), repeat=k))
@@ -61,8 +63,13 @@ def test_count_matrix_against_brute_force(n):
                             tail = tuple(n - label for label in ker.rgs)
                             tails = np.tile(np.array(tail, dtype=np.int64), (len(tuples), 1))
                             joined = np.hstack([head_tuples, tails])
+                            fit_fulls = _fits(fulls, joined)
+                            if category in integrator._EXACT_KERNEL:
+                                values = np.array([len(set(t)) for t in joined.tolist()])
+                                sizes = np.array([w.block_count for w in fulls])
+                                fit_fulls &= sizes[:, None] == values
                             expected = [[(w, c) for w, c in enumerate(row) if c]
-                                        for row in (fit_heads @ _fits(fulls, joined).T).tolist()]
+                                        for row in (fit_heads @ fit_fulls.T).tolist()]
                             got = _count_matrix(category, head, full, tail, n)
                             assert got == expected, (category, head, full, tail)
 

@@ -8,7 +8,11 @@ word, test tuple, relation.  The library now decides each pattern once and
 counts its tuples; `tests/test_verify_patterns.py` compares the two check
 by check.  Every kernel here is contracted at the space's own M
 (`_space_kernel` at M), never scaled from M = 1 as the library does for
-words whose joins all have one block count.  `kernel_partition` gives a
+words whose joins all have one block count.  Factors of the categories
+in `integrator._EXACT_KERNEL` (S) are read in exact-kernel coordinates,
+as the library reads them: a tuple selects its kernel alone, and a count
+matrix counts the tuples whose concatenation has exactly the kernel w.
+`kernel_partition` gives a
 tuple's equality pattern, and `force_false` makes every relation false
 for the tests of failing checks.
 Nothing in src imports this module.
@@ -18,9 +22,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from easywg import spaces
+from easywg import integrator
 from easywg.integrator import _contract_each
 from easywg.partitions import ColoredWord, SetPartition, word_key
 from easywg.spaces import RelationCheck, _count_table, _factor_keys
@@ -69,9 +75,13 @@ def _count_matrix(category, head: ColoredWord, full: ColoredWord, tail: tuple,
                   n: int) -> list[list[tuple[int, int]]]:
     """Sparse rows over the category's partitions h of `head` and w of
     `full`, entry [h][w]: the number of head tuples in {1..n}^k fitting h
-    whose concatenation with `tail` fits w on k+d legs."""
-    table = _count_table(category, word_key(category, head), word_key(category, full),
-                         kernel_partition(tail).rgs)
+    whose concatenation with `tail` fits w on k+d legs, or, read by exact
+    kernel, has kernel w."""
+    rho = kernel_partition(tail)
+    table = _count_table(category, word_key(category, head), word_key(category, full), rho.rgs)
+    if category in integrator._EXACT_KERNEL:
+        counts = [[(c, math.perm(n - rho.block_count, e)) for c, e in row] for row in table]
+        return [[(c, x) for c, x in row if x] for row in counts]  # none beyond n values
     return [[(c, n**e) for c, e in row] for row in table]
 
 
@@ -89,8 +99,11 @@ def _components(space, indices: tuple) -> list[tuple]:
 def _moment(space, kern, indices: tuple) -> Fraction:
     if not kern.values:
         return Fraction(0)
-    rows = [[[(j, 1) for j, p in enumerate(dlist) if p.delta(comp)]]
-            for dlist, comp in zip(kern.dlists, _components(space, indices))]
+    rows = []
+    for f, dlist, comp in zip(space.factors, kern.dlists, _components(space, indices)):
+        exact = f.category in integrator._EXACT_KERNEL
+        rows.append([[(j, 1) for j, p in enumerate(dlist) if p.delta(comp)
+                      and (not exact or p == kernel_partition(comp))]])
     return Fraction(_contract(kern.values, kern.shape, rows)[0], kern.denominator)
 
 

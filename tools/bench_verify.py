@@ -19,8 +19,9 @@ wrapped call's time minus that of the wrapped calls inside it):
     relations             relation_set and _verify_plan, less their joins
     kernels               _space_kernel, less its joins and inverses
     inverses              _inverse_rows, as called by the spaces module:
-                          each factor's generalized inverse, the S lattice
-                          operator or the engine's Weingarten block
+                          each factor's generalized inverse, the S
+                          diagonal D^+ (read by exact kernel) or the
+                          engine's Weingarten block
     contraction           _contract_each
     cross-multiplication  verify_relations and _outcome_table, less
                           everything above (the zero-pair test included)
